@@ -17,14 +17,14 @@ step, and accumulate terminal sums in step order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtri
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv, expit, ndtri
 
 from .bounds import (BoundConstant, corollary_envelope, eps_log_eps,
                      lambda_bar, nonuniform_be_envelope, tail_bound_sq, xhat)
@@ -335,9 +335,9 @@ def _use_enumeration(config: SimulationConfig) -> bool:
 class _Batch:
     finals: np.ndarray
     qc_final: np.ndarray
-    psi: Optional[np.ndarray] = None
-    b_drift: Optional[np.ndarray] = None
-    z_prod: Optional[np.ndarray] = None   # product-route Z, see _simulate_chunk
+    psi: list = field(default_factory=list)     # one array per conjugate tilt
+    b_drift: list = field(default_factory=list)
+    z_prod: list = field(default_factory=list)  # per-step product route
 
 
 def _ordered_accumulate(parts: np.ndarray) -> np.ndarray:
@@ -350,16 +350,17 @@ def _ordered_accumulate(parts: np.ndarray) -> np.ndarray:
 
 def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                     chunk: int, rows: int, lam: float,
-                    conj_lam: Optional[float] = None,
+                    conj_lams: Sequence[float] = (),
                     cross_route: bool = False) -> _Batch:
     """One chunk of terminal sums, drawn under the tilt ``lam``.
 
-    ``conj_lam`` asks additionally for the conjugate objects Psi and B of
-    each path, evaluated at that tilt; it need not equal the sampling
-    tilt (the hard-assertion suite evaluates them on plain paths).
+    ``conj_lams`` asks additionally for the conjugate objects Psi and B of
+    each path, one array per listed tilt; the tilts need not equal the
+    sampling tilt (the hard-assertion suite evaluates all of its tilts on
+    one draw of plain paths, each in the arithmetic of a one-tilt call).
     ``cross_route`` asks for Z computed as the literal per-step product
-    prod e^{lam xi_i}/m_i (at conj_lam), a float route independent of
-    exp(lam S - Psi); the suite compares the two.
+    prod e^{lam xi_i}/m_i (at each conjugate tilt), a float route
+    independent of exp(lam S - Psi); the suite compares the two.
     """
     rng = generator_for(seed, stream, chunk)
     scale = _constant_scale(model)
@@ -369,27 +370,28 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
         k = rng.binomial(n, p_up, size=rows).astype(float)
         finals = scale * (2.0 * k - n)
         qc_final = np.full(rows, math.fsum([scale * scale] * n))
-        psi = b = z_prod = None
-        if conj_lam is not None:
-            psi = np.full(rows, n * _log_cosh_scalar(conj_lam * scale))
-            b = np.full(rows, n * scale * math.tanh(conj_lam * scale))
+        batch = _Batch(finals, qc_final)
+        for cl in conj_lams:
+            batch.psi.append(np.full(rows, n * _log_cosh_scalar(cl * scale)))
+            batch.b_drift.append(
+                np.full(rows, n * scale * math.tanh(cl * scale)))
             if cross_route:
-                z_prod = (np.exp(conj_lam * finals)
-                          * math.cosh(conj_lam * scale) ** -float(n))
-        return _Batch(finals, qc_final, psi, b, z_prod)
+                batch.z_prod.append(np.exp(cl * finals)
+                                    * math.cosh(cl * scale) ** -float(n))
+        return batch
 
     if isinstance(model, ScaledRademacher):
         w = np.asarray(model.weights)
         u = rng.random((rows, w.size))
         signs = np.where(u < expit(2.0 * lam * w)[None, :], 1.0, -1.0)
         batch = _two_point_accumulate(w[None, :] * np.ones((rows, 1)), signs,
-                                      conj_lam, cross_route)
+                                      conj_lams, cross_route)
         batch.qc_final = np.full(rows, math.fsum(float(v) * float(v)
                                                  for v in w))
         return batch
 
     if isinstance(model, VarianceSwitch):
-        return _variance_switch_chunk(model, rng, rows, lam, conj_lam,
+        return _variance_switch_chunk(model, rng, rows, lam, conj_lams,
                                       cross_route)
 
     if isinstance(model, SelfNormalized):
@@ -400,7 +402,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
         tot = _ordered_accumulate(mags * mags)
         scales = mags / np.sqrt(tot)[:, None]
         signs = np.where(u < expit(2.0 * lam * scales), 1.0, -1.0)
-        return _two_point_accumulate(scales, signs, conj_lam, cross_route)
+        return _two_point_accumulate(scales, signs, conj_lams, cross_route)
 
     if isinstance(model, RegressionModel):
         phi = model.covariate_low + (
@@ -411,20 +413,20 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
         t_scales = phi / np.sqrt(tot)[:, None]
         if model.noise is NoiseFamily.RADEMACHER_SCALED:
             signs = np.where(u < expit(2.0 * lam * t_scales), 1.0, -1.0)
-            return _two_point_accumulate(t_scales, signs, conj_lam,
+            return _two_point_accumulate(t_scales, signs, conj_lams,
                                          cross_route)
         support = 2.0 * t_scales
         xi = support * _three_point_outcomes(u, lam, support)
-        finals = _ordered_accumulate(xi)
-        psi = b = z_prod = None
-        if conj_lam is not None:
-            t = conj_lam * support
-            psi = _ordered_accumulate(_three_point_psi(t))
-            b = _ordered_accumulate(support * _three_point_drift_factor(t))
+        batch = _Batch(_ordered_accumulate(xi), np.ones(rows))
+        for cl in conj_lams:
+            t = cl * support
+            batch.psi.append(_ordered_accumulate(_three_point_psi(t)))
+            batch.b_drift.append(
+                _ordered_accumulate(support * _three_point_drift_factor(t)))
             if cross_route:
-                z_prod = _ordered_product(
-                    np.exp(conj_lam * xi) / (0.75 + 0.25 * np.cosh(t)))
-        return _Batch(finals, np.ones(rows), psi, b, z_prod)
+                batch.z_prod.append(_ordered_product(
+                    np.exp(cl * xi) / (0.75 + 0.25 * np.cosh(t))))
+        return batch
 
     raise UnsupportedModelError(
         f"no sampling kernel for {type(model).__name__}")
@@ -438,55 +440,51 @@ def _ordered_product(parts: np.ndarray) -> np.ndarray:
 
 
 def _two_point_accumulate(scales: np.ndarray, signs: np.ndarray,
-                          conj_lam: Optional[float],
+                          conj_lams: Sequence[float],
                           cross_route: bool) -> _Batch:
     xi = scales * signs
-    finals = _ordered_accumulate(xi)
-    psi = b = z_prod = None
-    if conj_lam is not None:
-        t = conj_lam * scales
-        psi = _ordered_accumulate(_log_cosh(t))
-        b = _ordered_accumulate(scales * np.tanh(t))
+    batch = _Batch(_ordered_accumulate(xi), np.ones(scales.shape[0]))
+    for cl in conj_lams:
+        t = cl * scales
+        batch.psi.append(_ordered_accumulate(_log_cosh(t)))
+        batch.b_drift.append(_ordered_accumulate(scales * np.tanh(t)))
         if cross_route:
-            z_prod = _ordered_product(np.exp(conj_lam * xi) / np.cosh(t))
-    return _Batch(finals, np.ones(scales.shape[0]), psi, b, z_prod)
+            batch.z_prod.append(_ordered_product(np.exp(cl * xi) / np.cosh(t)))
+    return batch
 
 
 def _variance_switch_chunk(model: VarianceSwitch, rng, rows: int, lam: float,
-                           conj_lam: Optional[float],
+                           conj_lams: Sequence[float],
                            cross_route: bool = False) -> _Batch:
     d2 = model.delta ** 2
     s_plus = math.sqrt((1.0 + d2) / model.n)
     s_minus = math.sqrt((1.0 - d2) / model.n)
     u = rng.random((rows, model.n))
-    finals = np.zeros(rows)
-    qc_final = np.zeros(rows)
-    psi = np.zeros(rows) if conj_lam is not None else None
-    b = np.zeros(rows) if conj_lam is not None else None
-    z_prod = np.ones(rows) if (conj_lam is not None and cross_route) else None
+    batch = _Batch(np.zeros(rows), np.zeros(rows),
+                   [np.zeros(rows) for _ in conj_lams],
+                   [np.zeros(rows) for _ in conj_lams],
+                   [np.ones(rows) for _ in conj_lams] if cross_route else [])
     p_plus = float(expit(2.0 * lam * s_plus))
     p_minus = float(expit(2.0 * lam * s_minus))
-    if conj_lam is not None:
-        lc_plus = _log_cosh_scalar(conj_lam * s_plus)
-        lc_minus = _log_cosh_scalar(conj_lam * s_minus)
-        bt_plus = s_plus * math.tanh(conj_lam * s_plus)
-        bt_minus = s_minus * math.tanh(conj_lam * s_minus)
-        ch_plus = math.cosh(conj_lam * s_plus)
-        ch_minus = math.cosh(conj_lam * s_minus)
+    # per tilt: (log cosh, s tanh, cosh) at the plus and minus scales
+    terms = [((_log_cosh_scalar(cl * s_plus), _log_cosh_scalar(cl * s_minus)),
+              (s_plus * math.tanh(cl * s_plus),
+               s_minus * math.tanh(cl * s_minus)),
+              (math.cosh(cl * s_plus), math.cosh(cl * s_minus)))
+             for cl in conj_lams]
     for i in range(model.n):
-        pos = finals >= 0.0  # sign(0) counts as positive
+        pos = batch.finals >= 0.0  # sign(0) counts as positive
         scale = np.where(pos, s_plus, s_minus)
         p_up = np.where(pos, p_plus, p_minus)
         step = np.where(u[:, i] < p_up, scale, -scale)
-        qc_final += scale * scale
-        if conj_lam is not None:
-            psi += np.where(pos, lc_plus, lc_minus)
-            b += np.where(pos, bt_plus, bt_minus)
-            if z_prod is not None:
-                z_prod *= (np.exp(conj_lam * step)
-                           / np.where(pos, ch_plus, ch_minus))
-        finals += step
-    return _Batch(finals, qc_final, psi, b, z_prod)
+        batch.qc_final += scale * scale
+        for k, (cl, (lc, bt, ch)) in enumerate(zip(conj_lams, terms)):
+            batch.psi[k] += np.where(pos, *lc)
+            batch.b_drift[k] += np.where(pos, *bt)
+            if cross_route:
+                batch.z_prod[k] *= np.exp(cl * step) / np.where(pos, *ch)
+        batch.finals += step
+    return batch
 
 
 def _chunk_layout(config: SimulationConfig):
@@ -499,8 +497,9 @@ def _chunk_layout(config: SimulationConfig):
 def _map_chunks(config: SimulationConfig, kernel):
     """Apply kernel(chunk_index, rows) to every chunk, results in order."""
     count, sizes = _chunk_layout(config)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(kernel, range(count), sizes))
     return [kernel(c, rows) for c, rows in zip(range(count), sizes)]
 
@@ -511,9 +510,9 @@ def _map_chunks(config: SimulationConfig, kernel):
 def _clopper_pearson(hits: int, n: int, level: float):
     alpha = 1.0 - level
     lo = 0.0 if hits == 0 else float(
-        _beta_dist.ppf(alpha / 2.0, hits, n - hits + 1))
+        betaincinv(hits, n - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == n else float(
-        _beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, n - hits))
+        betaincinv(hits + 1, n - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 
@@ -554,15 +553,43 @@ def estimate_tail_plain(config: SimulationConfig, x: float) -> TailEstimate:
     return estimate_tail_plain_grid(config, [x])[0]
 
 
-def estimate_tail_plain_grid(config: SimulationConfig,
-                             xs: Sequence[float]) -> list:
-    """Plain tail estimates at several thresholds from one path sweep."""
+def _thresholds(xs: Sequence[float]) -> np.ndarray:
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("thresholds must form a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise DomainError("thresholds must be finite")
+    return arr
 
+
+def _exceedances(finals: np.ndarray, sorted_x: np.ndarray) -> np.ndarray:
+    """Per ascending threshold, the count of terminal sums above it."""
+    return finals.size - np.searchsorted(np.sort(finals), sorted_x,
+                                         side="right")
+
+
+def _plain_estimates(config: SimulationConfig, arr: np.ndarray,
+                     parts) -> list:
+    """Input-order estimates from per-chunk counts at sorted thresholds."""
+    order = np.argsort(arr, kind="stable")
+    counts = np.zeros(arr.size, dtype=np.int64)
+    for part in parts:
+        counts += part
+    out: list = [None] * arr.size
+    for pos, idx in enumerate(order):
+        hits = int(counts[pos])
+        p_hat = hits / config.paths
+        lo, hi = _clopper_pearson(hits, config.paths, config.confidence_level)
+        out[idx] = TailEstimate(float(arr[idx]), p_hat, lo, hi,
+                                EstimateMethod.PLAIN_CLOPPER_PEARSON,
+                                float(config.paths), config.seed)
+    return out
+
+
+def estimate_tail_plain_grid(config: SimulationConfig,
+                             xs: Sequence[float]) -> list:
+    """Plain tail estimates at several thresholds from one path sweep."""
+    arr = _thresholds(xs)
     if _use_enumeration(config):
         values, probs, _ = _enumeration_atoms(config.model, 0.0)
         leaves = float(enumeration_support(config.model))
@@ -574,28 +601,14 @@ def estimate_tail_plain_grid(config: SimulationConfig,
                                     leaves, config.seed))
         return out
 
-    order = np.argsort(arr, kind="stable")
-    sorted_x = arr[order]
+    sorted_x = np.sort(arr, kind="stable")
 
     def kernel(chunk: int, rows: int) -> np.ndarray:
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC, chunk,
                                 rows, 0.0)
-        return rows - np.searchsorted(np.sort(batch.finals), sorted_x,
-                                      side="right")
+        return _exceedances(batch.finals, sorted_x)
 
-    counts = np.zeros(arr.size, dtype=np.int64)
-    for part in _map_chunks(config, kernel):
-        counts += part
-
-    out: list = [None] * arr.size
-    for pos, idx in enumerate(order):
-        hits = int(counts[pos])
-        p_hat = hits / config.paths
-        lo, hi = _clopper_pearson(hits, config.paths, config.confidence_level)
-        out[idx] = TailEstimate(float(sorted_x[pos]), p_hat, lo, hi,
-                                EstimateMethod.PLAIN_CLOPPER_PEARSON,
-                                float(config.paths), config.seed)
-    return out
+    return _plain_estimates(config, arr, _map_chunks(config, kernel))
 
 
 def estimate_tail_is(config: SimulationConfig, x: float,
@@ -634,8 +647,8 @@ def estimate_tail_is(config: SimulationConfig, x: float,
 
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC_TILTED,
-                                chunk, rows, lam, conj_lam=lam)
-        log_z = lam * batch.finals - batch.psi
+                                chunk, rows, lam, conj_lams=(lam,))
+        log_z = lam * batch.finals - batch.psi[0]
         w = np.where(batch.finals > x, np.exp(-log_z), 0.0)
         return float(w.sum()), float(np.dot(w, w)), float(w.max(initial=0.0))
 
@@ -818,9 +831,9 @@ def conjugate_clt_check(config: SimulationConfig, x: float,
 
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC_TILTED,
-                                chunk, rows, lam, conj_lam=lam)
+                                chunk, rows, lam, conj_lams=(lam,))
         u_stat = lam * (batch.finals - x)
-        y_stat = batch.finals - batch.b_drift
+        y_stat = batch.finals - batch.b_drift[0]
         return (np.searchsorted(np.sort(u_stat), thr_u, side="right"),
                 np.searchsorted(np.sort(y_stat), grid, side="right"))
 
@@ -853,18 +866,20 @@ def run_verification_suite(config: SimulationConfig,
                            check_z_mean: bool = True) -> VerificationReport:
     """Sweep the hard per-path checks and the model-level conditions.
 
-    Per tilt fraction f, plain paths are simulated and the conjugate
-    objects evaluated at lam = f/eps: the drift and log-MGF ceilings must
-    hold on every path (with a 1e-12 rounding allowance), the mean of the
+    Plain paths are drawn once and the conjugate objects evaluated on them
+    at every lam = f/eps: the drift and log-MGF ceilings must hold on
+    every path (with a 1e-12 rounding allowance), the mean of the
     change-of-measure weight Z must sit within 4 standard errors of 1,
     and for two-point normalized families every prefix Psi_k must stay
     below lam^2/2 (per-step terms are nonnegative, so the terminal value
     is the prefix maximum).  Z computed as the literal per-step product
     must agree with exp(lam S - Psi) to 1e-10 relative, tying the two
     factorizations together.  The quadratic characteristic is checked
-    against its declared band and the plain tail against exp(-xhat^2/2)
-    at the domination levels.  Violations are collected with replay
-    coordinates, not raised.
+    against its declared band, and the plain tail against exp(-xhat^2/2)
+    at the domination levels, counted on the same draw unless the model is
+    enumerated exactly.  Violations are collected with replay coordinates,
+    not raised: per lam in chunk order, then its mean-Z verdict, then
+    tail domination.
 
     ``check_z_mean`` gates the 4-standard-error test of E[Z] = 1 (the
     per-lam sample stats are always reported).  The test presumes the
@@ -890,60 +905,67 @@ def run_verification_suite(config: SimulationConfig,
     a2_bound, _ = verify_A2(model)
     checks.append("characteristic-band-declared")
 
-    z_stats = []
     lam_values = tuple(f / eps for f in lam_fractions)
     half_cosh = _half_cosh_in_scope(model)
     qc_lo = 1.0 - a2_bound - 1e-12
     qc_hi = 1.0 + a2_bound + 1e-12
-
+    ceilings = []   # per lam: drift, log-MGF and half-cosh allowances
     for lam in lam_values:
         one_minus = 1.0 - lam * eps
         b_bound = (lam - 0.5 * lam * lam * eps) * (1.0 + d2) / one_minus ** 2
         psi_bound = lam * lam * (1.0 + d2) / (2.0 * one_minus)
-        b_allow = b_bound + _LEMMA_ALLOW * max(1.0, abs(b_bound))
-        psi_allow = psi_bound + _LEMMA_ALLOW * max(1.0, abs(psi_bound))
-        half_allow = (0.5 * lam * lam
-                      + _LEMMA_ALLOW * max(1.0, 0.5 * lam * lam))
+        ceilings.append((
+            b_bound + _LEMMA_ALLOW * max(1.0, abs(b_bound)),
+            psi_bound + _LEMMA_ALLOW * max(1.0, abs(psi_bound)),
+            0.5 * lam * lam + _LEMMA_ALLOW * max(1.0, 0.5 * lam * lam)))
+    levels = _thresholds(domination_levels) if domination_levels else None
+    sorted_levels = (None if levels is None or _use_enumeration(config)
+                     else np.sort(levels, kind="stable"))
 
-        def kernel(chunk: int, rows: int, lam=lam, b_allow=b_allow,
-                   psi_allow=psi_allow, half_allow=half_allow):
-            batch = _simulate_chunk(model, config.seed, STREAM_MC, chunk,
-                                    rows, 0.0, conj_lam=lam,
-                                    cross_route=True)
+    def kernel(chunk: int, rows: int):
+        batch = _simulate_chunk(model, config.seed, STREAM_MC, chunk, rows,
+                                0.0, conj_lams=lam_values, cross_route=True)
+        qc_bad = np.flatnonzero((batch.qc_final < qc_lo)
+                                | (batch.qc_final > qc_hi))
+        per_lam = []
+        for lam, (b_allow, psi_allow, half_allow), psi, b, z_prod in zip(
+                lam_values, ceilings, batch.psi, batch.b_drift, batch.z_prod):
             bad = []
-            for name, values, ceiling in (
-                    ("drift-bound", batch.b_drift, b_allow),
-                    ("log-mgf-bound", batch.psi, psi_allow)):
+            for name, values, ceiling in (("drift-bound", b, b_allow),
+                                          ("log-mgf-bound", psi, psi_allow)):
                 idx = np.flatnonzero(values > ceiling)
                 if idx.size:
                     bad.append((name, int(idx[0]), float(values[idx[0]]),
                                 ceiling))
             if half_cosh:
-                idx = np.flatnonzero(batch.psi > half_allow)
+                idx = np.flatnonzero(psi > half_allow)
                 if idx.size:
                     bad.append(("half-cosh-bound", int(idx[0]),
-                                float(batch.psi[idx[0]]), half_allow))
-            idx = np.flatnonzero((batch.qc_final < qc_lo)
-                                 | (batch.qc_final > qc_hi))
-            if idx.size:
-                bad.append(("characteristic-band", int(idx[0]),
-                            float(batch.qc_final[idx[0]]), qc_hi))
-            z = np.exp(lam * batch.finals - batch.psi)
-            rel = np.abs(batch.z_prod - z) / np.maximum(z, 1e-300)
+                                float(psi[idx[0]]), half_allow))
+            if qc_bad.size:
+                bad.append(("characteristic-band", int(qc_bad[0]),
+                            float(batch.qc_final[qc_bad[0]]), qc_hi))
+            z = np.exp(lam * batch.finals - psi)
+            rel = np.abs(z_prod - z) / np.maximum(z, 1e-300)
             idx = np.flatnonzero(rel > 1e-10)
             if idx.size:
                 bad.append(("z-product-route", int(idx[0]),
                             float(rel[idx[0]]), 1e-10))
-            return bad, float(z.sum()), float(np.dot(z, z))
+            per_lam.append((bad, float(z.sum()), float(np.dot(z, z))))
+        hits = (None if sorted_levels is None
+                else _exceedances(batch.finals, sorted_levels))
+        return per_lam, hits
 
-        results = _map_chunks(config, kernel)
-        for chunk, (bad, _, _) in enumerate(results):
-            for name, row, value, ceiling in bad:
+    results = _map_chunks(config, kernel)
+    z_stats = []
+    for k, lam in enumerate(lam_values):
+        for chunk, (per_lam, _) in enumerate(results):
+            for name, row, value, ceiling in per_lam[k][0]:
                 violations.append(ViolationRecord(
                     name, f"lam={lam:.6g}: value {value!r} exceeds "
                     f"{ceiling!r}", chunk, row))
-        total = math.fsum(r[1] for r in results)
-        total_sq = math.fsum(r[2] for r in results)
+        total = math.fsum(r[0][k][1] for r in results)
+        total_sq = math.fsum(r[0][k][2] for r in results)
         m = config.paths
         mean = total / m
         var = max(0.0, (total_sq - m * mean * mean) / (m - 1)) if m > 1 else 0.0
@@ -961,8 +983,11 @@ def run_verification_suite(config: SimulationConfig,
     if half_cosh:
         checks.append("half-cosh-bound")
 
-    if domination_levels:
-        for est in estimate_tail_plain_grid(config, list(domination_levels)):
+    if levels is not None:
+        ests = (estimate_tail_plain_grid(config, levels)
+                if sorted_levels is None
+                else _plain_estimates(config, levels, [r[1] for r in results]))
+        for est in ests:
             bound = tail_bound_sq(est.x, params).value
             if est.ci_hi > bound:
                 violations.append(ViolationRecord(

@@ -3,21 +3,29 @@ worker determinism, and the hard-assertion suite."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
+import martkit
+from martkit import montecarlo
 from martkit.bounds import lambda_bar
 from martkit.errors import ConfigError, DomainError, UnsupportedModelError
 from martkit.gaussian import std_normal_cdf
-from martkit.martingales import (NoiseFamily, RegressionModel,
+from martkit.martingales import (STREAM_MC, NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
                                  VarianceSwitch)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _chunk_layout,
                                 _clopper_pearson, _dkw_band,
-                                _enumeration_atoms, _minimal_constant,
+                                _enumeration_atoms, _map_chunks,
+                                _minimal_constant,
                                 calibrate_constant, conjugate_clt_check,
                                 enumeration_support, estimate_be_distance,
                                 estimate_tail_is, estimate_tail_plain,
@@ -28,6 +36,7 @@ SR4 = ScaledRademacher.equal_weights(4)
 SR16 = ScaledRademacher.equal_weights(16)
 VS12 = VarianceSwitch(n=12, delta=0.5)
 SN_EQ16 = SelfNormalized(n=16, magnitude_low=2.0, magnitude_high=2.0)
+SN32 = SelfNormalized(n=32, magnitude_low=1.0, magnitude_high=2.0)
 REG3_N10 = RegressionModel(theta=0.0, n=10, covariate_low=1.0,
                            covariate_high=1.0, sigma=1.0,
                            noise=NoiseFamily.TRUNCATED_SYMMETRIC)
@@ -60,6 +69,42 @@ class TestSimulationConfig:
         base.update(kw)
         with pytest.raises(ConfigError):
             SimulationConfig(**base)
+
+    def test_pool_is_capped_at_chunks_and_cpus(self, monkeypatch):
+        # a recording stand-in for the executor: no thread is started
+        pools = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+
+        def kernel(chunk, rows):
+            return chunk, rows
+
+        def run(paths, workers):
+            return _map_chunks(cfg(SR4, paths=paths, chunk_size=10,
+                                   workers=workers), kernel)
+
+        assert run(25, 1000) == [(0, 10), (1, 10), (2, 5)]
+        assert run(100, 1000) == [(c, 10) for c in range(10)]
+        assert run(100, 2) == [(c, 10) for c in range(10)]
+        assert pools == [3, 4, 2]
+        assert run(5, 8) == [(0, 5)]           # one chunk runs inline
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert run(100, 8) == [(c, 10) for c in range(10)]
+        assert pools == [3, 4, 2]
 
     def test_chunk_layout_covers_paths(self):
         count, sizes = _chunk_layout(cfg(SR4, paths=1000, chunk_size=256))
@@ -223,6 +268,32 @@ class TestClopperPearson:
         los, his = zip(*(_clopper_pearson(h, 50, 0.99) for h in range(51)))
         assert all(a <= b + 1e-15 for a, b in zip(los, los[1:]))
         assert all(a <= b + 1e-15 for a, b in zip(his, his[1:]))
+
+    def test_equals_beta_quantiles(self):
+        for n in (1, 2, 7, 100, 1000, 1 << 20):
+            for hits in sorted({h for h in (0, 1, 2, n // 3, n // 2, n - 1, n)
+                                if h <= n}):
+                for level in (0.5, 0.95, 0.99, 0.999999):
+                    alpha = 1.0 - level
+                    lo, hi = _clopper_pearson(hits, n, level)
+                    assert lo == (0.0 if hits == 0 else float(
+                        beta.ppf(alpha / 2.0, hits, n - hits + 1)))
+                    assert hi == (1.0 if hits == n else float(
+                        beta.ppf(1.0 - alpha / 2.0, hits + 1, n - hits)))
+
+
+class TestImportFootprint:
+    def test_scipy_stats_stays_unimported(self):
+        pkg_root = str(Path(martkit.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(
+            p for p in [pkg_root, os.environ.get("PYTHONPATH")] if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, martkit.montecarlo; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestTailIS:
@@ -453,6 +524,49 @@ class TestVerificationSuite:
         rep = run_verification_suite(cfg(SR16, paths=5000, exhaustive=False),
                                      domination_levels=())
         assert "tail-domination" not in rep.checks_run
+
+    def test_one_draw_per_chunk(self, monkeypatch):
+        drawn = []
+        real = montecarlo.generator_for
+
+        def counting(seed, stream, index):
+            drawn.append((stream, index))
+            return real(seed, stream, index)
+
+        monkeypatch.setattr(montecarlo, "generator_for", counting)
+        rep = run_verification_suite(
+            cfg(VS12, paths=2500, chunk_size=1000, exhaustive=False),
+            lam_fractions=(0.1, 0.5, 0.9), domination_levels=(0.5, 1.0, 2.0))
+        assert "tail-domination" in rep.checks_run
+        assert sorted(drawn) == [(STREAM_MC, c) for c in range(3)]
+
+    @pytest.mark.parametrize("model", [VS12, SR16, SN32, REG3_N10])
+    def test_z_stats_match_one_tilt_calls(self, model):
+        c = cfg(model, paths=3000, chunk_size=1000, seed=5, exhaustive=False)
+        fractions = (0.1, 0.5, 0.9)
+        joint = run_verification_suite(c, lam_fractions=fractions,
+                                       domination_levels=())
+        single = tuple(run_verification_suite(
+            c, lam_fractions=(f,), domination_levels=()).z_stats[0]
+            for f in fractions)
+        assert joint.z_stats == single
+
+    @pytest.mark.parametrize("model, exhaustive", [(SN32, False),
+                                                   (VS12, None)])
+    def test_domination_details_match_plain_grid(self, monkeypatch, model,
+                                                 exhaustive):
+        monkeypatch.setattr(montecarlo, "tail_bound_sq",
+                            lambda x, params: SimpleNamespace(value=0.0))
+        c = cfg(model, paths=3000, chunk_size=1000, exhaustive=exhaustive)
+        levels = (2.0, 0.5, 4.0, 1.0, 1.0)
+        rep = run_verification_suite(c, domination_levels=levels)
+        got = [v.detail for v in rep.violations
+               if v.check == "tail-domination"]
+        want = [f"upper interval end {e.ci_hi!r} exceeds exp(-xhat^2/2) = "
+                f"{0.0!r} at x = {e.x:g}"
+                for e in estimate_tail_plain_grid(c, levels)
+                if e.ci_hi > 0.0]
+        assert got == want and len(want) >= 4
 
     def test_z_stats_are_reported_either_way(self):
         rep = run_verification_suite(
