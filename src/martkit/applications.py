@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import (BernsteinParams, BoundConstant, EnvelopeSource,
                      RatioBand, TailEnvelope, _log_or_neg_inf,
@@ -291,6 +290,16 @@ class ConfidenceInterval:
         return {"lo": self.lo, "hi": self.hi, "x_star": self.x_star,
                 "level": self.level, "valid": self.valid,
                 "method": self.method}
+
+
+def brentq(f, a: float, b: float, **kwargs) -> float:
+    """scipy.optimize.brentq, imported on first use.
+
+    Importing scipy.optimize takes most of a cold ``import martkit.cli``,
+    and only the level inversion needs it.
+    """
+    from scipy.optimize import brentq as _brentq
+    return _brentq(f, a, b, **kwargs)
 
 
 def _first_crossing(g, alpha: float, cap: float) -> Optional[float]:

@@ -161,6 +161,10 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+# Most points an --x-from/--x-to/--x-step grid may have.
+X_GRID_MAX_POINTS = 10 ** 6
+
+
 def _float_list(text: str, flag: str) -> List[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -172,6 +176,11 @@ def _float_list(text: str, flag: str) -> List[float]:
 
 
 def _x_grid(args) -> List[float]:
+    """The points lo, lo + step, ... up to hi, at most X_GRID_MAX_POINTS.
+
+    The point count is checked before anything is built, so a tiny step
+    is a flag error (exit 2), not an attempt at an unbounded list.
+    """
     lo, hi, step = args.x_from, args.x_to, args.x_step
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ConfigError("x grid flags must be finite")
@@ -181,7 +190,12 @@ def _x_grid(args) -> List[float]:
         return [lo]
     if step <= 0.0:
         raise ConfigError(f"--x-step must be positive, got {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    last = (hi - lo) / step + 1e-9     # inf when the quotient overflows
+    if not last < X_GRID_MAX_POINTS:
+        raise ConfigError(
+            f"x grid from {lo} to {hi} in steps of {step} has more than "
+            f"{X_GRID_MAX_POINTS} points")
+    count = int(math.floor(last)) + 1
     return [lo + i * step for i in range(count)]
 
 

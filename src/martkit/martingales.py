@@ -409,8 +409,20 @@ def _uniform_band(rng: np.random.Generator, low: float, high: float,
 
 def _signs_from_uniforms(u: np.ndarray, lam: float,
                          scales: np.ndarray) -> np.ndarray:
-    """+1/-1 per step; up-probability expit(2*lam*scale) (1/2 at lam=0)."""
-    return np.where(u < expit(2.0 * lam * scales), 1.0, -1.0)
+    """+1/-1 per step; up-probability expit(2*lam*scale) (1/2 at lam=0).
+
+    At lam = 0 every threshold is exactly 1/2, so expit is skipped; the
+    signs come from the mask as 2*(u < p) - 1, the same values np.where
+    would pick.
+    """
+    if lam == 0.0:
+        up = u < 0.5
+    else:
+        p_up = np.multiply(scales, 2.0 * lam)
+        up = u < expit(p_up, out=p_up)
+    signs = np.multiply(up, 2.0)
+    signs -= 1.0
+    return signs
 
 
 def _variance_switch_walk(model: VarianceSwitch, rng: np.random.Generator,
@@ -441,15 +453,20 @@ def _three_point_outcomes(u: np.ndarray, lam: float,
     """Outcome in {+1, 0, -1} units for {-c, 0, +c} steps, P(+-) = 1/8.
 
     Tilting scales the point masses by e^{+-lam c} on the extremes; the
-    thresholds reduce to (1/8, 7/8) exactly at lam = 0.
+    thresholds reduce to (1/8, 7/8) exactly at lam = 0, where they are
+    used as scalars.  The outcome is the mask difference (u < hi) -
+    (u >= mid): hi < mid, so at most one of the two masks is set.
     """
-    t = lam * support
-    up_w = 0.125 * np.exp(t)
-    down_w = 0.125 * np.exp(-t)
-    total = up_w + 0.75 + down_w
-    hi = up_w / total
-    mid = hi + 0.75 / total
-    return np.where(u < hi, 1.0, np.where(u < mid, 0.0, -1.0))
+    if lam == 0.0:
+        hi, mid = 0.125, 0.875
+    else:
+        t = lam * support
+        up_w = 0.125 * np.exp(t)
+        down_w = 0.125 * np.exp(-t)
+        total = up_w + 0.75 + down_w
+        hi = up_w / total
+        mid = hi + 0.75 / total
+    return np.subtract(u < hi, u >= mid, dtype=float)
 
 
 def _generate(model: MartingaleModel, lam: float, seed: int,
@@ -519,14 +536,32 @@ def simulate_tilted_path(model: MartingaleModel, lam: float, seed: int, *,
 
 
 def _log_cosh(t: np.ndarray) -> np.ndarray:
+    """log cosh(t) = |t| + log1p(e^{-2|t|}) - log 2 for an array t.
+
+    The terms are evaluated in that order into one buffer besides |t|.
+    """
     a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
+    out = np.multiply(a, -2.0)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(a, out, out=out)
+    np.subtract(out, _LOG2, out=out)
+    return out
 
 
 def _three_point_psi(t: np.ndarray) -> np.ndarray:
-    """log E[e^{lam xi}] for the {-c, 0, +c} step, t = lam*c >= 0."""
-    out = np.empty_like(t)
+    """log E[e^{lam xi}] for the {-c, 0, +c} step, t = lam*c >= 0.
+
+    Arguments of 32 and above take the overflow-safe form; when there are
+    none the direct form runs on the whole array without a scatter.
+    """
     small = t < 32.0
+    if small.all():
+        out = np.cosh(t)
+        out *= 0.25
+        out += 0.75
+        return np.log(out, out=out)
+    out = np.empty_like(t)
     out[small] = np.log(0.75 + 0.25 * np.cosh(t[small]))
     tb = t[~small]
     out[~small] = tb - _LOG8 + np.log1p(6.0 * np.exp(-tb) + np.exp(-2.0 * tb))
@@ -535,8 +570,14 @@ def _three_point_psi(t: np.ndarray) -> np.ndarray:
 
 def _three_point_drift_factor(t: np.ndarray) -> np.ndarray:
     """sinh(t)/(3 + cosh(t)), the tilted mean in units of the support c."""
-    out = np.empty_like(t)
     small = t < 32.0
+    if small.all():
+        den = np.cosh(t)
+        den += 3.0
+        out = np.sinh(t)
+        out /= den
+        return out
+    out = np.empty_like(t)
     ts = t[small]
     out[small] = np.sinh(ts) / (3.0 + np.cosh(ts))
     e = np.exp(-t[~small])

@@ -21,6 +21,7 @@ from martkit.applications import (least_squares, RegressionData,
                                   self_norm_envelope, wang_jing_bound)
 from martkit.bounds import (BernsteinParams, BoundConstant, lambda_bar,
                             nonuniform_be_envelope)
+from martkit import cli
 from martkit.cli import main
 from martkit.martingales import ScaledRademacher
 from martkit.montecarlo import SimulationConfig, calibrate_constant
@@ -197,6 +198,31 @@ class TestBoundCommand:
     def test_descending_grid_is_config_error(self, capsys):
         assert main(["bound", "--envelope", "dlp", "--x-from", "2",
                      "--x-to", "1"]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        ["--x-from", "0", "--x-to", "1", "--x-step", "1e-300"],
+        ["--x-from=-1e308", "--x-to", "1e308", "--x-step", "1"],
+        ["--x-from", "0", "--x-to", "1", "--x-step", "5e-324"],
+    ])
+    def test_oversized_grid_is_refused_before_building(self, monkeypatch,
+                                                      capsys, grid):
+        def no_build(*args):
+            raise AssertionError("grid points were generated")
+
+        # _x_grid builds its points through range(); shadow it in the module
+        monkeypatch.setattr(cli, "range", no_build, raising=False)
+        assert main(["bound", "--envelope", "dlp"] + grid) == 2
+        assert "points" in capsys.readouterr().err
+
+    def test_grid_cap_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "X_GRID_MAX_POINTS", 5)
+        rc, _, rows = run_csv(tmp_path, ["bound", "--envelope", "dlp",
+                                         "--x-from", "0", "--x-to", "2",
+                                         "--x-step", "0.5"])
+        assert rc == 0 and len(rows) == 5
+        assert main(["bound", "--envelope", "dlp", "--x-from", "0",
+                     "--x-to", "2.5", "--x-step", "0.5"]) == 2
+        assert cli.X_GRID_MAX_POINTS == 5
 
 
 class TestSimulateCommand:

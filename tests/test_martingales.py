@@ -272,6 +272,12 @@ class TestConjugateStats:
         assert drift[-1] == pytest.approx(1.0, rel=1e-15)
         assert np.all(np.diff(drift) >= 0.0)
 
+    def test_three_point_helpers_skip_the_scatter_bit_for_bit(self):
+        t = np.linspace(0.0, 31.9, 257)
+        with_large = np.append(t, 40.0)   # forces the scatter branch
+        for helper in (_three_point_psi, _three_point_drift_factor):
+            assert helper(t).tobytes() == helper(with_large)[:-1].tobytes()
+
 
 class TestVerifyA1:
     @pytest.mark.parametrize("model", ALL_MODELS,

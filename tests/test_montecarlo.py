@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import beta, binom
 
 import martkit
@@ -18,14 +19,16 @@ from martkit import montecarlo
 from martkit.bounds import lambda_bar
 from martkit.errors import ConfigError, DomainError, UnsupportedModelError
 from martkit.gaussian import std_normal_cdf
-from martkit.martingales import (STREAM_MC, NoiseFamily, RegressionModel,
+from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
+                                 NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
-                                 VarianceSwitch)
+                                 VarianceSwitch, conjugate_stats,
+                                 generator_for, simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _chunk_layout,
                                 _clopper_pearson, _dkw_band,
                                 _enumeration_atoms, _map_chunks,
-                                _minimal_constant,
+                                _minimal_constant, _Request, _simulate_chunk,
                                 calibrate_constant, conjugate_clt_check,
                                 enumeration_support, estimate_be_distance,
                                 estimate_tail_is, estimate_tail_plain,
@@ -105,6 +108,35 @@ class TestSimulationConfig:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
         assert run(100, 8) == [(c, 10) for c in range(10)]
         assert pools == [3, 4, 2]
+
+    def test_accepts_numpy_integer_paths(self):
+        c = SimulationConfig(SR4, paths=np.int64(100), seed=1)
+        assert c.paths == 100 and type(c.paths) is int
+
+    def test_accepts_numpy_unsigned_seed(self):
+        c = SimulationConfig(SR4, paths=10, seed=np.uint64(5))
+        assert c.seed == 5 and type(c.seed) is int
+        top = SimulationConfig(SR4, paths=10, seed=np.uint64((1 << 64) - 1))
+        assert top.seed == (1 << 64) - 1 and type(top.seed) is int
+
+    def test_accepts_numpy_integer_chunk_size_and_workers(self):
+        c = SimulationConfig(SR4, paths=10, seed=1,
+                             chunk_size=np.int32(4), workers=np.int16(2))
+        assert (c.chunk_size, c.workers) == (4, 2)
+        assert type(c.chunk_size) is int and type(c.workers) is int
+        assert c == SimulationConfig(SR4, paths=10, seed=1, chunk_size=4,
+                                     workers=2)
+
+    @pytest.mark.parametrize("kw", [
+        {"paths": True}, {"seed": True}, {"seed": False},
+        {"chunk_size": True}, {"workers": True}, {"paths": np.bool_(True)},
+        {"paths": 10.0}, {"seed": "5"},
+    ])
+    def test_rejects_bools_and_non_integers(self, kw):
+        base = dict(model=SR4, paths=10, seed=1)
+        base.update(kw)
+        with pytest.raises(ConfigError):
+            SimulationConfig(**base)
 
     def test_chunk_layout_covers_paths(self):
         count, sizes = _chunk_layout(cfg(SR4, paths=1000, chunk_size=256))
@@ -294,6 +326,183 @@ class TestImportFootprint:
             env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        pkg_root = str(Path(martkit.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(
+            p for p in [pkg_root, os.environ.get("PYTHONPATH")] if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, martkit.cli; "
+             "print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
+    """A plain restatement of the sampling kernels, the bit-exact reference.
+
+    np.where signs and outcomes, expit at every tilt, unblocked column
+    loops and a per-step VarianceSwitch walk over strided columns.
+    Returns (finals, qc, psi, b, z) with one array per tilt in the last
+    three.
+    """
+    rng = generator_for(seed, stream, chunk)
+
+    def fold(parts, op=np.add, start=0.0):
+        total = np.full(parts.shape[0], start)
+        for j in range(parts.shape[1]):
+            op(total, parts[:, j], out=total)
+        return total
+
+    def log_cosh(t):
+        a = np.abs(t)
+        return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+
+    if isinstance(model, VarianceSwitch):
+        d2 = model.delta ** 2
+        s_plus = math.sqrt((1.0 + d2) / model.n)
+        s_minus = math.sqrt((1.0 - d2) / model.n)
+        u = rng.random((rows, model.n))
+        p_plus = float(expit(2.0 * lam * s_plus))
+        p_minus = float(expit(2.0 * lam * s_minus))
+        finals, qc = np.zeros(rows), np.zeros(rows)
+        psi = [np.zeros(rows) for _ in lams]
+        b = [np.zeros(rows) for _ in lams]
+        z = [np.ones(rows) for _ in lams]
+        for i in range(model.n):
+            pos = finals >= 0.0
+            scale = np.where(pos, s_plus, s_minus)
+            step = np.where(u[:, i] < np.where(pos, p_plus, p_minus),
+                            scale, -scale)
+            qc += scale * scale
+            for k, cl in enumerate(lams):
+                psi[k] += np.where(pos, log_cosh(np.array([cl * s_plus]))[0],
+                                   log_cosh(np.array([cl * s_minus]))[0])
+                b[k] += np.where(pos, s_plus * math.tanh(cl * s_plus),
+                                 s_minus * math.tanh(cl * s_minus))
+                z[k] *= np.exp(cl * step) / np.where(
+                    pos, math.cosh(cl * s_plus), math.cosh(cl * s_minus))
+            finals += step
+        return finals, qc, psi, b, z
+
+    if isinstance(model, ScaledRademacher):
+        w = np.asarray(model.weights)
+        u = rng.random((rows, w.size))
+        scales = w[None, :] * np.ones((rows, 1))
+        qc = np.full(rows, math.fsum(float(v) * float(v) for v in w))
+    else:
+        low, high = ((model.magnitude_low, model.magnitude_high)
+                     if isinstance(model, SelfNormalized)
+                     else (model.covariate_low, model.covariate_high))
+        mags = low + (high - low) * rng.random((rows, model.n))
+        u = rng.random((rows, model.n))
+        scales = mags / np.sqrt(fold(mags * mags))[:, None]
+        qc = np.ones(rows)
+    if getattr(model, "noise", None) is NoiseFamily.TRUNCATED_SYMMETRIC:
+        support = 2.0 * scales
+        t = lam * support
+        up_w, down_w = 0.125 * np.exp(t), 0.125 * np.exp(-t)
+        total = up_w + 0.75 + down_w
+        hi = up_w / total
+        mid = hi + 0.75 / total
+        xi = support * np.where(u < hi, 1.0, np.where(u < mid, 0.0, -1.0))
+        terms = [(np.log(0.75 + 0.25 * np.cosh(cl * support)),
+                  support * (np.sinh(cl * support)
+                             / (3.0 + np.cosh(cl * support))),
+                  np.exp(cl * xi) / (0.75 + 0.25 * np.cosh(cl * support)))
+                 for cl in lams]
+    else:
+        xi = scales * np.where(u < expit(2.0 * lam * scales), 1.0, -1.0)
+        terms = [(log_cosh(cl * scales), scales * np.tanh(cl * scales),
+                  np.exp(cl * xi) / np.cosh(cl * scales)) for cl in lams]
+    return (fold(xi), qc, [fold(p) for p, _, _ in terms],
+            [fold(d) for _, d, _ in terms],
+            [fold(r, np.multiply, 1.0) for _, _, r in terms])
+
+
+REG_RAD24 = RegressionModel(theta=0.5, n=24, covariate_low=1.0,
+                            covariate_high=2.0, sigma=1.0,
+                            noise=NoiseFamily.RADEMACHER_SCALED)
+REG3_24 = RegressionModel(theta=0.5, n=24, covariate_low=1.0,
+                          covariate_high=2.0, sigma=1.0,
+                          noise=NoiseFamily.TRUNCATED_SYMMETRIC)
+KERNEL_FAMILIES = (VarianceSwitch(n=24, delta=0.4), SN32, REG_RAD24,
+                   REG3_24, SR_UNEQ)
+_FAMILY_IDS = ("vs", "sn", "reg-rad", "reg-3pt", "sr-uneq")
+_FULL = dict(psi=True, b=True, z=True, qc=True)
+
+
+def _same_bytes(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestSamplingKernels:
+    @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
+    @pytest.mark.parametrize("tilt_fraction", [0.0, 0.6])
+    def test_chunk_equals_plain_reference(self, model, tilt_fraction):
+        eps = model.bernstein_params().epsilon
+        lam = tilt_fraction / eps
+        lams = (0.1 / eps, 0.9 / eps)
+        batch = _simulate_chunk(model, 21, STREAM_MC_TILTED, 3, 777, lam,
+                                _Request(lams, **_FULL))
+        finals, qc, psi, b, z = _reference_chunk(
+            model, 21, STREAM_MC_TILTED, 3, 777, lam, lams)
+        assert _same_bytes(batch.finals, finals)
+        assert _same_bytes(batch.qc_final, qc)
+        for got, want in zip((batch.psi, batch.b_drift, batch.z_prod),
+                             (psi, b, z)):
+            assert len(got) == len(lams)
+            assert all(_same_bytes(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
+    def test_one_row_chunk_replays_the_per_path_api(self, model):
+        eps = model.bernstein_params().epsilon
+        three_point = (getattr(model, "noise", None)
+                       is NoiseFamily.TRUNCATED_SYMMETRIC)
+        for idx, fraction in itertools.product((0, 5, 1234), (0.0, 0.3, 0.8)):
+            lam = fraction / eps
+            batch = _simulate_chunk(model, 9, STREAM_PATH, idx, 1, lam,
+                                    _Request((lam,), **_FULL))
+            path = simulate_tilted_path(model, lam, 9, path_index=idx)
+            stats = conjugate_stats(path, model, lam)
+            assert batch.finals[0] == path.final
+            if three_point:
+                # the per-path API rebuilds the support from <S> increments
+                assert batch.psi[0][0] == pytest.approx(stats.psi, abs=1e-14)
+                assert batch.b_drift[0][0] == pytest.approx(stats.b_drift,
+                                                            abs=1e-14)
+            else:
+                assert batch.psi[0][0] == stats.psi
+                assert batch.b_drift[0][0] == stats.b_drift
+            assert batch.qc_final[0] == pytest.approx(path.qc[-1], abs=1e-15)
+            assert batch.z_prod[0][0] == pytest.approx(stats.z, rel=1e-10)
+
+    @pytest.mark.parametrize("model", KERNEL_FAMILIES + (SR16,),
+                             ids=_FAMILY_IDS + ("sr-equal",))
+    @pytest.mark.parametrize("tilt_fraction", [0.0, 0.5])
+    def test_lean_requests_match_the_full_request(self, model, tilt_fraction):
+        lam = tilt_fraction / model.bernstein_params().epsilon
+        lams = (lam,) if lam else (0.5 / model.bernstein_params().epsilon,)
+        args = (model, 4, STREAM_MC_TILTED, 2, 500, lam)
+        full = _simulate_chunk(*args, _Request(lams, **_FULL))
+        plain = _simulate_chunk(*args)
+        assert _same_bytes(plain.finals, full.finals)
+        assert plain.qc_final is None
+        assert plain.psi == plain.b_drift == plain.z_prod == []
+        psi_only = _simulate_chunk(*args, _Request(lams, psi=True))
+        assert _same_bytes(psi_only.finals, full.finals)
+        assert _same_bytes(psi_only.psi[0], full.psi[0])
+        assert psi_only.b_drift == psi_only.z_prod == []
+        assert psi_only.qc_final is None
+        b_only = _simulate_chunk(*args, _Request(lams, b=True))
+        assert _same_bytes(b_only.b_drift[0], full.b_drift[0])
+        assert b_only.psi == b_only.z_prod == []
+        z_only = _simulate_chunk(*args, _Request(lams, z=True))
+        assert _same_bytes(z_only.z_prod[0], full.z_prod[0])
+        qc_only = _simulate_chunk(*args, _Request(qc=True))
+        assert _same_bytes(qc_only.qc_final, full.qc_final)
 
 
 class TestTailIS:
