@@ -34,8 +34,7 @@ from .bounds import (BernsteinParams, BoundConstant, MomentSummary,
                      classical_envelopes, corollary_envelope,
                      de_la_pena_bennett, lambda_bar, nonuniform_be_envelope,
                      strengthened_tail_envelope)
-from .errors import (ConfigError, DomainError, UnsupportedModelError,
-                     ViolationError)
+from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import mills_sandwich, std_normal_log_sf
 from .martingales import (NoiseFamily, RegressionModel, ScaledRademacher,
                           SelfNormalized, VarianceSwitch)
@@ -674,9 +673,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DomainError, UnsupportedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Exception hierarchy shared by every martkit module.
 
 The split mirrors the CLI exit-code contract: argument/flag problems are
-``ConfigError`` (exit 2), mathematically out-of-range inputs are
-``DomainError`` (exit 3), and failures of the hard assertion suite are
-``ViolationError`` (exit 4).
+``ConfigError`` (exit 2) and mathematically out-of-range inputs are
+``DomainError`` or ``UnsupportedModelError`` (exit 3).  Failures of the
+hard-assertion suite raise nothing: ``run_verification_suite`` collects
+them in its report, and ``martkit verify`` exits 4 when the report has
+not passed.
 """
 
 
@@ -21,23 +23,3 @@ class ConfigError(ToolkitError, ValueError):
 
 class UnsupportedModelError(ToolkitError):
     """The requested computation needs structure this model does not provide."""
-
-
-class ViolationError(ToolkitError):
-    """A hard inequality or identity failed on a concrete path.
-
-    Carries enough metadata (check name, seed, chunk) to replay the
-    offending path deterministically.
-    """
-
-    def __init__(self, check: str, detail: str, seed: int | None = None,
-                 chunk_index: int | None = None):
-        self.check = check
-        self.detail = detail
-        self.seed = seed
-        self.chunk_index = chunk_index
-        loc = ""
-        if seed is not None:
-            loc = f" [seed={seed}" + (
-                f", chunk={chunk_index}]" if chunk_index is not None else "]")
-        super().__init__(f"{check}: {detail}{loc}")

@@ -729,6 +729,24 @@ def verify_A2(model: MartingaleModel):
 _LEMMA_ALLOW = 1e-12  # rounding allowance on the hard inequalities
 
 
+def _lemma_ceilings(lam: float, params: BernsteinParams):
+    """Drift, log-MGF and half-cosh bounds at tilt lam, with their ceilings.
+
+    Returns three (bound, ceiling) pairs: B_n <= (lam - lam^2 eps/2)(1 +
+    delta^2)/(1 - lam eps)^2, Psi_n <= lam^2 (1 + delta^2)/(2(1 - lam eps))
+    and, for two-point normalized families, Psi_k <= lam^2/2.  A ceiling is
+    its bound plus the rounding allowance relative to max(1, |bound|); a
+    path violates a bound only when its value exceeds the ceiling.
+    """
+    eps, d2 = params.epsilon, params.delta ** 2
+    one_minus = 1.0 - lam * eps
+    b_bound = (lam - 0.5 * lam * lam * eps) * (1.0 + d2) / one_minus ** 2
+    psi_bound = lam * lam * (1.0 + d2) / (2.0 * one_minus)
+    half_bound = 0.5 * lam * lam
+    return tuple((bound, bound + _LEMMA_ALLOW * max(1.0, abs(bound)))
+                 for bound in (b_bound, psi_bound, half_bound))
+
+
 @dataclass(frozen=True)
 class LemmaReport:
     """Slack of the drift and log-MGF bounds at one (path, tilt) pair.
@@ -765,24 +783,23 @@ def lemma_checks(stats: ConjugatePathStats,
     if lam * eps >= 1.0:
         raise DomainError(
             f"tilt {lam:.6g} is outside [0, 1/eps) for eps = {eps:.6g}")
-    one_minus = 1.0 - lam * eps
-    b_bound = (lam - 0.5 * lam * lam * eps) * (1.0 + d2) / one_minus ** 2
-    psi_bound = lam * lam * (1.0 + d2) / (2.0 * one_minus)
+    (b_bound, b_ceiling), (psi_bound, psi_ceiling), half = _lemma_ceilings(
+        lam, params)
 
     violations = []
-    if stats.b_drift > b_bound + _LEMMA_ALLOW * max(1.0, abs(b_bound)):
+    if stats.b_drift > b_ceiling:
         violations.append(
             f"drift bound: B = {stats.b_drift!r} > {b_bound!r}")
-    if stats.psi > psi_bound + _LEMMA_ALLOW * max(1.0, abs(psi_bound)):
+    if stats.psi > psi_ceiling:
         violations.append(
             f"log-MGF bound: Psi = {stats.psi!r} > {psi_bound!r}")
 
     half_bound = half_worst = None
     if stats.half_cosh_applicable:
-        half_bound = 0.5 * lam * lam
+        half_bound, half_ceiling = half
         prefixes = np.cumsum(stats.per_step_psi)
         half_worst = float(prefixes.max()) if prefixes.size else 0.0
-        if half_worst > half_bound + _LEMMA_ALLOW * max(1.0, half_bound):
+        if half_worst > half_ceiling:
             violations.append(
                 f"half-cosh bound: max Psi_k = {half_worst!r} > {half_bound!r}")
 

@@ -22,8 +22,12 @@ the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
 as scalars.  The VarianceSwitch walk compares its uniforms with both
 thresholds once per chunk, into step-major (n, rows) masks, and each step
 then only reads the sign of the running sum and looks its increments up
-in small tables.  None of this changes a result: every object equals,
-bit for bit, its plain evaluation with np.where signs and a per-step
+in small tables.  The other per-step-scale families draw the whole chunk
+and then work through it in row blocks of 2^15 entries (256 KiB per
+array), so that each block's temporaries stay in the L2 cache rather
+than streaming whole-chunk matrices through memory.  None of this
+changes a result: every object equals, bit for bit, its plain
+evaluation over the whole chunk with np.where signs and a per-step
 threshold select, which the tests keep as the reference.
 """
 
@@ -48,9 +52,9 @@ from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           NoiseFamily, RegressionModel, ScaledRademacher,
                           SelfNormalized, VarianceSwitch, generator_for,
                           model_id, verify_A1, verify_A2)
-from .martingales import (_log_cosh, _signs_from_uniforms,
-                          _three_point_drift_factor, _three_point_outcomes,
-                          _three_point_psi)
+from .martingales import (_lemma_ceilings, _log_cosh, _require_model,
+                          _signs_from_uniforms, _three_point_drift_factor,
+                          _three_point_outcomes, _three_point_psi)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -62,8 +66,11 @@ __all__ = [
 ]
 
 _LEAF_CAP = 1 << 20
-_FOLD_BLOCK_ELEMENTS = 1 << 17   # float64 entries per row block: 1 MiB
-_LEMMA_ALLOW = 1e-12
+_BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
+# refusal caps on a config, far above the largest run in use (8192 x 128
+# entries per draw, 123 chunks): one draw of 2^26 float64 entries is 512 MiB
+CHUNK_DRAW_MAX_ENTRIES = 1 << 26
+CHUNK_COUNT_MAX = 1 << 20
 _UNIT_C = BoundConstant(1.0)
 
 CALIBRATION_ENVELOPES = ("thm21", "thm22", "cor21", "brmti", "thm33")
@@ -83,6 +90,12 @@ class SimulationConfig:
     steps, at most 2^20 leaves) switch to exact enumeration automatically,
     True forces enumeration (an error for continuous models), False
     forces sampling even where enumeration is available.
+
+    Configs whose first chunk would draw more than
+    ``CHUNK_DRAW_MAX_ENTRIES`` entries at once (rows times steps for the
+    matrix-drawing families, rows for the binomial shortcut), or that
+    split into more than ``CHUNK_COUNT_MAX`` chunks, are refused before
+    anything is allocated; so is a model outside the built-in families.
     """
 
     model: MartingaleModel
@@ -115,6 +128,19 @@ class SimulationConfig:
         if not 0 <= self.seed <= (1 << 64) - 1:
             raise ConfigError(
                 f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _require_model(self.model)
+        rows = min(self.chunk_size, self.paths)
+        entries = (rows if _constant_scale(self.model) is not None
+                   else rows * self.model.n)
+        if entries > CHUNK_DRAW_MAX_ENTRIES:
+            raise ConfigError(
+                f"a chunk of {rows} paths draws {entries} entries at once, "
+                f"above the cap of {CHUNK_DRAW_MAX_ENTRIES}; lower chunk_size")
+        chunks = -(-self.paths // self.chunk_size)
+        if chunks > CHUNK_COUNT_MAX:
+            raise ConfigError(
+                f"{self.paths} paths in chunks of {self.chunk_size} make "
+                f"{chunks} chunks, above the cap of {CHUNK_COUNT_MAX}")
 
 
 @dataclass(frozen=True)
@@ -380,26 +406,26 @@ class _Batch:
 
 
 def _column_fold(parts: np.ndarray, op, start: float) -> np.ndarray:
-    """Fold each row of a (rows, n) matrix with op, one column at a time.
+    """Fold each row of a (rows, n) block with op, one column at a time.
 
-    Rows are taken in blocks of about 1 MiB, so that a block stays in cache
-    across its n column passes (a pass over a whole chunk's strided column
-    misses on nearly every row).  Each row still folds its entries in
-    column order from ``start``, so the blocking changes no result.
+    Callers hand it one row block of ``_simulate_chunk`` at a time, about
+    256 KiB, so the block stays in cache across its n column passes (a
+    pass over a whole chunk's strided column misses on nearly every row).
+    Each row folds its entries in column order from ``start``.
     """
-    rows, n = parts.shape
-    total = np.full(rows, start)
-    block = max(1, _FOLD_BLOCK_ELEMENTS // max(n, 1))
-    for r0 in range(0, rows, block):
-        acc, sub = total[r0:r0 + block], parts[r0:r0 + block]
-        for j in range(n):
-            op(acc, sub[:, j], out=acc)
+    total = np.full(parts.shape[0], start)
+    for j in range(parts.shape[1]):
+        op(total, parts[:, j], out=total)
     return total
 
 
 def _ordered_accumulate(parts: np.ndarray) -> np.ndarray:
     """Sum rows of a (rows, n) matrix in column order (matches cumsum)."""
     return _column_fold(parts, np.add, 0.0)
+
+
+def _ordered_product(parts: np.ndarray) -> np.ndarray:
+    return _column_fold(parts, np.multiply, 1.0)
 
 
 def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
@@ -422,6 +448,16 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     VarianceSwitch kernel reads its uniforms through step-major masks
     built once per chunk (see ``_variance_switch_chunk``), with the same
     results as a per-step threshold select.
+
+    The per-step-scale families (SelfNormalized, RegressionModel, and
+    ScaledRademacher with unequal weights) draw the whole chunk first,
+    then run everything after the draw over row blocks of
+    ``_BLOCK_ELEMENTS`` entries: scale normalization, thresholding, the
+    ordered sums and each requested object.  A block's dozen or so
+    temporaries then stay in the core's L2 cache instead of streaming
+    whole-chunk matrices through memory.  Every stage is elementwise or a
+    per-row fold in column order, so the blocks, stitched back in row
+    order, give the same bytes as one pass over the chunk.
     """
     rng = generator_for(seed, stream, chunk)
     scale = _constant_scale(model)
@@ -444,43 +480,63 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                                     * math.cosh(cl * scale) ** -float(n))
         return batch
 
-    if isinstance(model, ScaledRademacher):
-        w = np.asarray(model.weights)
-        u = rng.random((rows, w.size))
-        batch = _two_point_accumulate(np.broadcast_to(w, u.shape),
-                                      _signs_from_uniforms(u, lam, w), want)
-        if want.qc:
-            batch.qc_final = np.full(rows, math.fsum(float(v) * float(v)
-                                                     for v in w))
-        return batch
-
     if isinstance(model, VarianceSwitch):
         return _variance_switch_chunk(model, rng, rows, lam, want)
 
-    if isinstance(model, SelfNormalized):
-        low, high = model.magnitude_low, model.magnitude_high
-    elif isinstance(model, RegressionModel):
-        low, high = model.covariate_low, model.covariate_high
+    three_point = False
+    if isinstance(model, ScaledRademacher):
+        w = np.asarray(model.weights)
+        draws = None
+        u = rng.random((rows, w.size))
+        qc = math.fsum(float(v) * float(v) for v in w)
     else:
-        raise UnsupportedModelError(
-            f"no sampling kernel for {type(model).__name__}")
-    # magnitudes (or covariates) first, then one uniform per step
-    scales = low + (high - low) * rng.random((rows, model.n))
-    u = rng.random((rows, model.n))
-    scales /= np.sqrt(_ordered_accumulate(scales * scales))[:, None]
-    if (isinstance(model, RegressionModel)
-            and model.noise is NoiseFamily.TRUNCATED_SYMMETRIC):
-        batch = _three_point_accumulate(scales, u, lam, want)
-    else:
-        batch = _two_point_accumulate(
-            scales, _signs_from_uniforms(u, lam, scales), want)
+        if isinstance(model, SelfNormalized):
+            low, high = model.magnitude_low, model.magnitude_high
+        elif isinstance(model, RegressionModel):
+            low, high = model.covariate_low, model.covariate_high
+            three_point = model.noise is NoiseFamily.TRUNCATED_SYMMETRIC
+        else:
+            raise UnsupportedModelError(
+                f"no sampling kernel for {type(model).__name__}")
+        # magnitudes (or covariates) first, then one uniform per step
+        draws = rng.random((rows, model.n))
+        u = rng.random((rows, model.n))
+        qc = 1.0
+
+    block = max(1, _BLOCK_ELEMENTS // u.shape[1])
+    parts = []
+    for r0 in range(0, rows, block):
+        ub = u[r0:r0 + block]
+        if draws is None:
+            scales = np.broadcast_to(w, ub.shape)
+            sign_scales = w
+        else:
+            scales = low + (high - low) * draws[r0:r0 + block]
+            scales /= np.sqrt(_ordered_accumulate(scales * scales))[:, None]
+            sign_scales = scales
+        if three_point:
+            parts.append(_three_point_accumulate(scales, ub, lam, want))
+        else:
+            parts.append(_two_point_accumulate(
+                scales, _signs_from_uniforms(ub, lam, sign_scales), want))
+    batch = _stitch(parts)
     if want.qc:
-        batch.qc_final = np.ones(rows)
+        batch.qc_final = np.full(rows, qc)
     return batch
 
 
-def _ordered_product(parts: np.ndarray) -> np.ndarray:
-    return _column_fold(parts, np.multiply, 1.0)
+def _stitch(parts: list) -> _Batch:
+    """One batch from row-block batches, concatenated in row order."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def join(lists):
+        return [np.concatenate(blocks) for blocks in zip(*lists)]
+
+    return _Batch(np.concatenate([p.finals for p in parts]),
+                  psi=join(p.psi for p in parts),
+                  b_drift=join(p.b_drift for p in parts),
+                  z_prod=join(p.z_prod for p in parts))
 
 
 def _two_point_accumulate(scales: np.ndarray, signs: np.ndarray,
@@ -1004,7 +1060,7 @@ def run_verification_suite(config: SimulationConfig,
     """
     model = config.model
     params = model.bernstein_params()
-    eps, d2 = params.epsilon, params.delta ** 2
+    eps = params.epsilon
     violations = []
     checks = []
 
@@ -1022,15 +1078,9 @@ def run_verification_suite(config: SimulationConfig,
     half_cosh = _half_cosh_in_scope(model)
     qc_lo = 1.0 - a2_bound - 1e-12
     qc_hi = 1.0 + a2_bound + 1e-12
-    ceilings = []   # per lam: drift, log-MGF and half-cosh allowances
-    for lam in lam_values:
-        one_minus = 1.0 - lam * eps
-        b_bound = (lam - 0.5 * lam * lam * eps) * (1.0 + d2) / one_minus ** 2
-        psi_bound = lam * lam * (1.0 + d2) / (2.0 * one_minus)
-        ceilings.append((
-            b_bound + _LEMMA_ALLOW * max(1.0, abs(b_bound)),
-            psi_bound + _LEMMA_ALLOW * max(1.0, abs(psi_bound)),
-            0.5 * lam * lam + _LEMMA_ALLOW * max(1.0, 0.5 * lam * lam)))
+    # per lam: the drift, log-MGF and half-cosh ceilings
+    ceilings = [tuple(ceiling for _, ceiling in _lemma_ceilings(lam, params))
+                for lam in lam_values]
     want = _Request(lam_values, psi=True, b=True, z=True, qc=True)
     levels = _thresholds(domination_levels) if domination_levels else None
     sorted_levels = (None if levels is None or _use_enumeration(config)

@@ -21,7 +21,7 @@ from martkit.applications import (least_squares, RegressionData,
                                   self_norm_envelope, wang_jing_bound)
 from martkit.bounds import (BernsteinParams, BoundConstant, lambda_bar,
                             nonuniform_be_envelope)
-from martkit import cli
+from martkit import cli, montecarlo
 from martkit.cli import main
 from martkit.martingales import ScaledRademacher
 from martkit.montecarlo import SimulationConfig, calibrate_constant
@@ -98,6 +98,21 @@ class TestExitCodes:
         assert any(cell(r, header, "name") == "z-martingale-mean"
                    for r in bad)
         assert "seed 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [
+        ["--paths", "1000000000", "--chunk-size", "1000000000"],
+        ["--paths", "1000000000000", "--chunk-size", "1"],
+    ])
+    def test_oversized_chunk_config_is_refused_before_drawing(
+            self, monkeypatch, capsys, sizes):
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(montecarlo, "generator_for", no_draw)
+        assert main(["simulate", "--model", "selfnorm", "--n", "64",
+                     "--a", "1", "--b", "2", "--seed", "1",
+                     "--no-exhaustive"] + sizes) == 2
+        assert "above the cap" in capsys.readouterr().err
 
 
 class TestBoundCommand:

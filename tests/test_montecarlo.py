@@ -25,8 +25,8 @@ from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
                                  VarianceSwitch, conjugate_stats,
                                  generator_for, simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
-                                SimulationConfig, _chunk_layout,
-                                _clopper_pearson, _dkw_band,
+                                SimulationConfig, _BLOCK_ELEMENTS,
+                                _chunk_layout, _clopper_pearson, _dkw_band,
                                 _enumeration_atoms, _map_chunks,
                                 _minimal_constant, _Request, _simulate_chunk,
                                 calibrate_constant, conjugate_clt_check,
@@ -137,6 +137,39 @@ class TestSimulationConfig:
         base.update(kw)
         with pytest.raises(ConfigError):
             SimulationConfig(**base)
+
+    def test_refuses_oversized_chunk_draws(self):
+        # constructing a config allocates nothing, so the caps are safe here
+        cap = montecarlo.CHUNK_DRAW_MAX_ENTRIES
+        sn = SelfNormalized(n=64, magnitude_low=1.0, magnitude_high=2.0)
+        rows = cap // 64
+        assert SimulationConfig(sn, paths=rows, seed=1, chunk_size=rows)
+        with pytest.raises(ConfigError, match="entries"):
+            SimulationConfig(sn, paths=rows + 1, seed=1, chunk_size=rows + 1)
+        with pytest.raises(ConfigError, match="entries"):
+            SimulationConfig(VarianceSwitch(n=64, delta=0.5), paths=rows + 1,
+                             seed=1, chunk_size=rows + 1)
+        # a chunk never holds more rows than there are paths
+        assert SimulationConfig(sn, paths=rows, seed=1, chunk_size=1 << 62)
+        # the binomial shortcut draws one count per path
+        assert SimulationConfig(SR16, paths=cap, seed=1, chunk_size=cap)
+        with pytest.raises(ConfigError, match="entries"):
+            SimulationConfig(SR16, paths=cap + 1, seed=1, chunk_size=cap + 1)
+        with pytest.raises(ConfigError, match="entries"):
+            SimulationConfig(SR_UNEQ, paths=cap, seed=1, chunk_size=cap)
+
+    def test_rejects_objects_that_are_not_models(self):
+        with pytest.raises(UnsupportedModelError):
+            SimulationConfig(object(), paths=10, seed=1)
+
+    def test_refuses_too_many_chunks(self):
+        most = montecarlo.CHUNK_COUNT_MAX
+        assert SimulationConfig(SR4, paths=most, seed=1, chunk_size=1)
+        assert SimulationConfig(SR4, paths=3 * most, seed=1, chunk_size=3)
+        with pytest.raises(ConfigError, match="chunks"):
+            SimulationConfig(SR4, paths=most + 1, seed=1, chunk_size=1)
+        with pytest.raises(ConfigError, match="chunks"):
+            SimulationConfig(SR4, paths=1 << 62, seed=1)
 
     def test_chunk_layout_covers_paths(self):
         count, sizes = _chunk_layout(cfg(SR4, paths=1000, chunk_size=256))
@@ -438,17 +471,27 @@ def _same_bytes(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def _seam_rows(model) -> int:
+    """A chunk that crosses two row-block seams and ends on a partial block."""
+    block = max(1, _BLOCK_ELEMENTS // model.n)
+    return 2 * block + block // 2 + 1
+
+
 class TestSamplingKernels:
     @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
-    @pytest.mark.parametrize("tilt_fraction", [0.0, 0.6])
-    def test_chunk_equals_plain_reference(self, model, tilt_fraction):
+    @pytest.mark.parametrize("tilt_fraction, rows", [
+        (0.0, 777), (0.6, 777), (0.0, _seam_rows), (0.6, _seam_rows),
+    ], ids=["0.0", "0.6", "0.0-seams", "0.6-seams"])
+    def test_chunk_equals_plain_reference(self, model, tilt_fraction, rows):
+        if callable(rows):
+            rows = rows(model)
         eps = model.bernstein_params().epsilon
         lam = tilt_fraction / eps
         lams = (0.1 / eps, 0.9 / eps)
-        batch = _simulate_chunk(model, 21, STREAM_MC_TILTED, 3, 777, lam,
+        batch = _simulate_chunk(model, 21, STREAM_MC_TILTED, 3, rows, lam,
                                 _Request(lams, **_FULL))
         finals, qc, psi, b, z = _reference_chunk(
-            model, 21, STREAM_MC_TILTED, 3, 777, lam, lams)
+            model, 21, STREAM_MC_TILTED, 3, rows, lam, lams)
         assert _same_bytes(batch.finals, finals)
         assert _same_bytes(batch.qc_final, qc)
         for got, want in zip((batch.psi, batch.b_drift, batch.z_prod),
