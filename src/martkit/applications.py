@@ -29,6 +29,7 @@ from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (NoiseFamily, RegressionModel, ScaledRademacher,
                           SelfNormalized, generator_for,
                           noise_bernstein_constant)
+from .martingales import _signs_from_uniforms, _three_point_outcomes
 from .montecarlo import SimulationConfig, _map_chunks
 
 __all__ = [
@@ -585,14 +586,6 @@ class CoverageResult:
                 "x_star": self.x_star, "valid": self.valid}
 
 
-def _noise_draw(noise: NoiseFamily, sigma: float, u: np.ndarray) -> np.ndarray:
-    if noise is NoiseFamily.RADEMACHER_SCALED:
-        return sigma * np.where(u < 0.5, 1.0, -1.0)
-    # {-2 sigma, 0, +2 sigma} with P(+-) = 1/8 each: variance sigma^2
-    return 2.0 * sigma * ((u >= 0.875).astype(float)
-                          - (u < 0.125).astype(float))
-
-
 def regression_coverage(model: RegressionModel, level: float,
                         replications: int, seed: int, *,
                         c: BoundConstant = _DEFAULT_C,
@@ -615,12 +608,17 @@ def regression_coverage(model: RegressionModel, level: float,
     split = regression_epsilons(model)
     x_star, valid = _invert_level(split.eps, level, c, use_envelope)
     a, b = model.covariate_low, model.covariate_high
+    three_point = model._law().three_point
 
     def kernel(chunk: int, rows: int) -> int:
         rng = generator_for(config.seed, STREAM_COVERAGE, chunk)
         phi = rng.uniform(a, b, size=(rows, model.n))
-        noise = _noise_draw(model.noise, model.sigma,
-                            rng.random(size=(rows, model.n)))
+        u = rng.random(size=(rows, model.n))
+        # {-2 sigma, 0, +2 sigma} with P(+-) = 1/8, or +-sigma; the outcome
+        # helpers' sign convention does not reach |sum phi e|
+        noise = (2.0 * model.sigma * _three_point_outcomes(u, 0.0, None)
+                 if three_point
+                 else model.sigma * _signs_from_uniforms(u, 0.0, None))
         energy = np.einsum("ij,ij->i", phi, phi)
         score = np.einsum("ij,ij->i", phi, noise)
         # |theta_hat - theta| sqrt(E)/sigma = |sum phi e| / (sigma sqrt(E))

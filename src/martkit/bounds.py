@@ -140,14 +140,12 @@ class MomentSummary:
     truncated_second    sum_i E[xi_i^2 1{|xi_i| > 1+|x|}]
     truncated_third     sum_i E[|xi_i|^3 1{|xi_i| <= 1+|x|}]
     qc_deviation_moment E|<S>_n - 1|^{1+delta_m/2} (or the p-th moment, as flagged)
-    Bn2                 E[S_n^2]
     """
 
     third_moments_sum: float = 0.0
     truncated_second: float = 0.0
     truncated_third: float = 0.0
     qc_deviation_moment: float = 0.0
-    Bn2: float = 1.0
 
     def __post_init__(self):
         for name in ("third_moments_sum", "truncated_second", "truncated_third",
@@ -155,8 +153,6 @@ class MomentSummary:
             val = getattr(self, name)
             if not (math.isfinite(val) and val >= 0.0):
                 raise DomainError(f"{name} must be finite and >= 0, got {val}")
-        if not (math.isfinite(self.Bn2) and self.Bn2 > 0.0):
-            raise DomainError(f"Bn2 must be finite and > 0, got {self.Bn2}")
 
 
 @dataclass(frozen=True)

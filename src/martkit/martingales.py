@@ -22,6 +22,11 @@ RegressionModel    least-squares error reduction: covariates phi_k drawn
                    are the normalized differences phi_k e_k/(sigma sqrt(sum
                    phi^2)), again with <S>_n = 1.
 
+Each family's ``_law()`` returns a ``_StepLaw``, the one description of
+its per-step conditional law.  Sampling (per path here, per chunk in
+``montecarlo``), exact enumeration, the conjugate statistics and the A1/A2
+checks read that description, never the family's class.
+
 Randomness is counter-based: a Philox generator keyed by
 ``[seed, (stream << 56) | index]``.  Draw order inside one path is fixed
 and documented per family (magnitudes or covariates first, then one
@@ -37,9 +42,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -125,6 +130,60 @@ def _noise_abs_moment_normalized(noise: NoiseFamily, order: int) -> float:
 
 
 @dataclass(frozen=True)
+class _StepLaw:
+    """The conditional law of every step of one family, given the past.
+
+    Step i has scale s_i from exactly one source: fixed ``weights``; a
+    ``band`` (low, high) of uniform draws divided by their root sum of
+    squares; or a ``switch`` (s_plus, s_minus) picked by the sign of
+    S_{i-1}, sign(0) = +1.  A two-point step is +-s_i; a ``three_point``
+    step is {-c, 0, +c} with c = 2 s_i and P(+-) = 1/8, so its variance is
+    s_i^2 either way.  ``delta`` bounds |<S>_n - 1| by delta^2.
+    """
+
+    n: int
+    weights: Optional[tuple] = None
+    band: Optional[tuple] = None
+    switch: Optional[tuple] = None
+    three_point: bool = False
+    delta: float = 0.0
+
+    @property
+    def constant_scale(self) -> Optional[float]:
+        """The single normalized step scale of i.i.d. two-point laws."""
+        if self.three_point or self.switch is not None:
+            return None
+        if self.weights is not None:
+            w = self.weights
+            return w[0] if all(v == w[0] for v in w) else None
+        low, high = self.band
+        return 1.0 / math.sqrt(self.n) if low == high else None
+
+    @property
+    def half_cosh(self) -> bool:
+        """Two-point steps normalized to <S>_n = 1: Psi_k <= lam^2/2 holds."""
+        return not self.three_point and self.switch is None
+
+    @property
+    def worst_scales(self) -> tuple:
+        """Largest step sizes c over all paths, one per exchangeable row."""
+        if self.weights is not None:
+            return self.weights
+        if self.switch is not None:
+            return (self.switch[0],)
+        low, high = self.band
+        base = high / (low * math.sqrt(self.n))
+        return (2.0 * base if self.three_point else base,)
+
+    @property
+    def mgf_terms(self) -> tuple:
+        """(log-MGF, tilted mean / c, MGF) of a step of size c at t = lam*c."""
+        if self.three_point:
+            return _three_point_psi, _three_point_drift_factor, _three_point_mgf
+        return _log_cosh, np.tanh, np.cosh
+
+
+@dataclass(frozen=True)
 class ScaledRademacher:
     """Independent fair signs on deterministic scales w_i, sum w_i^2 = 1."""
 
@@ -161,6 +220,9 @@ class ScaledRademacher:
     def bernstein_params(self) -> BernsteinParams:
         return BernsteinParams(max(self.weights), 0.0)
 
+    def _law(self) -> _StepLaw:
+        return _StepLaw(self.n, weights=self.weights)
+
 
 @dataclass(frozen=True)
 class VarianceSwitch:
@@ -183,12 +245,18 @@ class VarianceSwitch:
             raise DomainError(f"delta must lie in [0, 1], got {self.delta!r}")
 
     def bernstein_params(self) -> BernsteinParams:
-        eps = math.sqrt((1.0 + self.delta ** 2) / self.n)
+        eps = self._law().switch[0]
         if eps > 0.5:
             raise DomainError(
                 f"step scale {eps:.6g} exceeds 1/2; increase n (need "
                 f"n >= {4.0 * (1.0 + self.delta ** 2):.6g})")
         return BernsteinParams(eps, self.delta)
+
+    def _law(self) -> _StepLaw:
+        d2 = self.delta ** 2
+        return _StepLaw(self.n, switch=(math.sqrt((1.0 + d2) / self.n),
+                                        math.sqrt((1.0 - d2) / self.n)),
+                        delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -222,6 +290,9 @@ class SelfNormalized:
                 f"normalized step scale b/(a sqrt(n)) = {eps:.6g} exceeds 1/2; "
                 "increase n")
         return BernsteinParams(eps, 0.0)
+
+    def _law(self) -> _StepLaw:
+        return _StepLaw(self.n, band=(self.magnitude_low, self.magnitude_high))
 
 
 @dataclass(frozen=True)
@@ -270,6 +341,10 @@ class RegressionModel:
                 "increase n")
         return BernsteinParams(eps, 0.0)
 
+    def _law(self) -> _StepLaw:
+        return _StepLaw(self.n, band=(self.covariate_low, self.covariate_high),
+                        three_point=self.noise is NoiseFamily.TRUNCATED_SYMMETRIC)
+
 
 MartingaleModel = Union[ScaledRademacher, VarianceSwitch, RegressionModel,
                         SelfNormalized]
@@ -285,20 +360,17 @@ def _require_model(model) -> None:
             f"not a built-in martingale family: {type(model).__name__}")
 
 
+def _json_value(value):
+    if isinstance(value, tuple):
+        return list(value)
+    return value.value if isinstance(value, Enum) else value
+
+
 def model_to_dict(model: MartingaleModel) -> dict:
+    """The kind plus every dataclass field, in declaration order."""
     _require_model(model)
-    if isinstance(model, ScaledRademacher):
-        return {"kind": model.kind, "weights": list(model.weights)}
-    if isinstance(model, VarianceSwitch):
-        return {"kind": model.kind, "n": model.n, "delta": model.delta}
-    if isinstance(model, SelfNormalized):
-        return {"kind": model.kind, "n": model.n,
-                "magnitude_low": model.magnitude_low,
-                "magnitude_high": model.magnitude_high}
-    return {"kind": model.kind, "theta": model.theta, "n": model.n,
-            "covariate_low": model.covariate_low,
-            "covariate_high": model.covariate_high,
-            "sigma": model.sigma, "noise": model.noise.value}
+    return {"kind": model.kind, **{f.name: _json_value(getattr(model, f.name))
+                                   for f in fields(model)}}
 
 
 def model_from_dict(data: dict) -> MartingaleModel:
@@ -310,11 +382,12 @@ def model_from_dict(data: dict) -> MartingaleModel:
         cls = _MODEL_CLASSES[kind]
     except KeyError:
         raise ConfigError(f"unknown model kind {kind!r}") from None
-    fields = {k: v for k, v in data.items() if k != "kind"}
-    if cls is ScaledRademacher and "weights" in fields:
-        fields["weights"] = tuple(fields["weights"])
+    values = {k: v for k, v in data.items() if k != "kind"}
+    for f in fields(cls):
+        if f.type == "tuple" and f.name in values:
+            values[f.name] = tuple(values[f.name])
     try:
-        return cls(**fields)
+        return cls(**values)
     except TypeError as exc:
         raise ConfigError(f"bad fields for model kind {kind!r}: {exc}") from None
 
@@ -401,12 +474,6 @@ class ConjugatePathStats:
             object.__setattr__(self, name, arr)
 
 
-def _uniform_band(rng: np.random.Generator, low: float, high: float,
-                  n: int) -> np.ndarray:
-    # low + (high-low)*u keeps the degenerate low == high case exact
-    return low + (high - low) * rng.random(n)
-
-
 def _signs_from_uniforms(u: np.ndarray, lam: float,
                          scales: np.ndarray) -> np.ndarray:
     """+1/-1 per step; up-probability expit(2*lam*scale) (1/2 at lam=0).
@@ -425,18 +492,16 @@ def _signs_from_uniforms(u: np.ndarray, lam: float,
     return signs
 
 
-def _variance_switch_walk(model: VarianceSwitch, rng: np.random.Generator,
+def _variance_switch_walk(law: _StepLaw, rng: np.random.Generator,
                           lam: float):
-    d2 = model.delta ** 2
-    s_plus = math.sqrt((1.0 + d2) / model.n)
-    s_minus = math.sqrt((1.0 - d2) / model.n)
-    u = rng.random(model.n)
+    s_plus, s_minus = law.switch
+    u = rng.random(law.n)
     p_plus = float(expit(2.0 * lam * s_plus))
     p_minus = float(expit(2.0 * lam * s_minus))
-    xi = np.empty(model.n)
-    var = np.empty(model.n)
+    xi = np.empty(law.n)
+    var = np.empty(law.n)
     s = 0.0
-    for i in range(model.n):
+    for i in range(law.n):
         if s >= 0.0:  # sign(0) = +1
             scale, p_up = s_plus, p_plus
         else:
@@ -469,44 +534,55 @@ def _three_point_outcomes(u: np.ndarray, lam: float,
     return np.subtract(u < hi, u >= mid, dtype=float)
 
 
+def _steps(law: _StepLaw, scales: np.ndarray, u: np.ndarray, lam: float):
+    """(c, xi): step sizes and steps for normalized scales and uniforms u.
+
+    c is the scale itself for two-point steps and the support 2*scale for
+    three-point ones; xi = c * outcome, with the outcome thresholded from
+    u at tilt lam.  ``scales`` may broadcast against ``u``.
+    """
+    if law.three_point:
+        c = 2.0 * scales
+        outcome = _three_point_outcomes(u, lam, c)
+    else:
+        c = scales
+        outcome = _signs_from_uniforms(u, lam, c)
+    return c, np.multiply(outcome, c, out=outcome)
+
+
 def _generate(model: MartingaleModel, lam: float, seed: int,
               path_index: int) -> PathSample:
+    law = model._law()
     rng = generator_for(seed, STREAM_PATH, path_index)
-    if isinstance(model, ScaledRademacher):
-        scales = np.asarray(model.weights)
-        signs = _signs_from_uniforms(rng.random(scales.size), lam, scales)
-        xi = scales * signs
-        qc_tail = np.cumsum(scales * scales)
-    elif isinstance(model, VarianceSwitch):
-        xi, qc_tail = _variance_switch_walk(model, rng, lam)
-    elif isinstance(model, SelfNormalized):
-        m = _uniform_band(rng, model.magnitude_low, model.magnitude_high,
-                          model.n)
-        csum = np.cumsum(m * m)
-        scales = m / math.sqrt(csum[-1])
-        signs = _signs_from_uniforms(rng.random(model.n), lam, scales)
-        xi = scales * signs
-        qc_tail = csum / csum[-1]
-    elif isinstance(model, RegressionModel):
-        phi = _uniform_band(rng, model.covariate_low, model.covariate_high,
-                            model.n)
-        csum = np.cumsum(phi * phi)
-        t = phi / math.sqrt(csum[-1])  # normalized step scales
-        u = rng.random(model.n)
-        if model.noise is NoiseFamily.RADEMACHER_SCALED:
-            xi = t * _signs_from_uniforms(u, lam, t)
-        else:
-            support = 2.0 * t
-            xi = support * _three_point_outcomes(u, lam, support)
-        qc_tail = csum / csum[-1]
+    if law.switch is not None:
+        xi, qc_tail = _variance_switch_walk(law, rng, lam)
     else:
-        _require_model(model)
-        raise AssertionError("unreachable")
+        if law.weights is not None:
+            scales = np.asarray(law.weights)
+            qc_tail = np.cumsum(scales * scales)
+        else:
+            # magnitudes or covariates first, then one uniform per step;
+            # low + (high-low)*u keeps the degenerate low == high case exact
+            low, high = law.band
+            m = low + (high - low) * rng.random(law.n)
+            csum = np.cumsum(m * m)
+            scales = m / math.sqrt(csum[-1])
+            qc_tail = csum / csum[-1]
+        _, xi = _steps(law, scales, rng.random(law.n), lam)
     sums = np.concatenate(([0.0], np.cumsum(xi)))
     qc = np.concatenate(([0.0], qc_tail))
     sq = math.fsum(v * v for v in xi.tolist())
     return PathSample(xi, sums, qc, sq, int(seed), model_id(model),
                       int(path_index))
+
+
+def _check_tilt(lam: float, eps: float) -> None:
+    """Refuse a tilt outside [0, 1/eps), where the conjugate objects live."""
+    if not math.isfinite(lam) or lam < 0.0:
+        raise DomainError(f"tilt must be finite and nonnegative, got {lam}")
+    if lam * eps >= 1.0:
+        raise DomainError(
+            f"tilt {lam:.6g} is outside [0, 1/eps) for eps = {eps:.6g}")
 
 
 def simulate_path(model: MartingaleModel, seed: int, *,
@@ -526,12 +602,7 @@ def simulate_tilted_path(model: MartingaleModel, lam: float, seed: int, *,
     uniforms, so lam = 0 reproduces simulate_path exactly.
     """
     _require_model(model)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError(f"tilt must be finite and nonnegative, got {lam}")
-    eps = model.bernstein_params().epsilon
-    if lam * eps >= 1.0:
-        raise DomainError(
-            f"tilt {lam:.6g} is outside [0, 1/eps) for eps = {eps:.6g}")
+    _check_tilt(lam, model.bernstein_params().epsilon)
     return _generate(model, lam, seed, path_index)
 
 
@@ -585,27 +656,9 @@ def _three_point_drift_factor(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_structure(model: MartingaleModel, path: PathSample):
-    """(three_point, scales, half_cosh_ok) for the path's conditional laws.
-
-    For two-point steps the realized magnitude is the conditional scale,
-    so |differences| recovers it exactly.  The three-point regression
-    noise hides its support when the outcome is 0; there the support is
-    rebuilt from the quadratic-characteristic increments (variance of a
-    {-c,0,+c} step with P(+-)=1/8 is c^2/4).
-    """
-    if isinstance(model, ScaledRademacher):
-        return False, np.asarray(model.weights), True
-    if isinstance(model, VarianceSwitch):
-        return False, np.abs(path.differences), False
-    if isinstance(model, SelfNormalized):
-        return False, np.abs(path.differences), True
-    if isinstance(model, RegressionModel):
-        if model.noise is NoiseFamily.RADEMACHER_SCALED:
-            return False, np.abs(path.differences), True
-        return True, 2.0 * np.sqrt(np.diff(path.qc)), False
-    _require_model(model)
-    raise AssertionError("unreachable")
+def _three_point_mgf(t: np.ndarray) -> np.ndarray:
+    """E[e^{lam xi}] for the {-c, 0, +c} step, t = lam*c."""
+    return 0.75 + 0.25 * np.cosh(t)
 
 
 def conjugate_stats(path: PathSample, model: MartingaleModel,
@@ -617,23 +670,22 @@ def conjugate_stats(path: PathSample, model: MartingaleModel,
     per-path hard checks rely on.
     """
     _require_model(model)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError(f"tilt must be finite and nonnegative, got {lam}")
-    eps = model.bernstein_params().epsilon
-    if lam * eps >= 1.0:
-        raise DomainError(
-            f"tilt {lam:.6g} is outside [0, 1/eps) for eps = {eps:.6g}")
+    _check_tilt(lam, model.bernstein_params().epsilon)
     if path.model_id != model_id(model):
         raise DomainError(
             f"path belongs to {path.model_id}, not {model_id(model)}")
-    three_point, scales, half_cosh_ok = _step_structure(model, path)
-    t = lam * scales
-    if three_point:
-        psi_steps = _three_point_psi(t)
-        b_steps = scales * _three_point_drift_factor(t)
+    law = model._law()
+    # A two-point step's size is its realized magnitude.  A three-point
+    # step hides its support when the outcome is 0, so the support is
+    # rebuilt from the characteristic increments (variance c^2/4).
+    if law.three_point:
+        scales = 2.0 * np.sqrt(np.diff(path.qc))
     else:
-        psi_steps = _log_cosh(t)
-        b_steps = scales * np.tanh(t)
+        scales = np.abs(path.differences)
+    log_mgf, drift, _ = law.mgf_terms
+    t = lam * scales
+    psi_steps = log_mgf(t)
+    b_steps = scales * drift(t)
     psi = float(np.cumsum(psi_steps)[-1]) if psi_steps.size else 0.0
     b_drift = float(np.cumsum(b_steps)[-1]) if b_steps.size else 0.0
     sn = path.final
@@ -641,7 +693,7 @@ def conjugate_stats(path: PathSample, model: MartingaleModel,
     return ConjugatePathStats(
         lam=float(lam), z=math.exp(log_z), log_z=log_z, psi=psi,
         b_drift=b_drift, y=sn - b_drift, per_step_b=b_steps,
-        per_step_psi=psi_steps, half_cosh_applicable=half_cosh_ok)
+        per_step_psi=psi_steps, half_cosh_applicable=law.half_cosh)
 
 
 @dataclass(frozen=True)
@@ -677,39 +729,24 @@ def verify_A1(model: MartingaleModel, max_order: int = 12,
     if max_order < 2:
         raise DomainError(f"max_order must be at least 2, got {max_order}")
     eps = model.bernstein_params().epsilon
-
-    def ratio(base: float, order: int, moment_factor: float = 1.0) -> float:
-        return base ** (order - 2) * moment_factor
-
-    if isinstance(model, ScaledRademacher):
-        rows = [("w[%d]" % i, w, 1.0) for i, w in enumerate(model.weights)]
-    elif isinstance(model, VarianceSwitch):
-        rows = [("worst", math.sqrt((1.0 + model.delta ** 2) / model.n), 1.0)]
-    elif isinstance(model, SelfNormalized):
-        rows = [("worst",
-                 model.magnitude_high / (model.magnitude_low
-                                         * math.sqrt(model.n)), 1.0)]
-    else:
-        base = model.eps1_worst
-        if model.noise is NoiseFamily.RADEMACHER_SCALED:
-            rows = [("worst", base, 1.0)]
-        else:
-            rows = [("worst", 2.0 * base, 1.0)]
+    # a step of size c has moment ratio c^(l-2) at even order l, for both
+    # the two-point law and the {-c, 0, +c} law
+    bases = model._law().worst_scales
 
     orders = tuple(range(2, max_order + 1, 2))
-    margins = np.empty((len(rows), len(orders)))
-    for i, (_, base, factor) in enumerate(rows):
+    margins = np.empty((len(bases), len(orders)))
+    for i, base in enumerate(bases):
         for j, order in enumerate(orders):
             bound = 0.5 * math.factorial(order) * eps ** (order - 2)
-            margins[i, j] = bound / ratio(base, order, factor) - 1.0
+            margins[i, j] = bound / base ** (order - 2) - 1.0
     worst = float(margins.min())
 
     binding = 0.0
-    for _, base, factor in rows:
+    for base in bases:
         for order in orders:
             if order < 4:
                 continue
-            need = (ratio(base, order, factor)
+            need = (base ** (order - 2)
                     / (0.5 * math.factorial(order))) ** (1.0 / (order - 2))
             binding = max(binding, need)
     return A1Report(declared_eps=eps, binding_eps=binding, orders=orders,
@@ -720,10 +757,8 @@ def verify_A1(model: MartingaleModel, max_order: int = 12,
 def verify_A2(model: MartingaleModel):
     """(delta^2 bound on |<S>_n - 1|, whether it is exact by construction)."""
     _require_model(model)
-    if isinstance(model, VarianceSwitch):
-        return model.delta ** 2, True
-    # the other three families are normalized to <S>_n = 1 identically
-    return 0.0, True
+    # delta is 0 for the families normalized to <S>_n = 1 identically
+    return model._law().delta ** 2, True
 
 
 _LEMMA_ALLOW = 1e-12  # rounding allowance on the hard inequalities
@@ -780,9 +815,7 @@ def lemma_checks(stats: ConjugatePathStats,
     """
     lam = stats.lam
     eps, d2 = params.epsilon, params.delta ** 2
-    if lam * eps >= 1.0:
-        raise DomainError(
-            f"tilt {lam:.6g} is outside [0, 1/eps) for eps = {eps:.6g}")
+    _check_tilt(lam, eps)
     (b_bound, b_ceiling), (psi_bound, psi_ceiling), half = _lemma_ceilings(
         lam, params)
 

@@ -49,12 +49,9 @@ from .bounds import (BoundConstant, corollary_envelope, eps_log_eps,
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
-                          NoiseFamily, RegressionModel, ScaledRademacher,
-                          SelfNormalized, VarianceSwitch, generator_for,
-                          model_id, verify_A1, verify_A2)
-from .martingales import (_lemma_ceilings, _log_cosh, _require_model,
-                          _signs_from_uniforms, _three_point_drift_factor,
-                          _three_point_outcomes, _three_point_psi)
+                          generator_for, model_id, verify_A1, verify_A2)
+from .martingales import (_check_tilt, _lemma_ceilings, _log_cosh,
+                          _require_model, _steps, _StepLaw)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -129,9 +126,9 @@ class SimulationConfig:
             raise ConfigError(
                 f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         _require_model(self.model)
+        law = self.model._law()
         rows = min(self.chunk_size, self.paths)
-        entries = (rows if _constant_scale(self.model) is not None
-                   else rows * self.model.n)
+        entries = rows if law.constant_scale is not None else rows * law.n
         if entries > CHUNK_DRAW_MAX_ENTRIES:
             raise ConfigError(
                 f"a chunk of {rows} paths draws {entries} entries at once, "
@@ -233,38 +230,15 @@ class VerificationReport:
 
 def enumeration_support(model: MartingaleModel) -> Optional[int]:
     """Leaf count when the terminal law is exactly enumerable, else None."""
-    if isinstance(model, (ScaledRademacher, VarianceSwitch)):
-        leaves = 2 ** model.n
-        return leaves if leaves <= _LEAF_CAP else None
-    if isinstance(model, SelfNormalized):
-        if model.magnitude_low != model.magnitude_high:
-            return None
-        leaves = 2 ** model.n
-        return leaves if leaves <= _LEAF_CAP else None
-    if isinstance(model, RegressionModel):
-        if model.covariate_low != model.covariate_high:
-            return None
-        base = 2 if model.noise is NoiseFamily.RADEMACHER_SCALED else 3
-        leaves = base ** model.n
-        return leaves if leaves <= _LEAF_CAP else None
-    return None
-
-
-def _constant_scale(model: MartingaleModel) -> Optional[float]:
-    """The single normalized step scale for i.i.d. two-point models."""
-    if isinstance(model, ScaledRademacher):
-        w = model.weights
-        return w[0] if all(v == w[0] for v in w) else None
-    if isinstance(model, SelfNormalized):
-        if model.magnitude_low == model.magnitude_high:
-            return 1.0 / math.sqrt(model.n)
+    try:
+        _require_model(model)
+    except UnsupportedModelError:
         return None
-    if isinstance(model, RegressionModel):
-        if (model.covariate_low == model.covariate_high
-                and model.noise is NoiseFamily.RADEMACHER_SCALED):
-            return 1.0 / math.sqrt(model.n)
+    law = model._law()
+    if law.band is not None and law.band[0] != law.band[1]:
         return None
-    return None
+    leaves = (3 if law.three_point else 2) ** law.n
+    return leaves if leaves <= _LEAF_CAP else None
 
 
 def _log_cosh_scalar(t: float) -> float:
@@ -279,16 +253,16 @@ def _enumeration_atoms(model: MartingaleModel, lam: float):
     guarantees the collision.  The returned probabilities sum to one up
     to rounding, exactly for the dyadic untilted laws.
     """
-    scale = _constant_scale(model)
+    law = model._law()
+    scale = law.constant_scale
     if scale is not None:
-        return _enumerate_binomial(model.n, scale, lam)
-    if isinstance(model, RegressionModel):
-        # constant covariates with three-point noise
-        return _enumerate_three_point(model.n, 2.0 / math.sqrt(model.n), lam)
-    if isinstance(model, ScaledRademacher):
-        return _enumerate_general_weights(np.asarray(model.weights), lam)
-    if isinstance(model, VarianceSwitch):
-        return _enumerate_variance_switch(model, lam)
+        return _enumerate_binomial(law.n, scale, lam)
+    if law.weights is not None:
+        return _enumerate_general_weights(np.asarray(law.weights), lam)
+    if law.switch is not None:
+        return _enumerate_variance_switch(law, lam)
+    if law.three_point and law.band[0] == law.band[1]:
+        return _enumerate_three_point(law.n, 2.0 / math.sqrt(law.n), lam)
     raise UnsupportedModelError(
         f"terminal law of {model_id(model)} is not exactly enumerable")
 
@@ -340,16 +314,14 @@ def _enumerate_general_weights(weights: np.ndarray, lam: float):
     return values, probs, lam * values - psi
 
 
-def _enumerate_variance_switch(model: VarianceSwitch, lam: float):
+def _enumerate_variance_switch(law: _StepLaw, lam: float):
     # the step scale depends on the sign of the running sum, so Z is not
     # a function of the terminal value alone: carry (S, psi) as the state
-    d2 = model.delta ** 2
-    s_plus = math.sqrt((1.0 + d2) / model.n)
-    s_minus = math.sqrt((1.0 - d2) / model.n)
+    s_plus, s_minus = law.switch
     values = np.zeros(1)
     psis = np.zeros(1)
     probs = np.ones(1)
-    for _ in range(model.n):
+    for _ in range(law.n):
         scale = np.where(values >= 0.0, s_plus, s_minus)
         p_up = expit(2.0 * lam * scale)
         step_psi = _log_cosh(lam * scale)
@@ -458,11 +430,18 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     whole-chunk matrices through memory.  Every stage is elementwise or a
     per-row fold in column order, so the blocks, stitched back in row
     order, give the same bytes as one pass over the chunk.
+
+    The family enters only through its ``_StepLaw``, built once per chunk.
+    Steps come from ``martingales._steps``, the outcome draw that the
+    per-path sampler ``_generate`` uses too; the VarianceSwitch walk keeps
+    its own kernel here and a scalar one there, both reading
+    ``law.switch``.
     """
     rng = generator_for(seed, stream, chunk)
-    scale = _constant_scale(model)
+    law = model._law()
+    scale = law.constant_scale
     if scale is not None:
-        n = model.n
+        n = law.n
         p_up = float(expit(2.0 * lam * scale))
         k = rng.binomial(n, p_up, size=rows).astype(float)
         batch = _Batch(scale * (2.0 * k - n))
@@ -480,48 +459,27 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                                     * math.cosh(cl * scale) ** -float(n))
         return batch
 
-    if isinstance(model, VarianceSwitch):
-        return _variance_switch_chunk(model, rng, rows, lam, want)
+    if law.switch is not None:
+        return _variance_switch_chunk(law, rng, rows, lam, want)
 
-    three_point = False
-    if isinstance(model, ScaledRademacher):
-        w = np.asarray(model.weights)
-        draws = None
-        u = rng.random((rows, w.size))
-        qc = math.fsum(float(v) * float(v) for v in w)
-    else:
-        if isinstance(model, SelfNormalized):
-            low, high = model.magnitude_low, model.magnitude_high
-        elif isinstance(model, RegressionModel):
-            low, high = model.covariate_low, model.covariate_high
-            three_point = model.noise is NoiseFamily.TRUNCATED_SYMMETRIC
-        else:
-            raise UnsupportedModelError(
-                f"no sampling kernel for {type(model).__name__}")
-        # magnitudes (or covariates) first, then one uniform per step
-        draws = rng.random((rows, model.n))
-        u = rng.random((rows, model.n))
-        qc = 1.0
-
+    # magnitudes (or covariates) first, then one uniform per step
+    draws = None if law.band is None else rng.random((rows, law.n))
+    u = rng.random((rows, law.n))
     block = max(1, _BLOCK_ELEMENTS // u.shape[1])
     parts = []
     for r0 in range(0, rows, block):
-        ub = u[r0:r0 + block]
         if draws is None:
-            scales = np.broadcast_to(w, ub.shape)
-            sign_scales = w
+            scales = np.asarray(law.weights)
         else:
+            low, high = law.band
             scales = low + (high - low) * draws[r0:r0 + block]
             scales /= np.sqrt(_ordered_accumulate(scales * scales))[:, None]
-            sign_scales = scales
-        if three_point:
-            parts.append(_three_point_accumulate(scales, ub, lam, want))
-        else:
-            parts.append(_two_point_accumulate(
-                scales, _signs_from_uniforms(ub, lam, sign_scales), want))
+        c, xi = _steps(law, scales, u[r0:r0 + block], lam)
+        parts.append(_accumulate(law, np.broadcast_to(c, xi.shape), xi, want))
     batch = _stitch(parts)
     if want.qc:
-        batch.qc_final = np.full(rows, qc)
+        batch.qc_final = np.full(rows, 1.0 if draws is not None else
+                                 math.fsum(v * v for v in law.weights))
     return batch
 
 
@@ -539,40 +497,23 @@ def _stitch(parts: list) -> _Batch:
                   z_prod=join(p.z_prod for p in parts))
 
 
-def _two_point_accumulate(scales: np.ndarray, signs: np.ndarray,
-                          want: _Request) -> _Batch:
-    xi = np.multiply(signs, scales, out=signs)
+def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
+                want: _Request) -> _Batch:
+    """Row sums of the steps xi of size c, and the requested objects."""
+    log_mgf, drift, mgf = law.mgf_terms
     batch = _Batch(_ordered_accumulate(xi))
     for cl in want.lams:
-        t = cl * scales
+        t = cl * c
         if want.psi:
-            batch.psi.append(_ordered_accumulate(_log_cosh(t)))
+            batch.psi.append(_ordered_accumulate(log_mgf(t)))
         if want.b:
-            batch.b_drift.append(_ordered_accumulate(scales * np.tanh(t)))
+            batch.b_drift.append(_ordered_accumulate(c * drift(t)))
         if want.z:
-            batch.z_prod.append(_ordered_product(np.exp(cl * xi) / np.cosh(t)))
+            batch.z_prod.append(_ordered_product(np.exp(cl * xi) / mgf(t)))
     return batch
 
 
-def _three_point_accumulate(t_scales: np.ndarray, u: np.ndarray, lam: float,
-                            want: _Request) -> _Batch:
-    support = 2.0 * t_scales
-    xi = support * _three_point_outcomes(u, lam, support)
-    batch = _Batch(_ordered_accumulate(xi))
-    for cl in want.lams:
-        t = cl * support
-        if want.psi:
-            batch.psi.append(_ordered_accumulate(_three_point_psi(t)))
-        if want.b:
-            batch.b_drift.append(
-                _ordered_accumulate(support * _three_point_drift_factor(t)))
-        if want.z:
-            batch.z_prod.append(_ordered_product(
-                np.exp(cl * xi) / (0.75 + 0.25 * np.cosh(t))))
-    return batch
-
-
-def _variance_switch_chunk(model: VarianceSwitch, rng, rows: int, lam: float,
+def _variance_switch_chunk(law: _StepLaw, rng, rows: int, lam: float,
                            want: _Request) -> _Batch:
     """Step-major walk: the state enters only through pos = (S >= 0).
 
@@ -585,10 +526,8 @@ def _variance_switch_chunk(model: VarianceSwitch, rng, rows: int, lam: float,
     +s_minus, -s_plus, +s_plus) and adds them in step order, as the
     per-path walk does.
     """
-    d2 = model.delta ** 2
-    s_plus = math.sqrt((1.0 + d2) / model.n)
-    s_minus = math.sqrt((1.0 - d2) / model.n)
-    u = rng.random((rows, model.n))
+    s_plus, s_minus = law.switch
+    u = rng.random((rows, law.n))
     p_plus = float(expit(2.0 * lam * s_plus))
     p_minus = float(expit(2.0 * lam * s_minus))
     below = u < p_minus
@@ -632,7 +571,7 @@ def _variance_switch_chunk(model: VarianceSwitch, rng, rows: int, lam: float,
     twice = np.empty(rows, dtype=np.uint8)
     code = np.empty(rows, dtype=np.intp)
     term = np.empty(rows)
-    for i in range(model.n):
+    for i in range(law.n):
         np.greater_equal(finals, 0.0, out=pos)  # sign(0) counts as positive
         if flip is None:
             up8 = minus8[i]
@@ -726,27 +665,24 @@ def _thresholds(xs: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _exceedances(finals: np.ndarray, sorted_x: np.ndarray) -> np.ndarray:
-    """Per ascending threshold, the count of terminal sums above it."""
-    return finals.size - np.searchsorted(np.sort(finals), sorted_x,
-                                         side="right")
+def _exceedances(finals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Per threshold, in input order, the count of terminal sums above it."""
+    return finals.size - np.searchsorted(np.sort(finals), xs, side="right")
 
 
 def _plain_estimates(config: SimulationConfig, arr: np.ndarray,
                      parts) -> list:
-    """Input-order estimates from per-chunk counts at sorted thresholds."""
-    order = np.argsort(arr, kind="stable")
+    """Estimates at the thresholds arr from per-chunk exceedance counts."""
     counts = np.zeros(arr.size, dtype=np.int64)
     for part in parts:
         counts += part
-    out: list = [None] * arr.size
-    for pos, idx in enumerate(order):
-        hits = int(counts[pos])
+    out = []
+    for x, hits in zip(arr, counts.tolist()):
         p_hat = hits / config.paths
         lo, hi = _clopper_pearson(hits, config.paths, config.confidence_level)
-        out[idx] = TailEstimate(float(arr[idx]), p_hat, lo, hi,
+        out.append(TailEstimate(float(x), p_hat, lo, hi,
                                 EstimateMethod.PLAIN_CLOPPER_PEARSON,
-                                float(config.paths), config.seed)
+                                float(config.paths), config.seed))
     return out
 
 
@@ -765,12 +701,10 @@ def estimate_tail_plain_grid(config: SimulationConfig,
                                     leaves, config.seed))
         return out
 
-    sorted_x = np.sort(arr, kind="stable")
-
     def kernel(chunk: int, rows: int) -> np.ndarray:
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC, chunk,
                                 rows, 0.0)
-        return _exceedances(batch.finals, sorted_x)
+        return _exceedances(batch.finals, arr)
 
     return _plain_estimates(config, arr, _map_chunks(config, kernel))
 
@@ -791,14 +725,8 @@ def estimate_tail_is(config: SimulationConfig, x: float,
     if tilt is None:
         lam = lambda_bar(x, params)
     else:
-        tilt = float(tilt)
-        if not math.isfinite(tilt) or tilt < 0.0:
-            raise DomainError(f"tilt must be finite and nonnegative, got {tilt}")
-        if tilt * params.epsilon >= 1.0:
-            raise DomainError(
-                f"tilt {tilt:.6g} is outside [0, 1/eps) for "
-                f"eps = {params.epsilon:.6g}")
-        lam = tilt
+        lam = float(tilt)
+        _check_tilt(lam, params.epsilon)
 
     if _use_enumeration(config):
         values, probs, log_z = _enumeration_atoms(config.model, lam)
@@ -878,7 +806,7 @@ def _minimal_constant(empirical: np.ndarray, units: np.ndarray) -> np.ndarray:
 
 def _exact_qc_l1(model: MartingaleModel) -> float:
     """E|<S>_n - 1| where it is exactly known; error otherwise."""
-    if isinstance(model, VarianceSwitch) and model.delta > 0.0:
+    if model._law().delta > 0.0:
         raise UnsupportedModelError(
             "mean absolute characteristic deviation has no closed form for "
             "the variance-switch family; this calibration needs it exactly")
@@ -1015,13 +943,6 @@ def conjugate_clt_check(config: SimulationConfig, x: float,
 # ---------------------------------------------------------------------------
 # hard-assertion suite
 
-def _half_cosh_in_scope(model: MartingaleModel) -> bool:
-    if isinstance(model, (ScaledRademacher, SelfNormalized)):
-        return True
-    return (isinstance(model, RegressionModel)
-            and model.noise is NoiseFamily.RADEMACHER_SCALED)
-
-
 def run_verification_suite(config: SimulationConfig,
                            lam_fractions=(0.1, 0.5, 0.9),
                            domination_levels=(0.5, 1.0, 1.5, 2.0, 2.5,
@@ -1075,7 +996,7 @@ def run_verification_suite(config: SimulationConfig,
     checks.append("characteristic-band-declared")
 
     lam_values = tuple(f / eps for f in lam_fractions)
-    half_cosh = _half_cosh_in_scope(model)
+    half_cosh = model._law().half_cosh
     qc_lo = 1.0 - a2_bound - 1e-12
     qc_hi = 1.0 + a2_bound + 1e-12
     # per lam: the drift, log-MGF and half-cosh ceilings
@@ -1083,8 +1004,8 @@ def run_verification_suite(config: SimulationConfig,
                 for lam in lam_values]
     want = _Request(lam_values, psi=True, b=True, z=True, qc=True)
     levels = _thresholds(domination_levels) if domination_levels else None
-    sorted_levels = (None if levels is None or _use_enumeration(config)
-                     else np.sort(levels, kind="stable"))
+    # counted on this draw unless the model is enumerated exactly
+    count_levels = levels is not None and not _use_enumeration(config)
 
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(model, config.seed, STREAM_MC, chunk, rows,
@@ -1116,8 +1037,7 @@ def run_verification_suite(config: SimulationConfig,
                 bad.append(("z-product-route", int(idx[0]),
                             float(rel[idx[0]]), 1e-10))
             per_lam.append((bad, float(z.sum()), float(np.dot(z, z))))
-        hits = (None if sorted_levels is None
-                else _exceedances(batch.finals, sorted_levels))
+        hits = _exceedances(batch.finals, levels) if count_levels else None
         return per_lam, hits
 
     results = _map_chunks(config, kernel)
@@ -1148,9 +1068,8 @@ def run_verification_suite(config: SimulationConfig,
         checks.append("half-cosh-bound")
 
     if levels is not None:
-        ests = (estimate_tail_plain_grid(config, levels)
-                if sorted_levels is None
-                else _plain_estimates(config, levels, [r[1] for r in results]))
+        ests = (_plain_estimates(config, levels, [r[1] for r in results])
+                if count_levels else estimate_tail_plain_grid(config, levels))
         for est in ests:
             bound = tail_bound_sq(est.x, params).value
             if est.ci_hi > bound:

@@ -381,8 +381,6 @@ class TestClassicalEnvelopes:
     def test_moment_summary_validation(self):
         with pytest.raises(DomainError):
             MomentSummary(third_moments_sum=-0.1)
-        with pytest.raises(DomainError):
-            MomentSummary(Bn2=0.0)
 
 
 class TestEpsLogEps:

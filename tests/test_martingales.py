@@ -369,6 +369,14 @@ class TestLemmaChecks:
         assert not rep.passed
         assert any("drift" in v for v in rep.violations)
 
+    @pytest.mark.parametrize("lam", [math.nan, -0.5, math.inf])
+    def test_bad_tilt_refused(self, lam):
+        stats = ConjugatePathStats(
+            lam=lam, z=1.0, log_z=0.0, psi=5.0, b_drift=5.0, y=0.0,
+            per_step_b=[5.0], per_step_psi=[5.0], half_cosh_applicable=True)
+        with pytest.raises(DomainError):
+            lemma_checks(stats, BernsteinParams(0.1, 0.0))
+
     def test_lower_slack_reported(self):
         p = simulate_path(SR4, 7)
         rep = lemma_checks(conjugate_stats(p, SR4, 1.0),
@@ -437,6 +445,30 @@ class TestSerialization:
     def test_round_trip(self, model):
         assert model_from_json(model_to_json(model)) == model
         assert model_from_dict(model_to_dict(model)) == model
+
+    def test_identities_pinned(self):
+        # model_id is carried by every PathSample and VerificationReport
+        pinned = [
+            ("scaled_rademacher-832917e7b507",
+             '{"kind": "scaled_rademacher", "weights": [0.5, 0.5, 0.5, 0.5]}'),
+            ("scaled_rademacher-4e0e78a4d5bc",
+             '{"kind": "scaled_rademacher", "weights": '
+             '[0.5, 0.5, 0.5, 0.25, 0.4330127018922193]}'),
+            ("variance_switch-b4a0c90995f9",
+             '{"delta": 0.5, "kind": "variance_switch", "n": 64}'),
+            ("self_normalized-e25aeb3456c8",
+             '{"kind": "self_normalized", "magnitude_high": 2.5, '
+             '"magnitude_low": 1.0, "n": 64}'),
+            ("regression-8d10c6f5a630",
+             '{"covariate_high": 2.0, "covariate_low": 1.0, "kind": '
+             '"regression", "n": 64, "noise": "rademacher_scaled", '
+             '"sigma": 0.7, "theta": 2.0}'),
+            ("regression-d10f23382eac",
+             '{"covariate_high": 1.5, "covariate_low": 0.5, "kind": '
+             '"regression", "n": 64, "noise": "truncated_symmetric", '
+             '"sigma": 1.3, "theta": -1.0}'),
+        ]
+        assert [(model_id(m), model_to_json(m)) for m in ALL_MODELS] == pinned
 
     def test_model_id_stable_and_distinct(self):
         ids = {model_id(m) for m in ALL_MODELS}
