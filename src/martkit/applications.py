@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bounds import (BernsteinParams, BoundConstant, EnvelopeSource,
                      _require_absolute, breve_x, cramer_ratio_band,
                      eps_log_eps)
 from .errors import ConfigError, DomainError, UnsupportedModelError
-from .gaussian import std_normal_cdf, std_normal_sf
+from .gaussian import std_normal_sf
 from .martingales import (NoiseFamily, RegressionModel, ScaledRademacher,
                           SelfNormalized, generator_for,
                           noise_bernstein_constant)
@@ -288,9 +288,7 @@ class ConfidenceInterval:
         return self.hi - self.lo
 
     def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "x_star": self.x_star,
-                "level": self.level, "valid": self.valid,
-                "method": self.method}
+        return asdict(self)
 
 
 def brentq(f, a: float, b: float, **kwargs) -> float:

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError
-from .gaussian import std_normal_log_sf, std_normal_sf
+from .gaussian import _require_finite, std_normal_log_sf
 
 __all__ = [
     "BernsteinParams", "BoundConstant", "ConstantKind", "TailEnvelope",
@@ -169,13 +169,6 @@ class RatioBand(NamedTuple):
 
 
 _DEFAULT_C = BoundConstant()
-
-
-def _require_finite(x: float, name: str = "x") -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def _require_nonneg(x: float, name: str = "x") -> float:

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence
 
@@ -70,10 +70,7 @@ class RunManifest:
     outputs: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"command": self.command, "parameters": self.parameters,
-                "seed": self.seed, "toolkit_version": self.toolkit_version,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at, "outputs": self.outputs}
+        return asdict(self)
 
 
 def _now() -> str:
@@ -222,8 +219,8 @@ def _model_from_flags(args) -> object:
     raise ConfigError(f"unknown model {token!r}")
 
 
-def _sim_config(args, model) -> SimulationConfig:
-    return SimulationConfig(model, paths=args.paths,
+def _sim_config(args) -> SimulationConfig:
+    return SimulationConfig(_model_from_flags(args), paths=args.paths,
                             seed=_resolve_seed(args),
                             chunk_size=args.chunk_size,
                             confidence_level=args.level,
@@ -341,10 +338,7 @@ def _bound_rows(args, xs: List[float]):
     return rows
 
 
-def cmd_bound(args) -> int:
-    manifest = RunManifest(command="bound", parameters=_parameters(args),
-                           seed=0, toolkit_version=__version__,
-                           started_at=_now(), finished_at="")
+def cmd_bound(args, manifest: RunManifest) -> int:
     xs = _x_grid(args)
     rows = _bound_rows(args, xs)
     multi = any(r[5] is not None for r in rows)
@@ -372,13 +366,8 @@ def _tail_row(est):
             est.effective_samples, est.seed)
 
 
-def cmd_simulate(args) -> int:
-    manifest = RunManifest(command="simulate", parameters=_parameters(args),
-                           seed=_resolve_seed(args),
-                           toolkit_version=__version__,
-                           started_at=_now(), finished_at="")
-    model = _model_from_flags(args)
-    config = _sim_config(args, model)
+def cmd_simulate(args, manifest: RunManifest) -> int:
+    config = _sim_config(args)
     xs = _x_grid(args)
     if args.estimator == "plain":
         if args.tilt is not None:
@@ -396,13 +385,8 @@ _VERIFY_HEADER = ("record", "name", "lam", "mean", "se", "chunk", "row",
                   "detail")
 
 
-def cmd_verify(args) -> int:
-    manifest = RunManifest(command="verify", parameters=_parameters(args),
-                           seed=_resolve_seed(args),
-                           toolkit_version=__version__,
-                           started_at=_now(), finished_at="")
-    model = _model_from_flags(args)
-    config = _sim_config(args, model)
+def cmd_verify(args, manifest: RunManifest) -> int:
+    config = _sim_config(args)
     fractions = tuple(_float_list(args.lam_fractions, "--lam-fractions"))
     levels = tuple(_float_list(args.levels, "--levels")) \
         if args.levels else ()
@@ -445,13 +429,8 @@ def cmd_verify(args) -> int:
 _CAL_HEADER = ("x", "empirical", "unit", "per_point_c", "c_hat")
 
 
-def cmd_calibrate(args) -> int:
-    manifest = RunManifest(command="calibrate", parameters=_parameters(args),
-                           seed=_resolve_seed(args),
-                           toolkit_version=__version__,
-                           started_at=_now(), finished_at="")
-    model = _model_from_flags(args)
-    config = _sim_config(args, model)
+def cmd_calibrate(args, manifest: RunManifest) -> int:
+    config = _sim_config(args)
     result = calibrate_constant(config, args.envelope, _x_grid(args))
     rows = [(x, e, u, pc, result.c_hat)
             for x, e, u, pc in zip(result.xs, result.empirical, result.units,
@@ -470,11 +449,7 @@ def cmd_calibrate(args) -> int:
 # application commands
 
 
-def cmd_regress(args) -> int:
-    manifest = RunManifest(command="regress", parameters=_parameters(args),
-                           seed=_resolve_seed(args),
-                           toolkit_version=__version__,
-                           started_at=_now(), finished_at="")
+def cmd_regress(args, manifest: RunManifest) -> int:
     if args.data is None and args.coverage is None:
         raise ConfigError("regress needs --data and/or --coverage")
     noise = _NOISE_BY_TOKEN[args.noise]
@@ -506,7 +481,7 @@ def cmd_regress(args) -> int:
                                 covariate_high=args.b, sigma=args.sigma,
                                 noise=noise)
         cov = regression_coverage(model, args.level, args.coverage,
-                                  _resolve_seed(args), c=c,
+                                  manifest.seed, c=c,
                                   chunk_size=args.chunk_size,
                                   workers=args.workers,
                                   use_envelope=args.use_envelope)
@@ -517,11 +492,7 @@ def cmd_regress(args) -> int:
     return 0
 
 
-def cmd_selfnorm(args) -> int:
-    manifest = RunManifest(command="selfnorm", parameters=_parameters(args),
-                           seed=_resolve_seed(args),
-                           toolkit_version=__version__,
-                           started_at=_now(), finished_at="")
+def cmd_selfnorm(args, manifest: RunManifest) -> int:
     if (args.sample is None) == (args.data is None):
         raise ConfigError("selfnorm needs exactly one of --sample, --data")
     if args.sample is not None:
@@ -666,7 +637,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # bound draws nothing, so it records seed 0 and ignores MARTKIT_SEED
+        seed = 0 if args.command == "bound" else _resolve_seed(args)
+        manifest = RunManifest(command=args.command,
+                               parameters=_parameters(args), seed=seed,
+                               toolkit_version=__version__,
+                               started_at=_now(), finished_at="")
+        return args.func(args, manifest)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,14 @@ than streaming whole-chunk matrices through memory.  None of this
 changes a result: every object equals, bit for bit, its plain
 evaluation over the whole chunk with np.where signs and a per-step
 threshold select, which the tests keep as the reference.
+
+Two per-run decisions each live in one helper.  ``_use_enumeration``
+decides whether a run reads the exact law (it returns the leaf count) or
+samples (None), and is the only estimator-side reader of
+``enumeration_support``.  ``_counts_at`` counts a chunk's values at or
+below each threshold for every sampled count (CDF, plain tail,
+domination levels and both conjugate-CLT statistics), ``_summed`` adds
+those counts over the chunks, and a tail count is paths minus the count.
 """
 
 from __future__ import annotations
@@ -336,17 +344,16 @@ def _enumerate_variance_switch(law: _StepLaw, lam: float):
     return values, probs, lam * values - psis
 
 
-def _use_enumeration(config: SimulationConfig) -> bool:
-    leaves = enumeration_support(config.model)
-    if config.exhaustive is True:
-        if leaves is None:
-            raise UnsupportedModelError(
-                f"{model_id(config.model)} cannot be enumerated exactly "
-                "(continuous components or too many leaves)")
-        return True
+def _use_enumeration(config: SimulationConfig) -> Optional[int]:
+    """The run's leaf count when it reads the exact law, None to sample."""
     if config.exhaustive is False:
-        return False
-    return leaves is not None
+        return None
+    leaves = enumeration_support(config.model)
+    if leaves is None and config.exhaustive is True:
+        raise UnsupportedModelError(
+            f"{model_id(config.model)} cannot be enumerated exactly "
+            "(continuous components or too many leaves)")
+    return leaves
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +645,30 @@ def _require_grid(grid, name: str = "grid") -> np.ndarray:
     return arr
 
 
-def _exact_cdf_at(model: MartingaleModel, arr: np.ndarray):
-    """(P(S_n <= x) for x in arr, leaf count) from the enumerated law."""
+def _mean_se(total: float, total_sq: float, m: int):
+    """Sample mean and its standard error from the sum and sum of squares."""
+    mean = total / m
+    var = max(0.0, (total_sq - m * mean * mean) / (m - 1)) if m > 1 else 0.0
+    return mean, math.sqrt(var / m)
+
+
+def _counts_at(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Per threshold, in input order, the count of values at or below it."""
+    return np.searchsorted(np.sort(values), xs, side="right")
+
+
+def _summed(parts) -> np.ndarray:
+    """The per-chunk counts of ``_counts_at``, summed over the chunks."""
+    return np.sum(parts, axis=0)
+
+
+def _exact_cdf_at(model: MartingaleModel, arr: np.ndarray) -> np.ndarray:
+    """P(S_n <= x) for x in arr, from the enumerated law."""
     values, probs, _ = _enumeration_atoms(model, 0.0)
     order = np.argsort(values)
     cum = np.cumsum(probs[order])
     counts = np.searchsorted(values[order], arr, side="right")
-    cdf = np.where(counts > 0, cum[np.maximum(counts - 1, 0)], 0.0)
-    return cdf, int(enumeration_support(model))
+    return np.where(counts > 0, cum[np.maximum(counts - 1, 0)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -665,19 +688,11 @@ def _thresholds(xs: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _exceedances(finals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per threshold, in input order, the count of terminal sums above it."""
-    return finals.size - np.searchsorted(np.sort(finals), xs, side="right")
-
-
 def _plain_estimates(config: SimulationConfig, arr: np.ndarray,
-                     parts) -> list:
-    """Estimates at the thresholds arr from per-chunk exceedance counts."""
-    counts = np.zeros(arr.size, dtype=np.int64)
-    for part in parts:
-        counts += part
+                     counts: np.ndarray) -> list:
+    """Estimates at the thresholds arr from the counts at or below them."""
     out = []
-    for x, hits in zip(arr, counts.tolist()):
+    for x, hits in zip(arr, (config.paths - counts).tolist()):
         p_hat = hits / config.paths
         lo, hi = _clopper_pearson(hits, config.paths, config.confidence_level)
         out.append(TailEstimate(float(x), p_hat, lo, hi,
@@ -690,23 +705,17 @@ def estimate_tail_plain_grid(config: SimulationConfig,
                              xs: Sequence[float]) -> list:
     """Plain tail estimates at several thresholds from one path sweep."""
     arr = _thresholds(xs)
-    if _use_enumeration(config):
-        values, probs, _ = _enumeration_atoms(config.model, 0.0)
-        leaves = float(enumeration_support(config.model))
-        out = []
-        for x in arr:
-            p = float(probs[values > x].sum())
-            out.append(TailEstimate(float(x), p, p, p,
-                                    EstimateMethod.EXACT_ENUMERATION,
-                                    leaves, config.seed))
-        return out
-
-    def kernel(chunk: int, rows: int) -> np.ndarray:
-        batch = _simulate_chunk(config.model, config.seed, STREAM_MC, chunk,
-                                rows, 0.0)
-        return _exceedances(batch.finals, arr)
-
-    return _plain_estimates(config, arr, _map_chunks(config, kernel))
+    leaves = _use_enumeration(config)
+    if leaves is None:
+        return _plain_estimates(config, arr, _cdf_counts(config, arr))
+    values, probs, _ = _enumeration_atoms(config.model, 0.0)
+    out = []
+    for x in arr:
+        p = float(probs[values > x].sum())
+        out.append(TailEstimate(float(x), p, p, p,
+                                EstimateMethod.EXACT_ENUMERATION,
+                                float(leaves), config.seed))
+    return out
 
 
 def estimate_tail_is(config: SimulationConfig, x: float,
@@ -728,13 +737,13 @@ def estimate_tail_is(config: SimulationConfig, x: float,
         lam = float(tilt)
         _check_tilt(lam, params.epsilon)
 
-    if _use_enumeration(config):
+    leaves = _use_enumeration(config)
+    if leaves is not None:
         values, probs, log_z = _enumeration_atoms(config.model, lam)
         mask = values > x
         p = float(np.sum(probs[mask] * np.exp(-log_z[mask])))
-        leaves = float(enumeration_support(config.model))
         return TailEstimate(float(x), p, p, p,
-                            EstimateMethod.EXACT_ENUMERATION, leaves,
+                            EstimateMethod.EXACT_ENUMERATION, float(leaves),
                             config.seed)
 
     def kernel(chunk: int, rows: int):
@@ -746,14 +755,10 @@ def estimate_tail_is(config: SimulationConfig, x: float,
 
     parts = _map_chunks(config, kernel)
     sum_w = math.fsum(p[0] for p in parts)
-    sum_w2 = math.fsum(p[1] for p in parts)
     w_max = max(p[2] for p in parts)
-
-    m = config.paths
-    p_hat = sum_w / m
-    var = max(0.0, (sum_w2 - m * p_hat * p_hat) / (m - 1)) if m > 1 else 0.0
-    mult = float(ndtri(0.5 * (1.0 + config.confidence_level)))
-    half = mult * math.sqrt(var / m)
+    p_hat, se = _mean_se(sum_w, math.fsum(p[1] for p in parts),
+                         config.paths)
+    half = float(ndtri(0.5 * (1.0 + config.confidence_level))) * se
     ess = sum_w / w_max if w_max > 0.0 else 0.0
     return TailEstimate(float(x), p_hat, max(0.0, p_hat - half), p_hat + half,
                         EstimateMethod.IMPORTANCE_SAMPLED_DELTA, ess,
@@ -766,28 +771,26 @@ def estimate_be_distance(config: SimulationConfig,
     arr = _require_grid(grid)
     phi = _phi_grid(arr)
 
-    if _use_enumeration(config):
-        cdf, leaves = _exact_cdf_at(config.model, arr)
+    leaves = _use_enumeration(config)
+    if leaves is not None:
+        cdf = _exact_cdf_at(config.model, arr)
         d_hat = float(np.max(np.abs(cdf - phi)))
         return BEDistanceEstimate(d_hat, tuple(arr.tolist()), 0.0, leaves)
 
-    counts = _cdf_counts(config, arr)
-    cdf = counts / config.paths
+    cdf = _cdf_counts(config, arr) / config.paths
     d_hat = float(np.max(np.abs(cdf - phi)))
     band = _dkw_band(config.paths, config.confidence_level)
     return BEDistanceEstimate(d_hat, tuple(arr.tolist()), band, config.paths)
 
 
 def _cdf_counts(config: SimulationConfig, arr: np.ndarray) -> np.ndarray:
+    """Sampled plain terminal sums at or below each threshold in arr."""
     def kernel(chunk: int, rows: int) -> np.ndarray:
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC, chunk,
                                 rows, 0.0)
-        return np.searchsorted(np.sort(batch.finals), arr, side="right")
+        return _counts_at(batch.finals, arr)
 
-    counts = np.zeros(arr.size, dtype=np.int64)
-    for part in _map_chunks(config, kernel):
-        counts += part
-    return counts
+    return _summed(_map_chunks(config, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -829,19 +832,16 @@ def calibrate_constant(config: SimulationConfig, envelope: str,
     arr = _require_grid(x_grid, "x_grid")
     params = config.model.bernstein_params()
     eps, delta = params.epsilon, params.delta
-    exhaustive = _use_enumeration(config)
+    # decided before the level check: forcing enumeration of a continuous
+    # model is refused first, whatever the levels
+    leaves = _use_enumeration(config)
 
     if envelope == "thm22":
         if np.any(arr < 0.0):
             raise DomainError("tail-side calibration needs nonnegative levels")
-        if exhaustive:
-            values, probs, _ = _enumeration_atoms(config.model, 0.0)
-            upper = np.array([float(probs[values > x].sum()) for x in arr])
-            paths_used = int(enumeration_support(config.model))
-        else:
-            ests = estimate_tail_plain_grid(config, arr)
-            upper = np.array([e.ci_hi for e in ests])
-            paths_used = config.paths
+        ests = estimate_tail_plain_grid(config, arr)
+        upper = np.array([e.ci_hi for e in ests])
+        paths_used = int(ests[0].effective_samples)
         units = np.empty(arr.size)
         empirical = np.empty(arr.size)
         for i, x in enumerate(arr):
@@ -854,13 +854,12 @@ def calibrate_constant(config: SimulationConfig, envelope: str,
             units[i] = base * (1.0 + xh) * rate
             empirical[i] = max(0.0, upper[i] - base)
     else:
-        if exhaustive:
-            cdf, paths_used = _exact_cdf_at(config.model, arr)
-            phi = _phi_grid(arr)
-            empirical = np.abs(cdf - phi)
+        phi = _phi_grid(arr)
+        if leaves is not None:
+            empirical = np.abs(_exact_cdf_at(config.model, arr) - phi)
+            paths_used = leaves
         else:
             counts = _cdf_counts(config, arr)
-            phi = _phi_grid(arr)
             empirical = np.empty(arr.size)
             for i in range(arr.size):
                 lo, hi = _clopper_pearson(int(counts[i]), config.paths,
@@ -924,16 +923,10 @@ def conjugate_clt_check(config: SimulationConfig, x: float,
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC_TILTED,
                                 chunk, rows, lam, _Request((lam,), b=True))
-        u_stat = lam * (batch.finals - x)
-        y_stat = batch.finals - batch.b_drift[0]
-        return (np.searchsorted(np.sort(u_stat), thr_u, side="right"),
-                np.searchsorted(np.sort(y_stat), grid, side="right"))
+        return (_counts_at(lam * (batch.finals - x), thr_u),
+                _counts_at(batch.finals - batch.b_drift[0], grid))
 
-    counts_u = np.zeros(grid.size, dtype=np.int64)
-    counts_y = np.zeros(grid.size, dtype=np.int64)
-    for part_u, part_y in _map_chunks(config, kernel):
-        counts_u += part_u
-        counts_y += part_y
+    counts_u, counts_y = _summed(_map_chunks(config, kernel))
     sup_u = float(np.max(np.abs(counts_u / config.paths - phi)))
     sup_y = float(np.max(np.abs(counts_y / config.paths - phi)))
     return ConjugateCLTReport(float(x), lam, xh, sup_u, sup_y, False,
@@ -977,7 +970,7 @@ def run_verification_suite(config: SimulationConfig,
     ``ScaledRademacher.equal_weights(400)`` at 20000 sampled paths (seed
     11) is rejected at f = 0.5 (lam = 10, mean Z near 5e-08 against a
     standard error near 4e-08), not only at f = 0.9.  A power-aware
-    replacement is ROADMAP item 4.
+    replacement is ROADMAP item 3.
     """
     model = config.model
     params = model.bernstein_params()
@@ -1005,7 +998,7 @@ def run_verification_suite(config: SimulationConfig,
     want = _Request(lam_values, psi=True, b=True, z=True, qc=True)
     levels = _thresholds(domination_levels) if domination_levels else None
     # counted on this draw unless the model is enumerated exactly
-    count_levels = levels is not None and not _use_enumeration(config)
+    count_levels = levels is not None and _use_enumeration(config) is None
 
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(model, config.seed, STREAM_MC, chunk, rows,
@@ -1037,8 +1030,8 @@ def run_verification_suite(config: SimulationConfig,
                 bad.append(("z-product-route", int(idx[0]),
                             float(rel[idx[0]]), 1e-10))
             per_lam.append((bad, float(z.sum()), float(np.dot(z, z))))
-        hits = _exceedances(batch.finals, levels) if count_levels else None
-        return per_lam, hits
+        counts = _counts_at(batch.finals, levels) if count_levels else None
+        return per_lam, counts
 
     results = _map_chunks(config, kernel)
     z_stats = []
@@ -1048,12 +1041,9 @@ def run_verification_suite(config: SimulationConfig,
                 violations.append(ViolationRecord(
                     name, f"lam={lam:.6g}: value {value!r} exceeds "
                     f"{ceiling!r}", chunk, row))
-        total = math.fsum(r[0][k][1] for r in results)
-        total_sq = math.fsum(r[0][k][2] for r in results)
-        m = config.paths
-        mean = total / m
-        var = max(0.0, (total_sq - m * mean * mean) / (m - 1)) if m > 1 else 0.0
-        se = math.sqrt(var / m)
+        mean, se = _mean_se(math.fsum(r[0][k][1] for r in results),
+                            math.fsum(r[0][k][2] for r in results),
+                            config.paths)
         z_stats.append((lam, mean, se))
         if check_z_mean and abs(mean - 1.0) > 4.0 * se:
             violations.append(ViolationRecord(
@@ -1068,7 +1058,8 @@ def run_verification_suite(config: SimulationConfig,
         checks.append("half-cosh-bound")
 
     if levels is not None:
-        ests = (_plain_estimates(config, levels, [r[1] for r in results])
+        ests = (_plain_estimates(config, levels,
+                                 _summed([r[1] for r in results]))
                 if count_levels else estimate_tail_plain_grid(config, levels))
         for est in ests:
             bound = tail_bound_sq(est.x, params).value

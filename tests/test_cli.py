@@ -514,6 +514,17 @@ class TestOutputHygiene:
             "flag.csv")
         assert all(cell(r, header, "seed") == "9" for r in rows)
 
+    def test_bound_records_seed_zero_and_ignores_env_seed(self, tmp_path,
+                                                          monkeypatch):
+        # bound draws nothing, so MARTKIT_SEED is never read, even if bad
+        for env in ("314", "not-a-number"):
+            monkeypatch.setenv("MARTKIT_SEED", env)
+            out = tmp_path / "bound.json"
+            assert main(["bound", "--envelope", "dlp", "--format", "json",
+                         "--out", str(out)]) == 0
+            blob = json.loads(out.read_text(encoding="utf-8"))
+            assert blob["manifest"]["seed"] == 0
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         outs = []
         for w, name in (("1", "w1.csv"), ("8", "w8.csv")):

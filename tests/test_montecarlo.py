@@ -207,6 +207,23 @@ class TestEnumerationSupport:
         sn = SelfNormalized(n=8, magnitude_low=1.0, magnitude_high=2.0)
         with pytest.raises(UnsupportedModelError):
             estimate_tail_plain(cfg(sn, exhaustive=True), 0.5)
+        # every other entry point that reads the enumerate-or-sample
+        # decision (SN32 has a valid Bernstein scale, so none fails earlier)
+        forced = cfg(SN32, exhaustive=True)
+        for call in (lambda: estimate_tail_plain_grid(forced, [0.5, 1.0]),
+                     lambda: estimate_tail_is(forced, 1.0),
+                     lambda: estimate_be_distance(forced, [0.0, 1.0]),
+                     lambda: calibrate_constant(forced, "thm22", [0.5]),
+                     lambda: calibrate_constant(forced, "thm21", [0.5]),
+                     lambda: run_verification_suite(
+                         forced, domination_levels=(1.0,)),
+                     # the decision comes before the level check
+                     lambda: calibrate_constant(forced, "thm22", [-1.0])):
+            with pytest.raises(UnsupportedModelError):
+                call()
+        # without domination levels the suite never reads the decision
+        assert run_verification_suite(forced, domination_levels=()).paths \
+            == forced.paths
 
 
 class TestEnumerationAtoms:
