@@ -24,11 +24,12 @@ thresholds once per chunk, into step-major (n, rows) masks, and each step
 then only reads the sign of the running sum and looks its increments up
 in small tables.  The other per-step-scale families draw the whole chunk
 and then work through it in row blocks of 2^15 entries (256 KiB per
-array), so that each block's temporaries stay in the L2 cache rather
-than streaming whole-chunk matrices through memory.  None of this
-changes a result: every object equals, bit for bit, its plain
-evaluation over the whole chunk with np.where signs and a per-step
-threshold select, which the tests keep as the reference.
+array), each transposed once to step-major (n, rows) order, so that its
+temporaries stay in the L2 cache and each sum over the steps is one
+reduce (``_fold``).  None of this changes a result: every object
+equals, bit for bit, its plain evaluation over the whole chunk with
+np.where signs, per-step threshold selects and column folds, which the
+tests keep as the reference.
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -384,27 +385,18 @@ class _Batch:
     z_prod: list = field(default_factory=list)  # per-step product route
 
 
-def _column_fold(parts: np.ndarray, op, start: float) -> np.ndarray:
-    """Fold each row of a (rows, n) block with op, one column at a time.
+def _fold(steps: np.ndarray, op=np.add) -> np.ndarray:
+    """Fold each column of a C-contiguous (n, rows) block in step order.
 
-    Callers hand it one row block of ``_simulate_chunk`` at a time, about
-    256 KiB, so the block stays in cache across its n column passes (a
-    pass over a whole chunk's strided column misses on nearly every row).
-    Each row folds its entries in column order from ``start``.
+    numpy reduces axis 0 of a C-contiguous array as a sequential loop
+    over the steps, from op's identity (so 0.0 + -0.0 gives +0.0).  One
+    row would be a 1-d reduce, which numpy adds pairwise, so it takes the
+    last entry of the step-by-step accumulate instead.
     """
-    total = np.full(parts.shape[0], start)
-    for j in range(parts.shape[1]):
-        op(total, parts[:, j], out=total)
-    return total
-
-
-def _ordered_accumulate(parts: np.ndarray) -> np.ndarray:
-    """Sum rows of a (rows, n) matrix in column order (matches cumsum)."""
-    return _column_fold(parts, np.add, 0.0)
-
-
-def _ordered_product(parts: np.ndarray) -> np.ndarray:
-    return _column_fold(parts, np.multiply, 1.0)
+    start = float(op.identity)
+    if steps.shape[1] == 1:
+        return op.accumulate(np.append(start, steps))[-1:]
+    return op.reduce(steps, axis=0, initial=start)
 
 
 def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
@@ -431,12 +423,12 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     The per-step-scale families (SelfNormalized, RegressionModel, and
     ScaledRademacher with unequal weights) draw the whole chunk first,
     then run everything after the draw over row blocks of
-    ``_BLOCK_ELEMENTS`` entries: scale normalization, thresholding, the
-    ordered sums and each requested object.  A block's dozen or so
-    temporaries then stay in the core's L2 cache instead of streaming
-    whole-chunk matrices through memory.  Every stage is elementwise or a
-    per-row fold in column order, so the blocks, stitched back in row
-    order, give the same bytes as one pass over the chunk.
+    ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
+    stay in the core's L2 cache.  Each block's draws are copied once into
+    C-contiguous step-major (n, rows) arrays (weights enter as an (n, 1)
+    column); every stage is then elementwise or one ``_fold`` per object,
+    in step order.  The blocks, stitched back in row order, give the same
+    bytes as one pass over the chunk.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, the outcome draw that the
@@ -476,12 +468,14 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     parts = []
     for r0 in range(0, rows, block):
         if draws is None:
-            scales = np.asarray(law.weights)
+            scales = np.asarray(law.weights)[:, None]
         else:
             low, high = law.band
-            scales = low + (high - low) * draws[r0:r0 + block]
-            scales /= np.sqrt(_ordered_accumulate(scales * scales))[:, None]
-        c, xi = _steps(law, scales, u[r0:r0 + block], lam)
+            scales = low + (high - low) * np.ascontiguousarray(
+                draws[r0:r0 + block].T)
+            scales /= np.sqrt(_fold(scales * scales))
+        c, xi = _steps(law, scales, np.ascontiguousarray(u[r0:r0 + block].T),
+                       lam)
         parts.append(_accumulate(law, np.broadcast_to(c, xi.shape), xi, want))
     batch = _stitch(parts)
     if want.qc:
@@ -506,17 +500,17 @@ def _stitch(parts: list) -> _Batch:
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
                 want: _Request) -> _Batch:
-    """Row sums of the steps xi of size c, and the requested objects."""
+    """Sums of the (n, rows) steps xi of size c and the requested objects."""
     log_mgf, drift, mgf = law.mgf_terms
-    batch = _Batch(_ordered_accumulate(xi))
+    batch = _Batch(_fold(xi))
     for cl in want.lams:
         t = cl * c
         if want.psi:
-            batch.psi.append(_ordered_accumulate(log_mgf(t)))
+            batch.psi.append(_fold(log_mgf(t)))
         if want.b:
-            batch.b_drift.append(_ordered_accumulate(c * drift(t)))
+            batch.b_drift.append(_fold(c * drift(t)))
         if want.z:
-            batch.z_prod.append(_ordered_product(np.exp(cl * xi) / mgf(t)))
+            batch.z_prod.append(_fold(np.exp(cl * xi) / mgf(t), np.multiply))
     return batch
 
 

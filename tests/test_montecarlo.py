@@ -3,6 +3,7 @@ worker determinism, and the hard-assertion suite."""
 
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _BLOCK_ELEMENTS,
                                 _chunk_layout, _clopper_pearson, _dkw_band,
-                                _enumeration_atoms, _map_chunks,
+                                _enumeration_atoms, _fold, _map_chunks,
                                 _minimal_constant, _Request, _simulate_chunk,
                                 calibrate_constant, conjugate_clt_check,
                                 enumeration_support, estimate_be_distance,
@@ -494,11 +495,47 @@ def _seam_rows(model) -> int:
     return 2 * block + block // 2 + 1
 
 
+def _one_row_tail(model) -> int:
+    """A chunk whose last row block holds a single row."""
+    return max(1, _BLOCK_ELEMENTS // model.n) + 1
+
+
+class TestStepMajorFold:
+    """numpy's axis-0 reduce must keep the step order of a plain fold."""
+
+    @pytest.mark.parametrize("n", [1, 9, 64, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 513])
+    @pytest.mark.parametrize("op, pyop, start", [
+        (np.add, operator.add, 0.0), (np.multiply, operator.mul, 1.0),
+    ], ids=["add", "multiply"])
+    def test_reduce_equals_a_step_by_step_fold(self, n, rows, op, pyop,
+                                               start):
+        for seed in range(3):
+            rng = np.random.default_rng([n, rows, seed])
+            if op is np.add:
+                block = rng.standard_normal((n, rows))
+            else:
+                block = np.exp(0.05 * rng.standard_normal((n, rows)))
+            block[rng.random((n, rows)) < 0.1] = -0.0
+            want = np.empty(rows)
+            for r in range(rows):
+                total = start
+                for value in block[:, r].tolist():
+                    total = pyop(total, value)
+                want[r] = total
+            assert _same_bytes(_fold(block, op), want)
+        if op is np.add:
+            # signed zeros fold from start: 0.0 + -0.0 is +0.0
+            assert _same_bytes(_fold(np.full((n, rows), -0.0), op),
+                               np.zeros(rows))
+
+
 class TestSamplingKernels:
     @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
     @pytest.mark.parametrize("tilt_fraction, rows", [
         (0.0, 777), (0.6, 777), (0.0, _seam_rows), (0.6, _seam_rows),
-    ], ids=["0.0", "0.6", "0.0-seams", "0.6-seams"])
+        (0.6, _one_row_tail),
+    ], ids=["0.0", "0.6", "0.0-seams", "0.6-seams", "0.6-one-row-tail"])
     def test_chunk_equals_plain_reference(self, model, tilt_fraction, rows):
         if callable(rows):
             rows = rows(model)
@@ -515,6 +552,12 @@ class TestSamplingKernels:
                              (psi, b, z)):
             assert len(got) == len(lams)
             assert all(_same_bytes(g, w) for g, w in zip(got, want))
+
+    def test_long_steps_with_a_one_row_tail_block(self):
+        # 32 rows per block at n = 1000: 33 rows leave one row in block two
+        self.test_chunk_equals_plain_reference(
+            SelfNormalized(n=1000, magnitude_low=1.0, magnitude_high=2.5),
+            0.6, 33)
 
     @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
     def test_one_row_chunk_replays_the_per_path_api(self, model):
