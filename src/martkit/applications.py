@@ -6,9 +6,10 @@ fixed-design-per-sample linear model, and the self-normalized mean of
 independent symmetric variables.  A third-moment comparison bound for the
 self-normalized case is included for benchmarking.
 
-Coverage experiments follow the same chunk-keyed draw contract as the
-Monte Carlo engine (dedicated stream, results independent of the worker
-count).
+Coverage experiments draw nothing themselves: a replication's
+standardized slope error is the terminal value of one ``RegressionModel``
+path, sampled by the Monte Carlo chunk kernel on a dedicated stream, so
+results depend on (seed, chunk_size) and never on the worker count.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .bounds import (BernsteinParams, BoundConstant, EnvelopeSource,
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_sf
 from .martingales import (NoiseFamily, RegressionModel, ScaledRademacher,
-                          SelfNormalized, generator_for,
-                          noise_bernstein_constant)
-from .martingales import _signs_from_uniforms, _three_point_outcomes
-from .montecarlo import SimulationConfig, _map_chunks
+                          SelfNormalized, noise_bernstein_constant)
+from .montecarlo import SimulationConfig, _map_chunks, _simulate_chunk
 
 __all__ = [
     "STREAM_COVERAGE", "RegressionData", "EpsilonSplit",
@@ -591,11 +590,11 @@ def regression_coverage(model: RegressionModel, level: float,
                         use_envelope: bool = False) -> CoverageResult:
     """Fraction of synthetic datasets whose interval captures the slope.
 
-    Each replication draws a fresh design (uniform covariates) and noise
-    sample from the model, builds the interval from the model's a.s.
-    eps (so x_star is computed once), and scores coverage of the true
-    slope.  Counts are integers, so the result is exactly reproducible
-    for fixed (seed, chunk_size) at any worker count.
+    A dataset's standardized slope error is the terminal value S_n of
+    one model path, drawn by the Monte Carlo chunk kernel on stream
+    ``STREAM_COVERAGE``; it is covered when |S_n| <= x_star, inverted once
+    from the model's a.s. eps.  Counts are integers, so the result is
+    exactly reproducible for fixed (seed, chunk_size) at any worker count.
     """
     if not isinstance(model, RegressionModel):
         raise ConfigError(
@@ -605,23 +604,12 @@ def regression_coverage(model: RegressionModel, level: float,
                               exhaustive=False)
     split = regression_epsilons(model)
     x_star, valid = _invert_level(split.eps, level, c, use_envelope)
-    a, b = model.covariate_low, model.covariate_high
-    three_point = model._law().three_point
 
     def kernel(chunk: int, rows: int) -> int:
-        rng = generator_for(config.seed, STREAM_COVERAGE, chunk)
-        phi = rng.uniform(a, b, size=(rows, model.n))
-        u = rng.random(size=(rows, model.n))
-        # {-2 sigma, 0, +2 sigma} with P(+-) = 1/8, or +-sigma; the outcome
-        # helpers' sign convention does not reach |sum phi e|
-        noise = (2.0 * model.sigma * _three_point_outcomes(u, 0.0, None)
-                 if three_point
-                 else model.sigma * _signs_from_uniforms(u, 0.0, None))
-        energy = np.einsum("ij,ij->i", phi, phi)
-        score = np.einsum("ij,ij->i", phi, noise)
-        # |theta_hat - theta| sqrt(E)/sigma = |sum phi e| / (sigma sqrt(E))
-        standardized = np.abs(score) / (model.sigma * np.sqrt(energy))
-        return int(np.count_nonzero(standardized <= x_star))
+        # S_n = (theta_hat - theta) sqrt(sum phi^2) / sigma, path by path
+        finals = _simulate_chunk(model, config.seed, STREAM_COVERAGE, chunk,
+                                 rows, 0.0).finals
+        return int(np.count_nonzero(np.abs(finals) <= x_star))
 
     covered = sum(_map_chunks(config, kernel))
     return CoverageResult(covered=covered, replications=replications,

@@ -77,18 +77,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _jsonable(v):
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(u) for u in v]
-    if hasattr(v, "value") and not isinstance(v, (int, float)):
-        return v.value
-    return v
-
-
 def _parameters(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items())
-            if k not in skip}
+    # every flag value is a str, int, float, bool or None: JSON as it is
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _fmt(v) -> str:
@@ -341,15 +332,13 @@ def _bound_rows(args, xs: List[float]):
 def cmd_bound(args, manifest: RunManifest) -> int:
     xs = _x_grid(args)
     rows = _bound_rows(args, xs)
-    multi = any(r[5] is not None for r in rows)
     header = ["x", "xhat", "lambda_bar", "value", "log_value"]
-    csv_rows = [r[:5] for r in rows]
-    if multi:
+    if any(r[5] is not None for r in rows):
         header.append("variant")
-        csv_rows = rows
-    payload = {"rows": [dict(zip(header, r[:len(header)])) for r in
-                        (rows if multi else csv_rows)]}
-    _emit(args, manifest, header, csv_rows, payload)
+    else:
+        rows = [r[:5] for r in rows]
+    payload = {"rows": [dict(zip(header, r)) for r in rows]}
+    _emit(args, manifest, header, rows, payload)
     return 0
 
 

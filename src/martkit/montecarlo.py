@@ -406,8 +406,9 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
 
     ``want`` names the other per-path objects the caller reads, and only
     those are computed: ``estimate_tail_is`` asks for Psi at its tilt,
-    ``conjugate_clt_check`` for B at its tilt, the plain estimators for
-    nothing, and the hard-assertion suite for Psi, B, Z and <S>_n at every
+    ``conjugate_clt_check`` for B at its tilt, the plain estimators and
+    ``applications.regression_coverage`` for nothing, and the
+    hard-assertion suite for Psi, B, Z and <S>_n at every
     one of its tilts on one draw of plain paths.  Its tilts need not equal
     the sampling tilt.  Z is the literal per-step product
     prod e^{lam xi_i}/m_i, a float route independent of exp(lam S - Psi);
@@ -426,15 +427,16 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
     stay in the core's L2 cache.  Each block's draws are copied once into
     C-contiguous step-major (n, rows) arrays (weights enter as an (n, 1)
-    column); every stage is then elementwise or one ``_fold`` per object,
-    in step order.  The blocks, stitched back in row order, give the same
-    bytes as one pass over the chunk.
+    column, whose Psi and B are folded once per block and repeated over
+    its rows); every stage is then elementwise or one ``_fold`` per
+    object, in step order.  The blocks, stitched back in row order, give
+    the same bytes as one pass over the chunk.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
-    Steps come from ``martingales._steps``, the outcome draw that the
-    per-path sampler ``_generate`` uses too; the VarianceSwitch walk keeps
-    its own kernel here and a scalar one there, both reading
-    ``law.switch``.
+    Steps come from ``martingales._steps``, which the per-path sampler
+    ``_generate`` also reads; those two are the package's only samplers.
+    The VarianceSwitch walk keeps its own kernel here and a scalar one
+    there, both reading ``law.switch``.
     """
     rng = generator_for(seed, stream, chunk)
     law = model._law()
@@ -476,7 +478,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
             scales /= np.sqrt(_fold(scales * scales))
         c, xi = _steps(law, scales, np.ascontiguousarray(u[r0:r0 + block].T),
                        lam)
-        parts.append(_accumulate(law, np.broadcast_to(c, xi.shape), xi, want))
+        parts.append(_accumulate(law, c, xi, want))
     batch = _stitch(parts)
     if want.qc:
         batch.qc_final = np.full(rows, 1.0 if draws is not None else
@@ -500,15 +502,24 @@ def _stitch(parts: list) -> _Batch:
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
                 want: _Request) -> _Batch:
-    """Sums of the (n, rows) steps xi of size c and the requested objects."""
+    """Sums of the (n, rows) steps xi of size c and the requested objects.
+
+    When c is one (n, 1) column shared by every row (fixed weights), its
+    Psi_n and B_n are folded once and repeated over the rows.
+    """
     log_mgf, drift, mgf = law.mgf_terms
+    rows = xi.shape[1]
+
+    def per_row(folded):
+        return folded if folded.size == rows else np.repeat(folded, rows)
+
     batch = _Batch(_fold(xi))
     for cl in want.lams:
         t = cl * c
         if want.psi:
-            batch.psi.append(_fold(log_mgf(t)))
+            batch.psi.append(per_row(_fold(log_mgf(t))))
         if want.b:
-            batch.b_drift.append(_fold(c * drift(t)))
+            batch.b_drift.append(per_row(_fold(c * drift(t))))
         if want.z:
             batch.z_prod.append(_fold(np.exp(cl * xi) / mgf(t), np.multiply))
     return batch
@@ -628,12 +639,19 @@ def _phi_grid(grid: np.ndarray) -> np.ndarray:
     return np.array([std_normal_cdf(float(g)) for g in grid])
 
 
-def _require_grid(grid, name: str = "grid") -> np.ndarray:
-    arr = np.asarray(grid, dtype=float)
+def _thresholds(values, name: str) -> np.ndarray:
+    """The caller's parameter ``name`` as a nonempty finite 1-d array."""
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} values must be finite")
+    return arr
+
+
+def _require_grid(grid, name: str) -> np.ndarray:
+    """``_thresholds``, sorted ascending."""
+    arr = _thresholds(grid, name)
     if np.any(np.diff(arr) < 0.0):
         raise DomainError(f"{name} must be sorted ascending")
     return arr
@@ -673,15 +691,6 @@ def estimate_tail_plain(config: SimulationConfig, x: float) -> TailEstimate:
     return estimate_tail_plain_grid(config, [x])[0]
 
 
-def _thresholds(xs: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("thresholds must form a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("thresholds must be finite")
-    return arr
-
-
 def _plain_estimates(config: SimulationConfig, arr: np.ndarray,
                      counts: np.ndarray) -> list:
     """Estimates at the thresholds arr from the counts at or below them."""
@@ -698,7 +707,7 @@ def _plain_estimates(config: SimulationConfig, arr: np.ndarray,
 def estimate_tail_plain_grid(config: SimulationConfig,
                              xs: Sequence[float]) -> list:
     """Plain tail estimates at several thresholds from one path sweep."""
-    arr = _thresholds(xs)
+    arr = _thresholds(xs, "xs")
     leaves = _use_enumeration(config)
     if leaves is None:
         return _plain_estimates(config, arr, _cdf_counts(config, arr))
@@ -762,7 +771,7 @@ def estimate_tail_is(config: SimulationConfig, x: float,
 def estimate_be_distance(config: SimulationConfig,
                          grid) -> BEDistanceEstimate:
     """Sup over the grid of |empirical CDF of S_n - standard normal CDF|."""
-    arr = _require_grid(grid)
+    arr = _require_grid(grid, "grid")
     phi = _phi_grid(arr)
 
     leaves = _use_enumeration(config)
@@ -990,7 +999,8 @@ def run_verification_suite(config: SimulationConfig,
     ceilings = [tuple(ceiling for _, ceiling in _lemma_ceilings(lam, params))
                 for lam in lam_values]
     want = _Request(lam_values, psi=True, b=True, z=True, qc=True)
-    levels = _thresholds(domination_levels) if domination_levels else None
+    levels = (_thresholds(domination_levels, "domination_levels")
+              if domination_levels else None)
     # counted on this draw unless the model is enumerated exactly
     count_levels = levels is not None and _use_enumeration(config) is None
 

@@ -24,6 +24,7 @@ from martkit.errors import ConfigError, DomainError, UnsupportedModelError
 from martkit.martingales import (NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
                                  VarianceSwitch, noise_bernstein_constant)
+from martkit import montecarlo
 from martkit.montecarlo import SimulationConfig, calibrate_constant
 
 
@@ -444,6 +445,50 @@ class TestCoverage:
                                 noise=NoiseFamily.TRUNCATED_SYMMETRIC)
         res = regression_coverage(model, 0.95, 5000, seed=9)
         assert res.rate >= 0.95 - 3.0 * math.sqrt(0.95 * 0.05 / 5000.0)
+
+    @pytest.mark.parametrize("model, level, replications, seed, covered", [
+        (RegressionModel(-1.0, 2000, 1.0, 2.0, 0.5,
+                         NoiseFamily.TRUNCATED_SYMMETRIC), 0.95, 5000, 9, 4895),
+        (rademacher_model(n=300, theta=0.3, a=0.5, b=2.0, sigma=1.3),
+         0.9, 20000, 5, 19345),
+        (RegressionModel(0.0, 100, 1.0, 1.0, 1.0,
+                         NoiseFamily.TRUNCATED_SYMMETRIC), 0.9, 20000, 5, 19328),
+    ], ids=["three-point-random-design", "rademacher-random-design",
+            "three-point-constant-design"])
+    def test_matrix_drawn_counts(self, model, level, replications, seed,
+                                 covered):
+        # each dataset is one path of the model: a uniform design matrix,
+        # then one uniform per step for the noise
+        for workers in (1, 2):
+            res = regression_coverage(model, level, replications, seed,
+                                      workers=workers)
+            assert res.covered == covered
+
+    def test_constant_design_draws_one_binomial_per_replication(
+            self, monkeypatch):
+        # a constant design with sign noise is the binomial shortcut of
+        # the chunk kernel: no (rows, n) matrix is ever requested
+        requested = []
+        keyed = montecarlo.generator_for
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.rng, name)(*args, **kwargs)
+                    requested.append((name, np.shape(out)))
+                    return out
+                return draw
+
+        monkeypatch.setattr(montecarlo, "generator_for",
+                            lambda *key: Recorder(keyed(*key)))
+        res = regression_coverage(rademacher_model(n=1000), 0.95, 10000,
+                                  seed=42)
+        assert requested == [("binomial", (1024,))] * 9 \
+            + [("binomial", (784,))]
+        assert res.covered == 9682
 
     def test_worker_invariance(self):
         model = rademacher_model(n=200)

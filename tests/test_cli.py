@@ -78,6 +78,12 @@ class TestExitCodes:
         assert main(["bound", "--envelope", "thm22", "--x-from", "-1",
                      "--x-to", "-1"]) == 3
 
+    def test_non_finite_domination_level_is_domain_error(self, capsys):
+        assert main(["verify", "--model", "rademacher", "--n", "8",
+                     "--paths", "300", "--levels", "nan"]) == 3
+        assert capsys.readouterr().err == \
+            "error: domination_levels values must be finite\n"
+
     def test_bad_env_seed_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MARTKIT_SEED", "not-a-number")
         assert main(["simulate", "--model", "rademacher", "--n", "4"]) == 2

@@ -335,6 +335,35 @@ class TestTailPlain:
             pytest.fail("tail and CDF counts disagree")
 
 
+class TestValueValidation:
+    """The grid and threshold checks name the parameter that failed."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda c: estimate_tail_plain_grid(c, []),
+         "xs must be a nonempty 1-d sequence"),
+        (lambda c: estimate_tail_plain_grid(c, [[0.5, 1.0]]),
+         "xs must be a nonempty 1-d sequence"),
+        (lambda c: estimate_tail_plain_grid(c, [0.5, math.nan]),
+         "xs values must be finite"),
+        (lambda c: run_verification_suite(c, domination_levels=[[1.0]]),
+         "domination_levels must be a nonempty 1-d sequence"),
+        (lambda c: run_verification_suite(c,
+                                          domination_levels=(1.0, math.inf)),
+         "domination_levels values must be finite"),
+        (lambda c: calibrate_constant(c, "thm21", []),
+         "x_grid must be a nonempty 1-d sequence"),
+        (lambda c: calibrate_constant(c, "thm22", [0.0, -math.inf]),
+         "x_grid values must be finite"),
+        (lambda c: calibrate_constant(c, "thm21", [1.0, 0.5]),
+         "x_grid must be sorted ascending"),
+    ], ids=["xs-empty", "xs-2d", "xs-nan", "levels-2d", "levels-inf",
+            "x_grid-empty", "x_grid-inf", "x_grid-unsorted"])
+    def test_messages(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call(cfg(SR4))
+        assert str(exc.value) == message
+
+
 class TestClopperPearson:
     def test_edge_cases(self):
         lo, hi = _clopper_pearson(0, 100, 0.99)

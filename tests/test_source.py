@@ -1,8 +1,9 @@
 """Static checks over the package source.
 
-No linter ships with the toolchain, so the one lint rule the package
-keeps is checked here with ``ast``: every name a module imports at module
-level is either used in that module or re-exported through ``__all__``.
+No linter ships with the toolchain, so the rules the package keeps are
+checked here with ``ast``: every name a module imports at module level is
+either used in that module or re-exported through ``__all__``, and only
+``martingales`` and ``montecarlo`` key Philox generators.
 """
 
 import ast
@@ -49,3 +50,24 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def generator_callers() -> set:
+    """Modules with a call to ``generator_for``, by bare or dotted name."""
+    callers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name == "generator_for":
+                    callers.add(path.stem)
+    return callers
+
+
+def test_only_the_samplers_key_generators():
+    # martingales holds the per-path sampler (and the padding draws of the
+    # augmentation), montecarlo the chunk kernel; every other module,
+    # coverage experiments included, samples through them
+    assert generator_callers() == {"martingales", "montecarlo"}
