@@ -427,10 +427,9 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
     stay in the core's L2 cache.  Each block's draws are copied once into
     C-contiguous step-major (n, rows) arrays (weights enter as an (n, 1)
-    column, whose Psi and B are folded once per block and repeated over
-    its rows); every stage is then elementwise or one ``_fold`` per
-    object, in step order.  The blocks, stitched back in row order, give
-    the same bytes as one pass over the chunk.
+    column); every stage is then elementwise or one ``_fold`` per object,
+    in step order.  The blocks, stitched back in row order, give the same
+    bytes as one pass over the chunk.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, which the per-path sampler
@@ -478,7 +477,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
             scales /= np.sqrt(_fold(scales * scales))
         c, xi = _steps(law, scales, np.ascontiguousarray(u[r0:r0 + block].T),
                        lam)
-        parts.append(_accumulate(law, c, xi, want))
+        parts.append(_accumulate(law, np.broadcast_to(c, xi.shape), xi, want))
     batch = _stitch(parts)
     if want.qc:
         batch.qc_final = np.full(rows, 1.0 if draws is not None else
@@ -502,24 +501,15 @@ def _stitch(parts: list) -> _Batch:
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
                 want: _Request) -> _Batch:
-    """Sums of the (n, rows) steps xi of size c and the requested objects.
-
-    When c is one (n, 1) column shared by every row (fixed weights), its
-    Psi_n and B_n are folded once and repeated over the rows.
-    """
+    """Sums of the (n, rows) steps xi of size c and the requested objects."""
     log_mgf, drift, mgf = law.mgf_terms
-    rows = xi.shape[1]
-
-    def per_row(folded):
-        return folded if folded.size == rows else np.repeat(folded, rows)
-
     batch = _Batch(_fold(xi))
     for cl in want.lams:
         t = cl * c
         if want.psi:
-            batch.psi.append(per_row(_fold(log_mgf(t))))
+            batch.psi.append(_fold(log_mgf(t)))
         if want.b:
-            batch.b_drift.append(per_row(_fold(c * drift(t))))
+            batch.b_drift.append(_fold(c * drift(t)))
         if want.z:
             batch.z_prod.append(_fold(np.exp(cl * xi) / mgf(t), np.multiply))
     return batch
@@ -650,7 +640,7 @@ def _thresholds(values, name: str) -> np.ndarray:
 
 
 def _require_grid(grid, name: str) -> np.ndarray:
-    """``_thresholds``, sorted ascending."""
+    """``_thresholds`` that also rejects a grid not sorted ascending."""
     arr = _thresholds(grid, name)
     if np.any(np.diff(arr) < 0.0):
         raise DomainError(f"{name} must be sorted ascending")
