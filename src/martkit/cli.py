@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_mc_flags(p, paths=100000)
     p.add_argument("--lam-fractions", default="0.1,0.5,0.9",
-                   help="tilt levels as fractions of 1/eps")
+                   help="tilt levels as fractions of 1/eps, each in [0, 1)")
     p.add_argument("--levels", default="0.5,1,1.5,2,2.5,3,3.5,4",
                    help="tail-domination levels; empty string disables")
     p.add_argument("--max-order", type=int, default=12)

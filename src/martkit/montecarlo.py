@@ -36,8 +36,8 @@ decides whether a run reads the exact law (it returns the leaf count) or
 samples (None), and is the only estimator-side reader of
 ``enumeration_support``.  ``_counts_at`` counts a chunk's values at or
 below each threshold for every sampled count (CDF, plain tail,
-domination levels and both conjugate-CLT statistics), ``_summed`` adds
-those counts over the chunks, and a tail count is paths minus the count.
+domination levels and both conjugate-CLT statistics), ``np.sum`` adds
+them over the chunks, and a tail count is paths minus the count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -379,10 +379,20 @@ class _Request:
 @dataclass
 class _Batch:
     finals: np.ndarray
-    qc_final: Optional[np.ndarray] = None
-    psi: list = field(default_factory=list)     # one array per requested tilt
-    b_drift: list = field(default_factory=list)
-    z_prod: list = field(default_factory=list)  # per-step product route
+    qc_final: Optional[np.ndarray]
+    psi: list       # one array per requested tilt
+    b_drift: list
+    z_prod: list    # per-step product route
+
+
+def _new_batch(rows: int, want: _Request) -> _Batch:
+    """A chunk's outputs, allocated once: sums start at 0 and Z at 1."""
+    def per_lam(wanted: bool, start: float) -> list:
+        return [np.full(rows, start) for _ in want.lams] if wanted else []
+
+    return _Batch(np.zeros(rows), np.zeros(rows) if want.qc else None,
+                  per_lam(want.psi, 0.0), per_lam(want.b, 0.0),
+                  per_lam(want.z, 1.0))
 
 
 def _fold(steps: np.ndarray, op=np.add) -> np.ndarray:
@@ -428,8 +438,8 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     stay in the core's L2 cache.  Each block's draws are copied once into
     C-contiguous step-major (n, rows) arrays (weights enter as an (n, 1)
     column); every stage is then elementwise or one ``_fold`` per object,
-    in step order.  The blocks, stitched back in row order, give the same
-    bytes as one pass over the chunk.
+    in step order.  Each block folds into its own row slice of the outputs
+    (``_new_batch``), the same bytes as one pass over the chunk.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, which the per-path sampler
@@ -439,84 +449,68 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     """
     rng = generator_for(seed, stream, chunk)
     law = model._law()
+    batch = _new_batch(rows, want)
     scale = law.constant_scale
     if scale is not None:
         n = law.n
         p_up = float(expit(2.0 * lam * scale))
         k = rng.binomial(n, p_up, size=rows).astype(float)
-        batch = _Batch(scale * (2.0 * k - n))
+        finals = np.multiply(scale, 2.0 * k - n, out=batch.finals)
         if want.qc:
-            batch.qc_final = np.full(rows, math.fsum([scale * scale] * n))
-        for cl in want.lams:
+            batch.qc_final.fill(math.fsum([scale * scale] * n))
+        for j, cl in enumerate(want.lams):
             if want.psi:
-                batch.psi.append(
-                    np.full(rows, n * _log_cosh_scalar(cl * scale)))
+                batch.psi[j].fill(n * _log_cosh_scalar(cl * scale))
             if want.b:
-                batch.b_drift.append(
-                    np.full(rows, n * scale * math.tanh(cl * scale)))
+                batch.b_drift[j].fill(n * scale * math.tanh(cl * scale))
             if want.z:
-                batch.z_prod.append(np.exp(cl * batch.finals)
-                                    * math.cosh(cl * scale) ** -float(n))
+                z = np.exp(cl * finals, out=batch.z_prod[j])
+                z *= math.cosh(cl * scale) ** -float(n)
         return batch
 
     if law.switch is not None:
-        return _variance_switch_chunk(law, rng, rows, lam, want)
+        return _variance_switch_chunk(law, rng, lam, want, batch)
 
     # magnitudes (or covariates) first, then one uniform per step
     draws = None if law.band is None else rng.random((rows, law.n))
     u = rng.random((rows, law.n))
     block = max(1, _BLOCK_ELEMENTS // u.shape[1])
-    parts = []
     for r0 in range(0, rows, block):
+        rows_in = slice(r0, r0 + block)
         if draws is None:
             scales = np.asarray(law.weights)[:, None]
         else:
             low, high = law.band
             scales = low + (high - low) * np.ascontiguousarray(
-                draws[r0:r0 + block].T)
+                draws[rows_in].T)
             scales /= np.sqrt(_fold(scales * scales))
-        c, xi = _steps(law, scales, np.ascontiguousarray(u[r0:r0 + block].T),
-                       lam)
-        parts.append(_accumulate(law, np.broadcast_to(c, xi.shape), xi, want))
-    batch = _stitch(parts)
+        c, xi = _steps(law, scales, np.ascontiguousarray(u[rows_in].T), lam)
+        _accumulate(law, np.broadcast_to(c, xi.shape), xi, want, batch,
+                    rows_in)
     if want.qc:
-        batch.qc_final = np.full(rows, 1.0 if draws is not None else
-                                 math.fsum(v * v for v in law.weights))
+        batch.qc_final.fill(1.0 if draws is not None else
+                            math.fsum(v * v for v in law.weights))
     return batch
-
-
-def _stitch(parts: list) -> _Batch:
-    """One batch from row-block batches, concatenated in row order."""
-    if len(parts) == 1:
-        return parts[0]
-
-    def join(lists):
-        return [np.concatenate(blocks) for blocks in zip(*lists)]
-
-    return _Batch(np.concatenate([p.finals for p in parts]),
-                  psi=join(p.psi for p in parts),
-                  b_drift=join(p.b_drift for p in parts),
-                  z_prod=join(p.z_prod for p in parts))
 
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
-                want: _Request) -> _Batch:
-    """Sums of the (n, rows) steps xi of size c and the requested objects."""
+                want: _Request, batch: _Batch, rows_in: slice) -> None:
+    """Fold the (n, rows) steps xi of size c into batch rows ``rows_in``."""
     log_mgf, drift, mgf = law.mgf_terms
-    batch = _Batch(_fold(xi))
-    for cl in want.lams:
+    batch.finals[rows_in] = _fold(xi)
+    for j, cl in enumerate(want.lams):
         t = cl * c
         if want.psi:
-            batch.psi.append(_fold(log_mgf(t)))
+            batch.psi[j][rows_in] = _fold(log_mgf(t))
         if want.b:
-            batch.b_drift.append(_fold(c * drift(t)))
+            batch.b_drift[j][rows_in] = _fold(c * drift(t))
         if want.z:
-            batch.z_prod.append(_fold(np.exp(cl * xi) / mgf(t), np.multiply))
-    return batch
+            batch.z_prod[j][rows_in] = _fold(np.exp(cl * xi) / mgf(t),
+                                             np.multiply)
 
 
-def _variance_switch_chunk(law: _StepLaw, rng, rows: int, lam: float,
-                           want: _Request) -> _Batch:
+def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
+                           batch: _Batch) -> _Batch:
     """Step-major walk: the state enters only through pos = (S >= 0).
 
     A step goes up when u < p_plus (pos) or u < p_minus (not pos).  Both
@@ -526,9 +520,10 @@ def _variance_switch_chunk(law: _StepLaw, rng, rows: int, lam: float,
     thresholds agree and ``flip`` is empty.  Each step looks its values up
     by the code 2*pos + up in four-entry tables ordered (-s_minus,
     +s_minus, -s_plus, +s_plus) and adds them in step order, as the
-    per-path walk does.
+    per-path walk does, into the arrays of ``batch``.
     """
     s_plus, s_minus = law.switch
+    rows = batch.finals.size
     u = rng.random((rows, law.n))
     p_plus = float(expit(2.0 * lam * s_plus))
     p_minus = float(expit(2.0 * lam * s_minus))
@@ -540,30 +535,25 @@ def _variance_switch_chunk(law: _StepLaw, rng, rows: int, lam: float,
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
     tables = []   # (table, accumulator, fold) per requested object
-    batch = _Batch(np.zeros(rows))
     if want.qc:
-        batch.qc_final = np.zeros(rows)
         tables.append((steps * steps, batch.qc_final, np.add))
-    for cl in want.lams:
+    for j, cl in enumerate(want.lams):
         lc_m, lc_p = (_log_cosh_scalar(cl * s_minus),
                       _log_cosh_scalar(cl * s_plus))
         bt_m, bt_p = (s_minus * math.tanh(cl * s_minus),
                       s_plus * math.tanh(cl * s_plus))
         ch_m, ch_p = math.cosh(cl * s_minus), math.cosh(cl * s_plus)
         if want.psi:
-            batch.psi.append(np.zeros(rows))
             tables.append((np.array([lc_m, lc_m, lc_p, lc_p]),
-                           batch.psi[-1], np.add))
+                           batch.psi[j], np.add))
         if want.b:
-            batch.b_drift.append(np.zeros(rows))
             tables.append((np.array([bt_m, bt_m, bt_p, bt_p]),
-                           batch.b_drift[-1], np.add))
+                           batch.b_drift[j], np.add))
         if want.z:
             # numpy's exp maps each entry as it would within a row array
-            batch.z_prod.append(np.ones(rows))
             tables.append((np.exp(cl * steps)
                            / np.array([ch_m, ch_m, ch_p, ch_p]),
-                           batch.z_prod[-1], np.multiply))
+                           batch.z_prod[j], np.multiply))
 
     finals = batch.finals
     pos = np.empty(rows, dtype=bool)
@@ -657,11 +647,6 @@ def _mean_se(total: float, total_sq: float, m: int):
 def _counts_at(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Per threshold, in input order, the count of values at or below it."""
     return np.searchsorted(np.sort(values), xs, side="right")
-
-
-def _summed(parts) -> np.ndarray:
-    """The per-chunk counts of ``_counts_at``, summed over the chunks."""
-    return np.sum(parts, axis=0)
 
 
 def _exact_cdf_at(model: MartingaleModel, arr: np.ndarray) -> np.ndarray:
@@ -783,7 +768,7 @@ def _cdf_counts(config: SimulationConfig, arr: np.ndarray) -> np.ndarray:
                                 rows, 0.0)
         return _counts_at(batch.finals, arr)
 
-    return _summed(_map_chunks(config, kernel))
+    return np.sum(_map_chunks(config, kernel), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +904,7 @@ def conjugate_clt_check(config: SimulationConfig, x: float,
         return (_counts_at(lam * (batch.finals - x), thr_u),
                 _counts_at(batch.finals - batch.b_drift[0], grid))
 
-    counts_u, counts_y = _summed(_map_chunks(config, kernel))
+    counts_u, counts_y = np.sum(_map_chunks(config, kernel), axis=0)
     sup_u = float(np.max(np.abs(counts_u / config.paths - phi)))
     sup_y = float(np.max(np.abs(counts_y / config.paths - phi)))
     return ConjugateCLTReport(float(x), lam, xh, sup_u, sup_y, False,
@@ -938,9 +923,11 @@ def run_verification_suite(config: SimulationConfig,
     """Sweep the hard per-path checks and the model-level conditions.
 
     Plain paths are drawn once and the conjugate objects evaluated on them
-    at every lam = f/eps: the drift and log-MGF ceilings must hold on
-    every path (with a 1e-12 rounding allowance), the mean of the
-    change-of-measure weight Z must sit within 4 standard errors of 1,
+    at every lam = f/eps for tilt fractions f in [0, 1), where the change
+    of measure and the lemma ceilings hold; any other f (nan too) raises
+    DomainError before anything is drawn.  The drift and log-MGF ceilings
+    must hold on every path (with a 1e-12 rounding allowance), the mean of
+    the change-of-measure weight Z must sit within 4 standard errors of 1,
     and for two-point normalized families every prefix Psi_k must stay
     below lam^2/2 (per-step terms are nonnegative, so the terminal value
     is the prefix maximum).  Z computed as the literal per-step product
@@ -968,6 +955,12 @@ def run_verification_suite(config: SimulationConfig,
     model = config.model
     params = model.bernstein_params()
     eps = params.epsilon
+    lam_values = tuple(f / eps for f in lam_fractions)
+    for f, lam in zip(lam_fractions, lam_values):
+        # (1/eps)*eps can round below 1, so the fraction is checked too
+        if not 0.0 <= f < 1.0:
+            raise DomainError(f"tilt fraction {f} is outside [0, 1)")
+        _check_tilt(lam, eps)
     violations = []
     checks = []
 
@@ -981,7 +974,6 @@ def run_verification_suite(config: SimulationConfig,
     a2_bound, _ = verify_A2(model)
     checks.append("characteristic-band-declared")
 
-    lam_values = tuple(f / eps for f in lam_fractions)
     half_cosh = model._law().half_cosh
     qc_lo = 1.0 - a2_bound - 1e-12
     qc_hi = 1.0 + a2_bound + 1e-12
@@ -1053,7 +1045,7 @@ def run_verification_suite(config: SimulationConfig,
 
     if levels is not None:
         ests = (_plain_estimates(config, levels,
-                                 _summed([r[1] for r in results]))
+                                 np.sum([r[1] for r in results], axis=0))
                 if count_levels else estimate_tail_plain_grid(config, levels))
         for est in ests:
             bound = tail_bound_sq(est.x, params).value

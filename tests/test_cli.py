@@ -84,6 +84,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: domination_levels values must be finite\n"
 
+    @pytest.mark.parametrize("fraction", ["1", "1.5", "-0.2", "nan"])
+    def test_tilt_fraction_outside_unit_interval_is_domain_error(
+            self, fraction, capsys):
+        assert main(["verify", "--model", "selfnorm", "--n", "64",
+                     "--a", "1", "--b", "2.5", "--paths", "300",
+                     "--lam-fractions", fraction]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tilt")
+
     def test_bad_env_seed_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MARTKIT_SEED", "not-a-number")
         assert main(["simulate", "--model", "rademacher", "--n", "4"]) == 2

@@ -98,6 +98,20 @@ class TestDeclaredScales:
         assert reg.bernstein_params().epsilon == pytest.approx(
             0.2 / math.sqrt(12), rel=1e-14)
 
+    @pytest.mark.parametrize("model", ALL_MODELS + [
+        RegressionModel(theta=0.0, n=32, covariate_low=a, covariate_high=b,
+                        sigma=sigma, noise=noise)
+        for a, b, sigma in ((1.0, 2.0, 1.0), (0.5, 2.0, 1.3), (1.0, 3.0, 0.2))
+        for noise in NoiseFamily], ids=lambda m: model_id(m)[:32])
+    def test_checked_tilts_keep_t_below_two_root_three(self, model):
+        # every tilt is below 1/eps, so t = lam*c stays below the largest
+        # step over eps; the three-point helpers use the direct cosh form,
+        # which needs t far below the overflow near 710
+        law = model._law()
+        eps = model.bernstein_params().epsilon
+        assert max(law.worst_scales) / eps <= 2.0 * math.sqrt(3.0) * (
+            1.0 + 1e-12)
+
     def test_noise_constants(self):
         # order-4 moment binds for both laws; factorial growth wins beyond
         assert noise_bernstein_constant(

@@ -917,6 +917,28 @@ class TestVerificationSuite:
         assert lam == 0.5 / SR16.bernstein_params().epsilon
         assert mean > 0.0 and se > 0.0
 
+    # n = 31: (1/eps)*eps rounds below 1, so lam = 1/eps passes the tilt
+    # check and only the fraction check refuses f = 1
+    @pytest.mark.parametrize("n, fraction", [
+        (64, 1.0), (64, 1.5), (64, -0.2), (64, math.nan), (31, 1.0)])
+    def test_tilt_fraction_outside_unit_interval_is_refused_before_drawing(
+            self, n, fraction, monkeypatch):
+        # the change of measure and the lemma ceilings hold only for tilts
+        # in [0, 1/eps): f = 1 used to divide by zero, 1.5 and -0.2 to
+        # report a false log-mgf-bound violation, nan to pass
+        calls = []
+
+        def recording(*key):
+            calls.append(key)
+            return generator_for(*key)
+
+        monkeypatch.setattr(montecarlo, "generator_for", recording)
+        model = SelfNormalized(n=n, magnitude_low=1.0, magnitude_high=2.5)
+        with pytest.raises(DomainError, match="tilt"):
+            run_verification_suite(cfg(model, paths=300),
+                                   lam_fractions=(0.5, fraction))
+        assert calls == []
+
 
 class TestWorkerDeterminism:
     def _configs(self, model, paths=40000, seed=11, **kw):

@@ -2,8 +2,9 @@
 
 No linter ships with the toolchain, so the rules the package keeps are
 checked here with ``ast``: every name a module imports at module level is
-either used in that module or re-exported through ``__all__``, and only
-``martingales`` and ``montecarlo`` key Philox generators.
+either used in that module or re-exported through ``__all__``, only
+``martingales`` and ``montecarlo`` key Philox generators, and only
+``montecarlo._new_batch`` builds a chunk's outputs.
 """
 
 import ast
@@ -52,18 +53,32 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def generator_callers() -> set:
-    """Modules with a call to ``generator_for``, by bare or dotted name."""
-    callers = set()
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) \
+def call_sites(name: str) -> list:
+    """(module, innermost enclosing function) of every call to ``name``,
+    called by bare or dotted name."""
+    sites = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) \
                     else getattr(func, "id", None)
-                if name == "generator_for":
-                    callers.add(path.stem)
-    return callers
+                if called == name:
+                    sites.append((module, owner))
+            visit(child, module, owner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return sites
+
+
+def generator_callers() -> set:
+    """Modules with a call to ``generator_for``."""
+    return {module for module, _ in call_sites("generator_for")}
 
 
 def test_only_the_samplers_key_generators():
@@ -71,3 +86,8 @@ def test_only_the_samplers_key_generators():
     # augmentation), montecarlo the chunk kernel; every other module,
     # coverage experiments included, samples through them
     assert generator_callers() == {"martingales", "montecarlo"}
+
+
+def test_chunk_outputs_have_one_layout():
+    # every chunk kernel fills the batch that _new_batch allocates
+    assert call_sites("_Batch") == [("montecarlo", "_new_batch")]
