@@ -27,8 +27,9 @@ from .bounds import (BernsteinParams, BoundConstant, EnvelopeSource,
                      eps_log_eps)
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_sf
-from .martingales import (NoiseFamily, RegressionModel, ScaledRademacher,
-                          SelfNormalized, noise_bernstein_constant)
+from .martingales import (STREAM_COVERAGE, NoiseFamily, RegressionModel,
+                          ScaledRademacher, SelfNormalized,
+                          noise_bernstein_constant)
 from .montecarlo import SimulationConfig, _map_chunks, _simulate_chunk
 
 __all__ = [
@@ -41,10 +42,6 @@ __all__ = [
     "self_norm_envelope", "self_norm_report", "wang_jing_bound",
     "wang_jing_inputs",
 ]
-
-# draw stream for coverage replications; 0-3 belong to path simulation
-# and the tail estimators
-STREAM_COVERAGE = 4
 
 _DEFAULT_C = BoundConstant()
 _DEFAULT_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)

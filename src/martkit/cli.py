@@ -381,7 +381,6 @@ def cmd_verify(args, manifest: RunManifest) -> int:
         if args.levels else ()
     report = run_verification_suite(config, lam_fractions=fractions,
                                     domination_levels=levels,
-                                    max_order=args.max_order,
                                     check_z_mean=args.z_mean)
     rows = []
     rows.append(("condition", "a1-moments", None, None, None, None, None,
@@ -562,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tilt levels as fractions of 1/eps, each in [0, 1)")
     p.add_argument("--levels", default="0.5,1,1.5,2,2.5,3,3.5,4",
                    help="tail-domination levels; empty string disables")
-    p.add_argument("--max-order", type=int, default=12)
     p.add_argument("--z-mean", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="test the mean-one property of the tilt weight "

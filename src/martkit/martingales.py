@@ -61,6 +61,7 @@ __all__ = [
     "model_to_dict", "model_from_dict", "model_to_json", "model_from_json",
     "path_to_csv", "generator_for",
     "STREAM_PATH", "STREAM_AUGMENT", "STREAM_MC", "STREAM_MC_TILTED",
+    "STREAM_COVERAGE",
 ]
 
 _LOG2 = math.log(2.0)
@@ -71,6 +72,7 @@ STREAM_PATH = 0
 STREAM_AUGMENT = 1
 STREAM_MC = 2
 STREAM_MC_TILTED = 3
+STREAM_COVERAGE = 4   # regression coverage replications
 
 _MASK64 = (1 << 64) - 1
 _INDEX_LIMIT = 1 << 56
@@ -96,9 +98,8 @@ class NoiseFamily(str, Enum):
     TRUNCATED_SYMMETRIC = "truncated_symmetric"  # {-2s, 0, +2s}, P(+-) = 1/8
 
 
-def noise_bernstein_constant(noise: NoiseFamily, sigma: float,
-                             max_order: int = 12) -> float:
-    """Smallest eps2 with |E[e^l]| <= (l!/2) eps2^(l-2) sigma^2 up to max_order.
+def noise_bernstein_constant(noise: NoiseFamily, sigma: float) -> float:
+    """Smallest eps2 with |E[e^l]| <= (l!/2) eps2^(l-2) sigma^2 up to order 12.
 
     Runs the even-moment recursion directly rather than hard-coding the
     answer; for both built-in laws the order-4 moment binds and the
@@ -106,11 +107,9 @@ def noise_bernstein_constant(noise: NoiseFamily, sigma: float,
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if max_order < 4:
-        raise DomainError("max_order must be at least 4 to bind eps2")
     noise = NoiseFamily(noise)
     best = 0.0
-    for order in range(4, max_order + 1, 2):
+    for order in range(4, 13, 2):
         moment = _noise_abs_moment_normalized(noise, order) * sigma ** order
         need = (moment / (0.5 * math.factorial(order) * sigma * sigma)) \
             ** (1.0 / (order - 2))

@@ -279,11 +279,8 @@ def _enumeration_atoms(model: MartingaleModel, lam: float):
 def _enumerate_binomial(n: int, scale: float, lam: float):
     k = np.arange(n + 1)
     counts = np.array([math.comb(n, int(v)) for v in k], dtype=float)
-    if lam == 0.0:
-        probs = counts * 0.5 ** n
-    else:
-        p_up = float(expit(2.0 * lam * scale))
-        probs = counts * p_up ** k * (1.0 - p_up) ** (n - k)
+    p_up = float(expit(2.0 * lam * scale))
+    probs = counts * p_up ** k * (1.0 - p_up) ** (n - k)
     values = scale * (2.0 * k - n)
     psi = n * _log_cosh_scalar(lam * scale)
     return values, probs, lam * values - psi
@@ -436,10 +433,12 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     then run everything after the draw over row blocks of
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
     stay in the core's L2 cache.  Each block's draws are copied once into
-    C-contiguous step-major (n, rows) arrays (weights enter as an (n, 1)
-    column); every stage is then elementwise or one ``_fold`` per object,
-    in step order.  Each block folds into its own row slice of the outputs
-    (``_new_batch``), the same bytes as one pass over the chunk.
+    C-contiguous step-major (n, rows) arrays; every stage is then
+    elementwise or one ``_fold`` per object, in step order.  Fixed weights
+    enter as an (n, 1) column, and Psi_n and B_n fold once on that column
+    per block rather than once per row.  Each block folds into its own row
+    slice of the outputs (``_new_batch``), the same bytes as one pass over
+    the chunk.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, which the per-path sampler
@@ -485,8 +484,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                 draws[rows_in].T)
             scales /= np.sqrt(_fold(scales * scales))
         c, xi = _steps(law, scales, np.ascontiguousarray(u[rows_in].T), lam)
-        _accumulate(law, np.broadcast_to(c, xi.shape), xi, want, batch,
-                    rows_in)
+        _accumulate(law, c, xi, want, batch, rows_in)
     if want.qc:
         batch.qc_final.fill(1.0 if draws is not None else
                             math.fsum(v * v for v in law.weights))
@@ -495,7 +493,10 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
                 want: _Request, batch: _Batch, rows_in: slice) -> None:
-    """Fold the (n, rows) steps xi of size c into batch rows ``rows_in``."""
+    """Fold the (n, rows) steps xi of size c into batch rows ``rows_in``.
+
+    c is (n, rows), or an (n, 1) column for fixed weights.
+    """
     log_mgf, drift, mgf = law.mgf_terms
     batch.finals[rows_in] = _fold(xi)
     for j, cl in enumerate(want.lams):
@@ -918,7 +919,6 @@ def run_verification_suite(config: SimulationConfig,
                            lam_fractions=(0.1, 0.5, 0.9),
                            domination_levels=(0.5, 1.0, 1.5, 2.0, 2.5,
                                               3.0, 3.5, 4.0),
-                           max_order: int = 12,
                            check_z_mean: bool = True) -> VerificationReport:
     """Sweep the hard per-path checks and the model-level conditions.
 
@@ -936,8 +936,8 @@ def run_verification_suite(config: SimulationConfig,
     against its declared band, and the plain tail against exp(-xhat^2/2)
     at the domination levels, counted on the same draw unless the model is
     enumerated exactly.  Violations are collected with replay coordinates,
-    not raised: per lam in chunk order, then its mean-Z verdict, then
-    tail domination.
+    not raised: the band once per chunk, then per lam in chunk order, then
+    its mean-Z verdict, then tail domination.
 
     ``check_z_mean`` gates the 4-standard-error test of E[Z] = 1 (the
     per-lam sample stats are always reported).  The test presumes the
@@ -950,7 +950,7 @@ def run_verification_suite(config: SimulationConfig,
     ``ScaledRademacher.equal_weights(400)`` at 20000 sampled paths (seed
     11) is rejected at f = 0.5 (lam = 10, mean Z near 5e-08 against a
     standard error near 4e-08), not only at f = 0.9.  A power-aware
-    replacement is ROADMAP item 3.
+    replacement is ROADMAP item 1.
     """
     model = config.model
     params = model.bernstein_params()
@@ -964,7 +964,7 @@ def run_verification_suite(config: SimulationConfig,
     violations = []
     checks = []
 
-    a1 = verify_A1(model, max_order=max_order)
+    a1 = verify_A1(model)
     checks.append("moment-growth")
     if not a1.passed:
         violations.append(ViolationRecord(
@@ -989,46 +989,49 @@ def run_verification_suite(config: SimulationConfig,
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(model, config.seed, STREAM_MC, chunk, rows,
                                 0.0, want)
-        qc_bad = np.flatnonzero((batch.qc_final < qc_lo)
-                                | (batch.qc_final > qc_hi))
+        # <S>_n is tilt-free: its band is checked once per chunk
+        qc = batch.qc_final
+        idx = np.flatnonzero((qc < qc_lo) | (qc > qc_hi))
+        band = None
+        if idx.size:
+            value = float(qc[idx[0]])
+            end = (f"falls below the band's lower end {qc_lo!r}"
+                   if value < qc_lo else
+                   f"exceeds the band's upper end {qc_hi!r}")
+            band = ViolationRecord("characteristic-band",
+                                   f"<S>_n = {value!r} {end}", chunk,
+                                   int(idx[0]))
         per_lam = []
         for lam, (b_allow, psi_allow, half_allow), psi, b, z_prod in zip(
                 lam_values, ceilings, batch.psi, batch.b_drift, batch.z_prod):
+            z = np.exp(lam * batch.finals - psi)
+            rel = np.abs(z_prod - z) / np.maximum(z, 1e-300)
+            table = [("drift-bound", b, b_allow),
+                     ("log-mgf-bound", psi, psi_allow)]
+            if half_cosh:
+                table.append(("half-cosh-bound", psi, half_allow))
+            table.append(("z-product-route", rel, 1e-10))
             bad = []
-            for name, values, ceiling in (("drift-bound", b, b_allow),
-                                          ("log-mgf-bound", psi, psi_allow)):
+            for name, values, ceiling in table:
                 idx = np.flatnonzero(values > ceiling)
                 if idx.size:
                     bad.append((name, int(idx[0]), float(values[idx[0]]),
                                 ceiling))
-            if half_cosh:
-                idx = np.flatnonzero(psi > half_allow)
-                if idx.size:
-                    bad.append(("half-cosh-bound", int(idx[0]),
-                                float(psi[idx[0]]), half_allow))
-            if qc_bad.size:
-                bad.append(("characteristic-band", int(qc_bad[0]),
-                            float(batch.qc_final[qc_bad[0]]), qc_hi))
-            z = np.exp(lam * batch.finals - psi)
-            rel = np.abs(z_prod - z) / np.maximum(z, 1e-300)
-            idx = np.flatnonzero(rel > 1e-10)
-            if idx.size:
-                bad.append(("z-product-route", int(idx[0]),
-                            float(rel[idx[0]]), 1e-10))
             per_lam.append((bad, float(z.sum()), float(np.dot(z, z))))
         counts = _counts_at(batch.finals, levels) if count_levels else None
-        return per_lam, counts
+        return band, per_lam, counts
 
     results = _map_chunks(config, kernel)
+    violations.extend(band for band, _, _ in results if band is not None)
     z_stats = []
     for k, lam in enumerate(lam_values):
-        for chunk, (per_lam, _) in enumerate(results):
+        for chunk, (_, per_lam, _) in enumerate(results):
             for name, row, value, ceiling in per_lam[k][0]:
                 violations.append(ViolationRecord(
                     name, f"lam={lam:.6g}: value {value!r} exceeds "
                     f"{ceiling!r}", chunk, row))
-        mean, se = _mean_se(math.fsum(r[0][k][1] for r in results),
-                            math.fsum(r[0][k][2] for r in results),
+        mean, se = _mean_se(math.fsum(r[1][k][1] for r in results),
+                            math.fsum(r[1][k][2] for r in results),
                             config.paths)
         z_stats.append((lam, mean, se))
         if check_z_mean and abs(mean - 1.0) > 4.0 * se:
@@ -1045,7 +1048,7 @@ def run_verification_suite(config: SimulationConfig,
 
     if levels is not None:
         ests = (_plain_estimates(config, levels,
-                                 np.sum([r[1] for r in results], axis=0))
+                                 np.sum([r[2] for r in results], axis=0))
                 if count_levels else estimate_tail_plain_grid(config, levels))
         for est in ests:
             bound = tail_bound_sq(est.x, params).value

@@ -57,6 +57,11 @@ class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["bound"]) == 2
 
+    def test_verify_has_no_max_order_flag(self, capsys):
+        assert main(["verify", "--model", "rademacher", "--n", "8",
+                     "--paths", "300", "--max-order", "8"]) == 2
+        assert "--max-order" in capsys.readouterr().err
+
     def test_model_without_n_is_config_error(self, capsys):
         assert main(["simulate", "--model", "rademacher"]) == 2
 

@@ -881,6 +881,36 @@ class TestVerificationSuite:
         assert "tail-domination" in rep.checks_run
         assert sorted(drawn) == [(STREAM_MC, c) for c in range(3)]
 
+    def test_band_breach_is_reported_once_per_chunk_against_its_end(
+            self, monkeypatch):
+        # a zero band puts every VarianceSwitch path outside it, on either
+        # side of 1; <S>_n does not depend on the tilt, so each chunk gives
+        # one record at its first breaching row, whatever the tilt count
+        monkeypatch.setattr(montecarlo, "verify_A2", lambda model: (0.0, True))
+        c = cfg(VS12, paths=2000, chunk_size=100, exhaustive=False)
+        rep = run_verification_suite(c, lam_fractions=(0.1, 0.5, 0.9),
+                                     domination_levels=(),
+                                     check_z_mean=False)
+        got = [(v.chunk_index, v.row, v.detail) for v in rep.violations
+               if v.check == "characteristic-band"]
+        lo, hi = 1.0 - 1e-12, 1.0 + 1e-12
+        want = []
+        for chunk in range(20):
+            qc = _simulate_chunk(VS12, c.seed, STREAM_MC, chunk, 100, 0.0,
+                                 _Request(qc=True)).qc_final
+            row = int(np.flatnonzero((qc < lo) | (qc > hi))[0])
+            end = (f"falls below the band's lower end {lo!r}" if qc[row] < lo
+                   else f"exceeds the band's upper end {hi!r}")
+            want.append((chunk, row, f"<S>_n = {float(qc[row])!r} {end}"))
+        assert got == want
+        for end in ("lower end", "upper end"):
+            assert any(end in detail for _, _, detail in got)
+
+    def test_max_order_is_not_a_parameter(self):
+        # the suite reads only the A1 verdict, the same at every order
+        with pytest.raises(TypeError):
+            run_verification_suite(cfg(SR16), max_order=12)
+
     @pytest.mark.parametrize("model", [VS12, SR16, SN32, REG3_N10])
     def test_z_stats_match_one_tilt_calls(self, model):
         c = cfg(model, paths=3000, chunk_size=1000, seed=5, exhaustive=False)

@@ -3,8 +3,9 @@
 No linter ships with the toolchain, so the rules the package keeps are
 checked here with ``ast``: every name a module imports at module level is
 either used in that module or re-exported through ``__all__``, only
-``martingales`` and ``montecarlo`` key Philox generators, and only
-``montecarlo._new_batch`` builds a chunk's outputs.
+``martingales`` and ``montecarlo`` key Philox generators, only
+``montecarlo._new_batch`` builds a chunk's outputs, and every Philox
+stream key is assigned in ``martingales`` alone, each to its own value.
 """
 
 import ast
@@ -91,3 +92,19 @@ def test_only_the_samplers_key_generators():
 def test_chunk_outputs_have_one_layout():
     # every chunk kernel fills the batch that _new_batch allocates
     assert call_sites("_Batch") == [("montecarlo", "_new_batch")]
+
+
+def test_stream_keys_have_one_home():
+    # STREAM_* constants partition the Philox key space: one module
+    # assigns them all, so two uses can never share a value unseen
+    keys = []   # (module, name, value) of every assignment
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                keys.extend((path.stem, t.id, ast.literal_eval(node.value))
+                            for t in node.targets
+                            if isinstance(t, ast.Name)
+                            and t.id.startswith("STREAM_"))
+    assert {module for module, _, _ in keys} == {"martingales"}
+    values = [value for _, _, value in keys]
+    assert len(set(values)) == len(values) >= 5
