@@ -290,8 +290,13 @@ class ConfidenceInterval:
 def brentq(f, a: float, b: float, **kwargs) -> float:
     """scipy.optimize.brentq, imported on first use.
 
-    Importing scipy.optimize takes most of a cold ``import martkit.cli``,
-    and only the level inversion needs it.
+    No martkit module imports scipy when it is itself imported: each
+    scipy function is reached through a small private wrapper that
+    imports it in its body (this one, and ``martingales._special`` for
+    scipy.special).  Importing scipy.optimize or scipy.special costs more
+    than importing numpy, and only the level inversion here, the tilted
+    array thresholds and the interval ends need them, so scipy loads
+    with the first call that does.
     """
     from scipy.optimize import brentq as _brentq
     return _brentq(f, a, b, **kwargs)

@@ -40,8 +40,13 @@ __all__ = [
     "de_la_pena_bernstein", "tail_bound_sq", "strengthened_tail_envelope",
     "nonuniform_be_envelope", "cramer_ratio_band", "corollary_envelope",
     "corollary_uniform_bound", "mourrat_envelope", "uniform_be_bound",
-    "classical_envelopes",
+    "classical_envelopes", "CALIBRATION_ENVELOPES",
 ]
+
+# The envelopes whose constant ``montecarlo.calibrate_constant`` fits.
+# They are named here, beside the envelopes, so that the command line can
+# offer them without importing the sampler (and numpy).
+CALIBRATION_ENVELOPES = ("thm21", "thm22", "cor21", "brmti", "thm33")
 
 
 class ConstantKind(str, Enum):

@@ -25,22 +25,16 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence
 
+# Only the closed-form layers load with the command line.  applications,
+# martingales and montecarlo (numpy, and scipy on first use) are imported
+# by the subcommands that need them, so ``bound`` starts without numpy.
 from . import __version__
-from .applications import (RegressionData, regression_ci,
-                           regression_coverage, regression_envelope,
-                           regression_report, self_norm_envelope,
-                           self_norm_report, wang_jing_bound)
-from .bounds import (BernsteinParams, BoundConstant, MomentSummary,
-                     classical_envelopes, corollary_envelope,
+from .bounds import (CALIBRATION_ENVELOPES, BernsteinParams, BoundConstant,
+                     MomentSummary, classical_envelopes, corollary_envelope,
                      de_la_pena_bennett, lambda_bar, nonuniform_be_envelope,
                      strengthened_tail_envelope)
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import mills_sandwich, std_normal_log_sf
-from .martingales import (NoiseFamily, RegressionModel, ScaledRademacher,
-                          SelfNormalized, VarianceSwitch)
-from .montecarlo import (CALIBRATION_ENVELOPES, SimulationConfig,
-                         calibrate_constant, estimate_tail_is,
-                         estimate_tail_plain_grid, run_verification_suite)
 
 __all__ = ["RunManifest", "build_parser", "main"]
 
@@ -49,8 +43,14 @@ BOUND_TOKENS = ("thm21", "thm22", "cor21", "dlp", "mc-sandwich",
 
 MODEL_TOKENS = ("rademacher", "variance-switch", "selfnorm", "regression")
 
-_NOISE_BY_TOKEN = {"rademacher": NoiseFamily.RADEMACHER_SCALED,
-                   "three-point": NoiseFamily.TRUNCATED_SYMMETRIC}
+# flag token -> name of the martingales.NoiseFamily member
+_NOISE_BY_TOKEN = {"rademacher": "RADEMACHER_SCALED",
+                   "three-point": "TRUNCATED_SYMMETRIC"}
+
+
+def _noise(token: str):
+    from .martingales import NoiseFamily
+    return NoiseFamily[_NOISE_BY_TOKEN[token]]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,8 @@ def _x_grid(args) -> List[float]:
 
 
 def _model_from_flags(args) -> object:
+    from .martingales import (RegressionModel, ScaledRademacher,
+                              SelfNormalized, VarianceSwitch)
     token = args.model
     if token == "rademacher":
         if args.weights is not None:
@@ -206,11 +208,12 @@ def _model_from_flags(args) -> object:
         return RegressionModel(theta=args.theta, n=args.n,
                                covariate_low=args.a, covariate_high=args.b,
                                sigma=args.sigma,
-                               noise=_NOISE_BY_TOKEN[args.noise])
+                               noise=_noise(args.noise))
     raise ConfigError(f"unknown model {token!r}")
 
 
-def _sim_config(args) -> SimulationConfig:
+def _sim_config(args):
+    from .montecarlo import SimulationConfig
     return SimulationConfig(_model_from_flags(args), paths=args.paths,
                             seed=_resolve_seed(args),
                             chunk_size=args.chunk_size,
@@ -307,11 +310,13 @@ def _bound_rows(args, xs: List[float]):
                 put(x, None, None, value,
                     math.log(value) if value > 0.0 else -math.inf, name)
     elif token == "wang-jing":
+        from .applications import wang_jing_bound
         for x in xs:
             value = wang_jing_bound(x, args.l3n, args.tail_sum, c)
             put(x, None, None, value,
                 math.log(value) if value > 0.0 else -math.inf)
     elif token in ("regression", "selfnorm"):
+        from .applications import regression_envelope, self_norm_envelope
         if not 0.0 < args.epsilon <= 0.5:
             raise DomainError(
                 "the application envelopes require the effective step "
@@ -356,6 +361,7 @@ def _tail_row(est):
 
 
 def cmd_simulate(args, manifest: RunManifest) -> int:
+    from .montecarlo import estimate_tail_is, estimate_tail_plain_grid
     config = _sim_config(args)
     xs = _x_grid(args)
     if args.estimator == "plain":
@@ -375,6 +381,7 @@ _VERIFY_HEADER = ("record", "name", "lam", "mean", "se", "chunk", "row",
 
 
 def cmd_verify(args, manifest: RunManifest) -> int:
+    from .montecarlo import run_verification_suite
     config = _sim_config(args)
     fractions = tuple(_float_list(args.lam_fractions, "--lam-fractions"))
     levels = tuple(_float_list(args.levels, "--levels")) \
@@ -418,6 +425,7 @@ _CAL_HEADER = ("x", "empirical", "unit", "per_point_c", "c_hat")
 
 
 def cmd_calibrate(args, manifest: RunManifest) -> int:
+    from .montecarlo import calibrate_constant
     config = _sim_config(args)
     result = calibrate_constant(config, args.envelope, _x_grid(args))
     rows = [(x, e, u, pc, result.c_hat)
@@ -438,9 +446,12 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
 
 
 def cmd_regress(args, manifest: RunManifest) -> int:
+    from .applications import (RegressionData, regression_ci,
+                               regression_coverage, regression_report)
+    from .martingales import RegressionModel
     if args.data is None and args.coverage is None:
         raise ConfigError("regress needs --data and/or --coverage")
-    noise = _NOISE_BY_TOKEN[args.noise]
+    noise = _noise(args.noise)
     c = BoundConstant(args.C)
     xs = _x_grid(args)
     payload: dict = {}
@@ -481,6 +492,7 @@ def cmd_regress(args, manifest: RunManifest) -> int:
 
 
 def cmd_selfnorm(args, manifest: RunManifest) -> int:
+    from .applications import self_norm_report
     if (args.sample is None) == (args.data is None):
         raise ConfigError("selfnorm needs exactly one of --sample, --data")
     if args.sample is not None:

@@ -47,7 +47,6 @@ from enum import Enum
 from typing import IO, Optional, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .bounds import BernsteinParams
 from .errors import ConfigError, DomainError, UnsupportedModelError
@@ -472,6 +471,29 @@ class ConjugatePathStats:
             object.__setattr__(self, name, arr)
 
 
+def _special(name: str):
+    """The function ``name`` of scipy.special, imported on first use.
+
+    The array thresholds and the interval ends reach scipy.special
+    through this call, so importing the package does not load it (see
+    ``applications.brentq``).
+    """
+    import scipy.special
+    return getattr(scipy.special, name)
+
+
+def _expit(x: float) -> float:
+    """The logistic function 1/(1 + exp(-x)) of one float x >= 0.
+
+    This is the expression scipy.special.expit evaluates for a double,
+    on the same libm exp, so the two agree bit for bit.  Every caller
+    passes x = 2*lam*scale, which is >= 0 because ``_check_tilt`` refuses
+    negative tilts and scales are positive.  The domain matters: for
+    x < -709 math.exp raises OverflowError where scipy returns 0.
+    """
+    return 1.0 / (1.0 + math.exp(-x))
+
+
 def _signs_from_uniforms(u: np.ndarray, lam: float,
                          scales: np.ndarray) -> np.ndarray:
     """+1/-1 per step; up-probability expit(2*lam*scale) (1/2 at lam=0).
@@ -484,7 +506,7 @@ def _signs_from_uniforms(u: np.ndarray, lam: float,
         up = u < 0.5
     else:
         p_up = np.multiply(scales, 2.0 * lam)
-        up = u < expit(p_up, out=p_up)
+        up = u < _special("expit")(p_up, out=p_up)
     signs = np.multiply(up, 2.0)
     signs -= 1.0
     return signs
@@ -494,8 +516,8 @@ def _variance_switch_walk(law: _StepLaw, rng: np.random.Generator,
                           lam: float):
     s_plus, s_minus = law.switch
     u = rng.random(law.n)
-    p_plus = float(expit(2.0 * lam * s_plus))
-    p_minus = float(expit(2.0 * lam * s_minus))
+    p_plus = _expit(2.0 * lam * s_plus)
+    p_minus = _expit(2.0 * lam * s_minus)
     xi = np.empty(law.n)
     var = np.empty(law.n)
     s = 0.0

@@ -51,16 +51,16 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv, expit, ndtri
 
-from .bounds import (BoundConstant, corollary_envelope, eps_log_eps,
-                     lambda_bar, nonuniform_be_envelope, tail_bound_sq, xhat)
+from .bounds import (CALIBRATION_ENVELOPES, BoundConstant, corollary_envelope,
+                     eps_log_eps, lambda_bar, nonuniform_be_envelope,
+                     tail_bound_sq, xhat)
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
-from .martingales import (_check_tilt, _lemma_ceilings, _log_cosh,
-                          _require_model, _steps, _StepLaw)
+from .martingales import (_check_tilt, _expit, _lemma_ceilings, _log_cosh,
+                          _require_model, _special, _steps, _StepLaw)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -78,8 +78,6 @@ _BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
 CHUNK_DRAW_MAX_ENTRIES = 1 << 26
 CHUNK_COUNT_MAX = 1 << 20
 _UNIT_C = BoundConstant(1.0)
-
-CALIBRATION_ENVELOPES = ("thm21", "thm22", "cor21", "brmti", "thm33")
 
 
 class EstimateMethod(str, Enum):
@@ -279,7 +277,7 @@ def _enumeration_atoms(model: MartingaleModel, lam: float):
 def _enumerate_binomial(n: int, scale: float, lam: float):
     k = np.arange(n + 1)
     counts = np.array([math.comb(n, int(v)) for v in k], dtype=float)
-    p_up = float(expit(2.0 * lam * scale))
+    p_up = _expit(2.0 * lam * scale)
     probs = counts * p_up ** k * (1.0 - p_up) ** (n - k)
     values = scale * (2.0 * k - n)
     psi = n * _log_cosh_scalar(lam * scale)
@@ -310,7 +308,7 @@ def _enumerate_general_weights(weights: np.ndarray, lam: float):
     values = np.zeros(1)
     probs = np.ones(1)
     for w in weights:
-        p_up = float(expit(2.0 * lam * w))
+        p_up = _expit(2.0 * lam * w)
         grown = np.concatenate((values + w, values - w))
         grown_p = np.concatenate((probs * p_up, probs * (1.0 - p_up)))
         values, inverse = np.unique(grown, return_inverse=True)
@@ -329,7 +327,7 @@ def _enumerate_variance_switch(law: _StepLaw, lam: float):
     probs = np.ones(1)
     for _ in range(law.n):
         scale = np.where(values >= 0.0, s_plus, s_minus)
-        p_up = expit(2.0 * lam * scale)
+        p_up = _special("expit")(2.0 * lam * scale)
         step_psi = _log_cosh(lam * scale)
         grown_v = np.concatenate((values + scale, values - scale))
         grown_psi = np.concatenate((psis + step_psi, psis + step_psi))
@@ -452,7 +450,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     scale = law.constant_scale
     if scale is not None:
         n = law.n
-        p_up = float(expit(2.0 * lam * scale))
+        p_up = _expit(2.0 * lam * scale)
         k = rng.binomial(n, p_up, size=rows).astype(float)
         finals = np.multiply(scale, 2.0 * k - n, out=batch.finals)
         if want.qc:
@@ -526,8 +524,8 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     s_plus, s_minus = law.switch
     rows = batch.finals.size
     u = rng.random((rows, law.n))
-    p_plus = float(expit(2.0 * lam * s_plus))
-    p_minus = float(expit(2.0 * lam * s_minus))
+    p_plus = _expit(2.0 * lam * s_plus)
+    p_minus = _expit(2.0 * lam * s_minus)
     below = u < p_minus
     minus = np.ascontiguousarray(below.T)
     flip = (None if p_plus == p_minus
@@ -605,6 +603,7 @@ def _map_chunks(config: SimulationConfig, kernel):
 
 def _clopper_pearson(hits: int, n: int, level: float):
     alpha = 1.0 - level
+    betaincinv = _special("betaincinv")
     lo = 0.0 if hits == 0 else float(
         betaincinv(hits, n - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == n else float(
@@ -737,7 +736,8 @@ def estimate_tail_is(config: SimulationConfig, x: float,
     w_max = max(p[2] for p in parts)
     p_hat, se = _mean_se(sum_w, math.fsum(p[1] for p in parts),
                          config.paths)
-    half = float(ndtri(0.5 * (1.0 + config.confidence_level))) * se
+    z = float(_special("ndtri")(0.5 * (1.0 + config.confidence_level)))
+    half = z * se
     ess = sum_w / w_max if w_max > 0.0 else 0.0
     return TailEstimate(float(x), p_hat, max(0.0, p_hat - half), p_hat + half,
                         EstimateMethod.IMPORTANCE_SAMPLED_DELTA, ess,

@@ -18,7 +18,8 @@ from martkit.martingales import (ConjugatePathStats, NoiseFamily, PathSample,
                                  model_to_json, noise_bernstein_constant,
                                  path_to_csv, simulate_path,
                                  simulate_tilted_path, verify_A1, verify_A2)
-from martkit.martingales import _three_point_drift_factor, _three_point_psi
+from martkit.martingales import (_expit, _three_point_drift_factor,
+                                 _three_point_psi)
 
 SR4 = ScaledRademacher.equal_weights(4)
 
@@ -224,6 +225,39 @@ class TestTiltedSampling:
             lo = simulate_tilted_path(SR4, 0.3, seed).differences
             hi = simulate_tilted_path(SR4, 1.5, seed).differences
             assert np.all(hi >= lo)
+
+
+class TestScalarExpit:
+    """The pure-Python logistic against scipy.special.expit, bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(xs):
+        from scipy.special import expit
+        ours = np.array([_expit(x) for x in xs])
+        assert ours.tobytes() == expit(np.array(xs)).tobytes()
+        assert [_expit(x) for x in xs[::97]] == [float(expit(x))
+                                                for x in xs[::97]]
+
+    def test_dense_points(self):
+        rng = np.random.default_rng(2016)
+        self.assert_bits_equal(rng.uniform(-40.0, 40.0, 400_000).tolist()
+                               + np.linspace(0.0, 745.0, 20_000).tolist())
+
+    def test_readme_model_tilts(self):
+        # every threshold 2*lam*scale at lam = f/eps, f the default verify
+        # fractions, on the command-line examples' scalar-threshold models
+        xs = []
+        for model in (ScaledRademacher.equal_weights(400),
+                      ScaledRademacher.equal_weights(1000),
+                      VarianceSwitch(n=64, delta=0.5)):
+            law = model._law()
+            scales = law.switch or (law.constant_scale,)
+            eps = model.bernstein_params().epsilon
+            for f in (0.1, 0.5, 0.9):
+                lam = f / eps
+                xs.extend(2.0 * lam * s for s in scales)
+        assert len(xs) == 12
+        self.assert_bits_equal(xs)
 
 
 class TestConjugateStats:

@@ -419,6 +419,78 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_sampling_modules_leave_scipy_unloaded(self):
+        out = _fresh_python(
+            "import sys, martkit.martingales, martkit.montecarlo, "
+            "martkit.applications\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out == "[]"
+
+    def test_cli_import_leaves_numpy_and_scipy_unloaded(self):
+        out = _fresh_python("import sys, martkit.cli\n" + _PRINT_HEAVY)
+        assert out == "[]"
+
+    def test_bound_command_runs_without_numpy_or_scipy(self):
+        # python -m martkit.cli, run in process so that sys.modules can be
+        # read after it exits
+        out = _fresh_python(
+            "import runpy, sys\n"
+            "sys.argv = ['martkit', 'bound', '--envelope', 'thm21',\n"
+            "            '--epsilon', '0.05', '--x-from', '0', '--x-to',\n"
+            "            '4', '--x-step', '0.5']\n"
+            "try:\n"
+            "    runpy.run_module('martkit.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code)\n" + _PRINT_HEAVY)
+        lines = out.splitlines()
+        assert lines[0] == "x,xhat,lambda_bar,value,log_value"
+        assert len(lines) == 1 + 9 + 2
+        assert lines[-2:] == ["exit 0", "[]"]
+
+    def test_first_scipy_use_inside_worker_threads(self):
+        # scipy loads on first use; here that use is in two pool threads at
+        # once (the self-normalized kernel's array thresholds), and the
+        # results must not depend on it
+        out = _fresh_python(
+            "import sys, threading\n"
+            "first = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'scipy.special' "
+            "and not first:\n"
+            "        first.append(threading.current_thread().name)\n"
+            "sys.addaudithook(hook)\n"
+            "from martkit.martingales import SelfNormalized, VarianceSwitch\n"
+            "from martkit.montecarlo import (SimulationConfig, "
+            "estimate_tail_is,\n"
+            "                                run_verification_suite)\n"
+            "def run(model, workers):\n"
+            "    c = SimulationConfig(model, paths=4096, seed=11,\n"
+            "                         chunk_size=1024, workers=workers)\n"
+            "    return repr((estimate_tail_is(c, 2.0),\n"
+            "                 run_verification_suite(c)))\n"
+            "for model in (SelfNormalized(64, 1.0, 2.5), "
+            "VarianceSwitch(64, 0.5)):\n"
+            "    two = run(model, 2)\n"
+            "    print(two == run(model, 1))\n"
+            "print(first[0] != threading.main_thread().name)\n")
+        assert out.splitlines() == ["True", "True", "True"]
+
+
+_PRINT_HEAVY = ("print(sorted({m.partition('.')[0] for m in sys.modules}\n"
+                "             & {'numpy', 'scipy'}))")
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this package."""
+    pkg_root = str(Path(martkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in [pkg_root, os.environ.get("PYTHONPATH")] if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
 
 def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
     """A plain restatement of the sampling kernels, the bit-exact reference.

@@ -2,8 +2,9 @@
 
 No linter ships with the toolchain, so the rules the package keeps are
 checked here with ``ast``: every name a module imports at module level is
-either used in that module or re-exported through ``__all__``, only
-``martingales`` and ``montecarlo`` key Philox generators, only
+either used in that module or re-exported through ``__all__``, scipy is
+imported only inside function bodies, only ``martingales`` and
+``montecarlo`` key Philox generators, only
 ``montecarlo._new_batch`` builds a chunk's outputs, and every Philox
 stream key is assigned in ``martingales`` alone, each to its own value.
 """
@@ -52,6 +53,52 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def import_time_imports(source: str, package: str) -> list:
+    """Lines that import ``package`` when the module itself is imported:
+    every import statement outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n.partition(".")[0] == package for n in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_import_scan_skips_function_bodies():
+    source = ("import scipy.special\n"
+              "from scipy import optimize\n"
+              "if True:\n"
+              "    from scipy.special import ndtri\n"
+              "class A:\n"
+              "    import scipy\n"
+              "def f():\n"
+              "    from scipy.special import expit\n"
+              "    import scipy\n"
+              "import scipyx, numpy\n")
+    assert import_time_imports(source, "scipy") == [1, 2, 4, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_scipy_is_imported_on_first_use_only(path):
+    # importing scipy.special costs more than numpy; every use reaches it
+    # from a function body (martingales._special, applications.brentq)
+    assert import_time_imports(path.read_text(encoding="utf-8"),
+                               "scipy") == []
 
 
 def call_sites(name: str) -> list:
