@@ -22,14 +22,16 @@ the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
 as scalars.  The VarianceSwitch walk compares its uniforms with both
 thresholds once per chunk, into step-major (n, rows) masks, and each step
 then only reads the sign of the running sum and looks its increments up
-in small tables.  The other per-step-scale families draw the whole chunk
-and then work through it in row blocks of 2^15 entries (256 KiB per
-array), each transposed once to step-major (n, rows) order, so that its
-temporaries stay in the L2 cache and each sum over the steps is one
-reduce (``_fold``).  None of this changes a result: every object
-equals, bit for bit, its plain evaluation over the whole chunk with
-np.where signs, per-step threshold selects and column folds, which the
-tests keep as the reference.
+in small tables.  Every per-step-scale family draws in row blocks of 2^15
+entries (256 KiB per array): a block reads its own rows of each (rows, n)
+matrix from the chunk's stream, so a chunk holds O(block) floats besides
+its per-path outputs (and, for VarianceSwitch, its two bool masks), not
+a (rows, n) draw.  The other families transpose each block once to
+step-major (n, rows) order, so that its temporaries stay in the L2 cache
+and each sum over the steps is one reduce (``_fold``).  None of this
+changes a result: every object equals, bit for bit, its plain evaluation
+over one whole-chunk draw with np.where signs, per-step threshold
+selects and column folds, which the tests keep as the reference.
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -74,7 +76,8 @@ __all__ = [
 _LEAF_CAP = 1 << 20
 _BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
 # refusal caps on a config, far above the largest run in use (8192 x 128
-# entries per draw, 123 chunks): one draw of 2^26 float64 entries is 512 MiB
+# entries per matrix, 123 chunks); draws stream through row blocks, but at
+# 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB
 CHUNK_DRAW_MAX_ENTRIES = 1 << 26
 CHUNK_COUNT_MAX = 1 << 20
 _UNIT_C = BoundConstant(1.0)
@@ -96,10 +99,13 @@ class SimulationConfig:
     forces sampling even where enumeration is available.
 
     Configs whose first chunk would draw more than
-    ``CHUNK_DRAW_MAX_ENTRIES`` entries at once (rows times steps for the
-    matrix-drawing families, rows for the binomial shortcut), or that
+    ``CHUNK_DRAW_MAX_ENTRIES`` entries per matrix (rows times steps for
+    the per-step-scale families, rows for the binomial shortcut), or that
     split into more than ``CHUNK_COUNT_MAX`` chunks, are refused before
     anything is allocated; so is a model outside the built-in families.
+    The matrices are drawn block by block (see ``_simulate_chunk``), so
+    the cap bounds a chunk's stream and its VarianceSwitch masks, not one
+    allocation of float draws.
     """
 
     model: MartingaleModel
@@ -326,8 +332,10 @@ def _enumerate_variance_switch(law: _StepLaw, lam: float):
     psis = np.zeros(1)
     probs = np.ones(1)
     for _ in range(law.n):
-        scale = np.where(values >= 0.0, s_plus, s_minus)
-        p_up = _special("expit")(2.0 * lam * scale)
+        pos = values >= 0.0
+        scale = np.where(pos, s_plus, s_minus)
+        p_up = np.where(pos, _expit(2.0 * lam * s_plus),
+                        _expit(2.0 * lam * s_minus))
         step_psi = _log_cosh(lam * scale)
         grown_v = np.concatenate((values + scale, values - scale))
         grown_psi = np.concatenate((psis + step_psi, psis + step_psi))
@@ -427,16 +435,21 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     results as a per-step threshold select.
 
     The per-step-scale families (SelfNormalized, RegressionModel, and
-    ScaledRademacher with unequal weights) draw the whole chunk first,
-    then run everything after the draw over row blocks of
+    ScaledRademacher with unequal weights) run over row blocks of
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
-    stay in the core's L2 cache.  Each block's draws are copied once into
-    C-contiguous step-major (n, rows) arrays; every stage is then
-    elementwise or one ``_fold`` per object, in step order.  Fixed weights
-    enter as an (n, 1) column, and Psi_n and B_n fold once on that column
-    per block rather than once per row.  Each block folds into its own row
-    slice of the outputs (``_new_batch``), the same bytes as one pass over
-    the chunk.
+    stay in the core's L2 cache, and each block draws its own rows.  The
+    chunk's stream holds the (rows, n) magnitudes or covariates at draw
+    offset 0 and the (rows, n) uniforms at offset rows*n; the kernel keeps
+    a cursor in each, swapping the generator's state between them, and
+    places the second by advancing the Philox counter (4 draws per step)
+    and drawing the remainder.  A chunk therefore holds O(block) floats
+    besides its outputs, whatever n is.  Each block's draws are copied
+    once into C-contiguous step-major (n, rows) arrays; every stage is
+    then elementwise or one ``_fold`` per object, in step order.  Fixed
+    weights enter as an (n, 1) column, and Psi_n and B_n fold once on that
+    column per block rather than once per row.  Each block folds into its
+    own row slice of the outputs (``_new_batch``), the same bytes as one
+    pass over one whole-chunk draw.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, which the per-path sampler
@@ -468,23 +481,36 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     if law.switch is not None:
         return _variance_switch_chunk(law, rng, lam, want, batch)
 
-    # magnitudes (or covariates) first, then one uniform per step
-    draws = None if law.band is None else rng.random((rows, law.n))
-    u = rng.random((rows, law.n))
-    block = max(1, _BLOCK_ELEMENTS // u.shape[1])
+    # the stream holds the (rows, n) magnitudes (or covariates) first, then
+    # the (rows, n) uniforms; each block reads its rows of both, keeping
+    # one cursor per matrix and swapping the generator's state between them
+    n = law.n
+    bits = rng.bit_generator
+    if law.band is not None:
+        at_draws = bits.state
+        # one Philox counter step yields 4 draws; draw the remainder by hand
+        bits.advance(rows * n // 4)
+        rng.random(rows * n % 4)
+        at_uniforms, bits.state = bits.state, at_draws
+    block = max(1, _BLOCK_ELEMENTS // n)
     for r0 in range(0, rows, block):
         rows_in = slice(r0, r0 + block)
-        if draws is None:
+        k = min(block, rows - r0)
+        if law.band is None:
             scales = np.asarray(law.weights)[:, None]
         else:
             low, high = law.band
             scales = low + (high - low) * np.ascontiguousarray(
-                draws[rows_in].T)
+                rng.random((k, n)).T)
             scales /= np.sqrt(_fold(scales * scales))
-        c, xi = _steps(law, scales, np.ascontiguousarray(u[rows_in].T), lam)
+            at_draws, bits.state = bits.state, at_uniforms
+        u = np.ascontiguousarray(rng.random((k, n)).T)
+        if law.band is not None:
+            at_uniforms, bits.state = bits.state, at_draws
+        c, xi = _steps(law, scales, u, lam)
         _accumulate(law, c, xi, want, batch, rows_in)
     if want.qc:
-        batch.qc_final.fill(1.0 if draws is not None else
+        batch.qc_final.fill(1.0 if law.band is not None else
                             math.fsum(v * v for v in law.weights))
     return batch
 
@@ -514,7 +540,9 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
 
     A step goes up when u < p_plus (pos) or u < p_minus (not pos).  Both
     comparisons are made once per chunk, as contiguous (n, rows) masks
-    ``minus`` = u < p_minus and ``flip`` = minus ^ (u < p_plus); the up
+    ``minus`` = u < p_minus and ``flip`` = minus ^ (u < p_plus), filled
+    row block by row block from (block, n) draws, so the chunk holds the
+    two masks (one byte per step and path) and one block of floats; the up
     mask of step i is then minus[i] ^ (pos & flip[i]).  At lam = 0 the
     thresholds agree and ``flip`` is empty.  Each step looks its values up
     by the code 2*pos + up in four-entry tables ordered (-s_minus,
@@ -523,14 +551,18 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     """
     s_plus, s_minus = law.switch
     rows = batch.finals.size
-    u = rng.random((rows, law.n))
     p_plus = _expit(2.0 * lam * s_plus)
     p_minus = _expit(2.0 * lam * s_minus)
-    below = u < p_minus
-    minus = np.ascontiguousarray(below.T)
-    flip = (None if p_plus == p_minus
-            else np.ascontiguousarray((below ^ (u < p_plus)).T))
-    del u, below
+    minus = np.empty((law.n, rows), dtype=bool)
+    flip = None if p_plus == p_minus else np.empty_like(minus)
+    block = max(1, _BLOCK_ELEMENTS // law.n)
+    for r0 in range(0, rows, block):
+        cols = slice(r0, r0 + block)
+        u = rng.random((min(block, rows - r0), law.n)).T
+        np.less(u, p_minus, out=minus[:, cols])
+        if flip is not None:
+            np.less(u, p_plus, out=flip[:, cols])
+            flip[:, cols] ^= minus[:, cols]
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
     tables = []   # (table, accumulator, fold) per requested object

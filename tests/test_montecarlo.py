@@ -7,6 +7,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -267,6 +268,34 @@ class TestEnumerationAtoms:
             brute = sum(p for v, p in tail.items() if v > x)
             exact = float(probs[values > x].sum())
             assert abs(brute - exact) < 1e-13
+
+    @pytest.mark.parametrize("n", [9, 12, 16, 20])
+    def test_variance_switch_thresholds_match_scipy_expit(self, n):
+        # the enumerator picks one of two scalar thresholds per state; the
+        # bytes must be those of scipy's array expit on the per-state scales
+        model = VarianceSwitch(n=n, delta=0.5)
+        s_plus, s_minus = model._law().switch
+        eps = model.bernstein_params().epsilon
+        for f in (0.0, 0.1, 0.37, 0.5, 0.9, 0.999):
+            lam = f / eps
+            values, psis, probs = np.zeros(1), np.zeros(1), np.ones(1)
+            for _ in range(n):
+                scale = np.where(values >= 0.0, s_plus, s_minus)
+                p_up = expit(2.0 * lam * scale)
+                a = np.abs(lam * scale)
+                step_psi = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+                key, inverse = np.unique(
+                    np.column_stack((
+                        np.concatenate((values + scale, values - scale)),
+                        np.concatenate((psis + step_psi, psis + step_psi)))),
+                    axis=0, return_inverse=True)
+                grown_p = np.concatenate((probs * p_up, probs * (1.0 - p_up)))
+                probs = np.zeros(key.shape[0])
+                np.add.at(probs, inverse, grown_p)
+                values, psis = key[:, 0], key[:, 1]
+            got = _enumeration_atoms(model, lam)
+            want = (values, probs, lam * values - psis)
+            assert all(_same_bytes(g, w) for g, w in zip(got, want))
 
     def test_three_point_against_outcome_sweep(self):
         model = RegressionModel(theta=0.0, n=4, covariate_low=1.0,
@@ -583,6 +612,15 @@ REG3_24 = RegressionModel(theta=0.5, n=24, covariate_low=1.0,
 KERNEL_FAMILIES = (VarianceSwitch(n=24, delta=0.4), SN32, REG_RAD24,
                    REG3_24, SR_UNEQ)
 _FAMILY_IDS = ("vs", "sn", "reg-rad", "reg-3pt", "sr-uneq")
+# band families whose uniforms start inside a Philox counter step (4
+# draws): rows * n % 4 is 3, 1 and 2 at 777 rows
+SEAM_FAMILIES = (
+    SelfNormalized(n=31, magnitude_low=1.0, magnitude_high=2.0),
+    RegressionModel(theta=0.5, n=33, covariate_low=1.0, covariate_high=2.0,
+                    sigma=1.0, noise=NoiseFamily.TRUNCATED_SYMMETRIC),
+    RegressionModel(theta=0.5, n=30, covariate_low=1.0, covariate_high=2.0,
+                    sigma=1.0, noise=NoiseFamily.RADEMACHER_SCALED))
+_SEAM_IDS = ("sn31", "reg-3pt33", "reg-rad30")
 _FULL = dict(psi=True, b=True, z=True, qc=True)
 
 
@@ -632,7 +670,8 @@ class TestStepMajorFold:
 
 
 class TestSamplingKernels:
-    @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
+    @pytest.mark.parametrize("model", KERNEL_FAMILIES + SEAM_FAMILIES,
+                             ids=_FAMILY_IDS + _SEAM_IDS)
     @pytest.mark.parametrize("tilt_fraction, rows", [
         (0.0, 777), (0.6, 777), (0.0, _seam_rows), (0.6, _seam_rows),
         (0.6, _one_row_tail),
@@ -659,6 +698,10 @@ class TestSamplingKernels:
         self.test_chunk_equals_plain_reference(
             SelfNormalized(n=1000, magnitude_low=1.0, magnitude_high=2.5),
             0.6, 33)
+
+    def test_seam_families_start_uniforms_inside_a_counter_step(self):
+        assert sorted(777 * m.n % 4 for m in SEAM_FAMILIES) == [1, 2, 3]
+        assert all(_one_row_tail(m) * m.n % 4 for m in SEAM_FAMILIES)
 
     @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
     def test_one_row_chunk_replays_the_per_path_api(self, model):
@@ -707,6 +750,30 @@ class TestSamplingKernels:
         assert _same_bytes(z_only.z_prod[0], full.z_prod[0])
         qc_only = _simulate_chunk(*args, _Request(qc=True))
         assert _same_bytes(qc_only.qc_final, full.qc_final)
+
+
+class TestChunkMemory:
+    """Draws stream through the row blocks: a chunk's peak does not grow
+    with n beyond its outputs (and, for VarianceSwitch, its bool masks)."""
+
+    @pytest.mark.parametrize("model, tilt_fraction, bound_mib", [
+        (SelfNormalized(n=1000, magnitude_low=1.0, magnitude_high=2.0),
+         0.0, 8),
+        (VarianceSwitch(n=128, delta=0.5), 0.5, 4),
+    ], ids=["sn1000", "vs128"])
+    def test_traced_peak_of_a_verify_chunk(self, model, tilt_fraction,
+                                           bound_mib):
+        eps = model.bernstein_params().epsilon
+        want = _Request(tuple(f / eps for f in (0.1, 0.5, 0.9)), **_FULL)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _simulate_chunk(model, 1, STREAM_MC, 0, 8192,
+                            tilt_fraction / eps, want)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
 
 class TestTailIS:
@@ -947,11 +1014,16 @@ class TestVerificationSuite:
             return real(seed, stream, index)
 
         monkeypatch.setattr(montecarlo, "generator_for", counting)
-        rep = run_verification_suite(
-            cfg(VS12, paths=2500, chunk_size=1000, exhaustive=False),
-            lam_fractions=(0.1, 0.5, 0.9), domination_levels=(0.5, 1.0, 2.0))
-        assert "tail-domination" in rep.checks_run
-        assert sorted(drawn) == [(STREAM_MC, c) for c in range(3)]
+        # SN and three-point regression read both their (rows, n) matrices
+        # through the chunk's one key, as VarianceSwitch reads its one
+        for model in (VS12, SN32, REG3_24):
+            drawn.clear()
+            rep = run_verification_suite(
+                cfg(model, paths=2500, chunk_size=1000, exhaustive=False),
+                lam_fractions=(0.1, 0.5, 0.9),
+                domination_levels=(0.5, 1.0, 2.0))
+            assert "tail-domination" in rep.checks_run
+            assert sorted(drawn) == [(STREAM_MC, c) for c in range(3)]
 
     def test_band_breach_is_reported_once_per_chunk_against_its_end(
             self, monkeypatch):
