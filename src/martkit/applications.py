@@ -3,8 +3,9 @@
 Two inference problems reduce to the normalized-martingale setting and
 inherit its normal-approximation envelopes: the least-squares slope of a
 fixed-design-per-sample linear model, and the self-normalized mean of
-independent symmetric variables.  A third-moment comparison bound for the
-self-normalized case is included for benchmarking.
+independent symmetric variables.  Their envelopes, and a third-moment
+comparison bound for the self-normalized case, are closed forms that live
+in ``bounds`` beside the other envelopes and are re-exported here.
 
 Coverage experiments draw nothing themselves: a replication's
 standardized slope error is the terminal value of one ``RegressionModel``
@@ -21,10 +22,10 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import (BernsteinParams, BoundConstant, EnvelopeSource,
-                     RatioBand, TailEnvelope, _log_or_neg_inf,
-                     _require_absolute, breve_x, cramer_ratio_band,
-                     eps_log_eps)
+from .bounds import (BoundConstant, RegressionEnvelopes, SelfNormEnvelopes,
+                     _require_absolute, breve_x, eps_log_eps,
+                     regression_envelope, self_norm_envelope,
+                     wang_jing_bound)
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_sf
 from .martingales import (STREAM_COVERAGE, NoiseFamily, RegressionModel,
@@ -183,85 +184,6 @@ def regression_epsilons(source, *, noise: Optional[NoiseFamily] = None
         raise ConfigError(
             f"expected RegressionData or RegressionModel, got {type(source).__name__}")
     return EpsilonSplit(eps1, eps2, eps1 * eps2 / sigma)
-
-
-# ---------------------------------------------------------------------------
-# envelopes
-
-
-def _delta_free_band(x: float, eps: float, c: BoundConstant) -> RatioBand:
-    # reuse the general band when eps is in the strict range; otherwise
-    # evaluate the same formula and mark the band invalid
-    if 0.0 < eps <= 0.5:
-        return cramer_ratio_band(abs(x), BernsteinParams(eps), c)
-    width = c.c * (1.0 + abs(x) ** 3) * eps_log_eps(eps)
-    return RatioBand(lo=max(0.0, 1.0 - width), hi=1.0 + width, valid=False)
-
-
-@dataclass(frozen=True)
-class RegressionEnvelopes:
-    """The three normal-approximation statements for the slope error."""
-
-    nonuniform: TailEnvelope   # pointwise CDF bound, deformed exponent
-    uniform: float             # sup-norm CDF bound C eps|log eps|
-    band: RatioBand            # tail ratio band, moderate-x range
-    eps_valid: bool            # eps in (0, 1/2]: the statements apply
-
-
-def regression_envelope(x: float, eps: float,
-                        c: BoundConstant = _DEFAULT_C) -> RegressionEnvelopes:
-    """Bounds on the slope error's distance from the standard normal.
-
-    The pointwise bound is C (1+x^2) eps|log eps| exp(-breve_x^2/2) with
-    the delta-free deformation breve_x = 2|x|/(1+sqrt(1+2|x|eps)); the
-    ratio band is 1 -/+ C (1+x^3) eps|log eps|, trustworthy for
-    x <= eps^(-1/3).  Out-of-range eps evaluates the formulas but clears
-    ``eps_valid``.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    _require_absolute(c, "regression_envelope")
-    xb = breve_x(x, eps)
-    rate = eps_log_eps(eps)
-    log_value = _log_or_neg_inf(c.c * (1.0 + x * x) * rate) - 0.5 * xb * xb
-    nonuniform = TailEnvelope(
-        x=float(x), value=math.exp(log_value), log_value=log_value,
-        source=EnvelopeSource.REGRESSION, constant_used=c, xhat=xb)
-    return RegressionEnvelopes(
-        nonuniform=nonuniform, uniform=c.c * rate,
-        band=_delta_free_band(x, eps, c), eps_valid=0.0 < eps <= 0.5)
-
-
-@dataclass(frozen=True)
-class SelfNormEnvelopes:
-    """Normal-approximation statements for the self-normalized mean."""
-
-    envelope: TailEnvelope     # pointwise CDF bound, undeformed exponent
-    band: RatioBand
-    eps_valid: bool
-
-
-def self_norm_envelope(x: float, eps: float,
-                       c: BoundConstant = _DEFAULT_C) -> SelfNormEnvelopes:
-    """Bounds for the self-normalized mean of symmetric steps.
-
-    The pointwise bound C (1+x^2) eps|log eps| exp(-x^2/2) keeps the
-    plain Gaussian exponent: under self-normalization the per-step
-    log-mgf of the sign given the magnitude is at most lam^2/2 with no
-    scale deformation, so the exponent never degrades.  Even in x by
-    construction.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    _require_absolute(c, "self_norm_envelope")
-    rate = eps_log_eps(eps)
-    log_value = _log_or_neg_inf(c.c * (1.0 + x * x) * rate) - 0.5 * x * x
-    envelope = TailEnvelope(
-        x=float(x), value=math.exp(log_value), log_value=log_value,
-        source=EnvelopeSource.SELF_NORMALIZED, constant_used=c, xhat=abs(x))
-    return SelfNormEnvelopes(envelope=envelope,
-                             band=_delta_free_band(x, eps, c),
-                             eps_valid=0.0 < eps <= 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -487,33 +409,6 @@ def self_norm_report(sample: Sequence[float], *,
 
 # ---------------------------------------------------------------------------
 # third-moment comparison bound
-
-
-def wang_jing_bound(x: float, l3n: float, tail_prob_sum: float,
-                    c: BoundConstant = _DEFAULT_C) -> float:
-    """Third-moment nonuniform bound for self-normalized symmetric sums.
-
-    Piecewise in |x| against the threshold (5 l3n^(1/3))^(-1): inside,
-    C (l3n (1+x^2) + tail_prob_sum) exp(-x^2/2) where tail_prob_sum is
-    the caller-supplied sum of step truncation probabilities; outside,
-    the constant-free (1 + 1/(sqrt(2 pi)|x|)) exp(-x^2/2).  The two
-    branches do not meet continuously; that is a property of the bound,
-    not a defect.  l3n = 0 degenerates to the inside branch everywhere.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if not (isinstance(l3n, (int, float)) and math.isfinite(l3n)
-            and l3n >= 0.0):
-        raise DomainError(f"l3n must be finite and >= 0, got {l3n!r}")
-    if not (isinstance(tail_prob_sum, (int, float))
-            and math.isfinite(tail_prob_sum) and tail_prob_sum >= 0.0):
-        raise DomainError(
-            f"tail_prob_sum must be finite and >= 0, got {tail_prob_sum!r}")
-    _require_absolute(c, "wang_jing_bound")
-    gauss = math.exp(-0.5 * x * x)
-    if l3n == 0.0 or abs(x) <= 1.0 / (5.0 * l3n ** (1.0 / 3.0)):
-        return c.c * (l3n * (1.0 + x * x) + tail_prob_sum) * gauss
-    return (1.0 + 1.0 / (math.sqrt(2.0 * math.pi) * abs(x))) * gauss
 
 
 def wang_jing_inputs(model, x: float) -> Tuple[float, float]:

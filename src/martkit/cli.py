@@ -32,7 +32,8 @@ from . import __version__
 from .bounds import (CALIBRATION_ENVELOPES, BernsteinParams, BoundConstant,
                      MomentSummary, classical_envelopes, corollary_envelope,
                      de_la_pena_bennett, lambda_bar, nonuniform_be_envelope,
-                     strengthened_tail_envelope)
+                     regression_envelope, self_norm_envelope,
+                     strengthened_tail_envelope, wang_jing_bound)
 from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import mills_sandwich, std_normal_log_sf
 
@@ -310,13 +311,11 @@ def _bound_rows(args, xs: List[float]):
                 put(x, None, None, value,
                     math.log(value) if value > 0.0 else -math.inf, name)
     elif token == "wang-jing":
-        from .applications import wang_jing_bound
         for x in xs:
             value = wang_jing_bound(x, args.l3n, args.tail_sum, c)
             put(x, None, None, value,
                 math.log(value) if value > 0.0 else -math.inf)
     elif token in ("regression", "selfnorm"):
-        from .applications import regression_envelope, self_norm_envelope
         if not 0.0 < args.epsilon <= 0.5:
             raise DomainError(
                 "the application envelopes require the effective step "

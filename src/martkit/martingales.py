@@ -30,10 +30,13 @@ checks read that description, never the family's class.
 Randomness is counter-based: a Philox generator keyed by
 ``[seed, (stream << 56) | index]``.  Draw order inside one path is fixed
 and documented per family (magnitudes or covariates first, then one
-uniform per step for the sign/outcome).  A step goes up when its uniform
-is below the tilted up-probability expit(2*lambda*scale); at lambda = 0
-that threshold is exactly 0.5, so the tilted sampler reproduces the plain
-sampler bit for bit.
+uniform per step for the sign/outcome).  The samplers read raw 64-bit
+words: a word w stands for the uniform u = (w >> 11) * 2^-53 that
+numpy's ``Generator.random`` would return, and each comparison with u is
+made exactly on the integer w >> 11 (see ``_steps``).  A step goes up
+when its uniform is below the tilted up-probability
+expit(2*lambda*scale); at lambda = 0 that threshold is exactly 0.5, so
+the tilted sampler reproduces the plain sampler bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ STREAM_COVERAGE = 4   # regression coverage replications
 
 _MASK64 = (1 << 64) - 1
 _INDEX_LIMIT = 1 << 56
+
+# A raw Philox word w stands for the uniform u = (w >> 11) * 2^-53.
+_WORD_SHIFT = 11
+_UNIT = 2.0 ** 53
+_ULP = 2.0 ** -53
+_SIGN_BIT = 1 << 63
+# numpy's exp and libm's differ by an ulp, which moves a threshold
+# 2^53 * expit(x) by at most 2 units of m (measured over 2e6 thresholds,
+# x in [0, 2)); words within this margin are decided by scipy's expit
+_MARGIN = 16.0
 
 
 def generator_for(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -494,86 +507,162 @@ def _expit(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def _signs_from_uniforms(u: np.ndarray, lam: float,
-                         scales: np.ndarray) -> np.ndarray:
-    """+1/-1 per step; up-probability expit(2*lam*scale) (1/2 at lam=0).
+def _band_values(band: tuple, words: np.ndarray, out=None) -> np.ndarray:
+    """low + (high - low)*u for the uniforms u of raw words, bit for bit.
 
-    At lam = 0 every threshold is exactly 1/2, so expit is skipped; the
-    signs come from the mask as 2*(u < p) - 1, the same values np.where
-    would pick.
+    The words are shifted to m = w >> 11 in place.  The product is formed
+    as h*m with h = (high - low) * 2^-53: the same real number as
+    (high - low)*u, rounded once, so low == high still gives low exactly.
     """
+    low, high = band
+    m = np.right_shift(words, _WORD_SHIFT, out=words)
+    out = np.multiply(m, (high - low) * _ULP, out=out)
+    out += low
+    return out
+
+
+def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
+                     shape: tuple):
+    """(xi, e): steps +-c, up with probability expit(2*lam*c).
+
+    A step goes up when u < p.  At lam = 0, p = 1/2, and u < 1/2 exactly
+    when the word's top bit is clear, so xi is c with that bit as its
+    sign bit.  At lam > 0 the threshold on m is T = 2^53/(1 + e), with
+    e = exp(-2*lam*c) from numpy's exp, returned for ``_log_cosh``; xi is
+    c with the sign bit of T - m, set when m > T.  numpy's exp and libm's
+    (behind scipy's expit) differ by an ulp at most, which moves T by at
+    most 2; every m within ``_MARGIN`` of T is decided by u <
+    expit(2*lam*c) itself, so xi equals the steps of that rule bit for bit.
+    """
+    c = np.asarray(c, dtype=float)
     if lam == 0.0:
-        up = u < 0.5
-    else:
-        p_up = np.multiply(scales, 2.0 * lam)
-        up = u < _special("expit")(p_up, out=p_up)
-    signs = np.multiply(up, 2.0)
-    signs -= 1.0
-    return signs
+        signed = np.bitwise_and(words, _SIGN_BIT,
+                                out=np.empty(shape, np.uint64))
+        signed |= c.view(np.uint64)
+        return signed.view(np.float64), None
+    expit = _special("expit")
+    e = np.multiply(c, -2.0 * lam)
+    np.exp(e, out=e)
+    thr = np.add(e, 1.0)
+    np.divide(_UNIT, thr, out=thr)
+    m = np.right_shift(words, _WORD_SHIFT, out=words)
+    gap = np.empty(shape)
+    np.copyto(gap, m, casting="unsafe")
+    np.subtract(thr, gap, out=gap)
+    near = np.greater(gap, -_MARGIN)
+    near &= np.less(gap, _MARGIN)
+    signed = gap.view(np.uint64)
+    signed &= _SIGN_BIT
+    signed |= c.view(np.uint64)
+    xi = signed.view(np.float64)
+    if near.any():
+        cn = np.broadcast_to(c, shape)[near]
+        u = m[near] * _ULP
+        xi[near] = np.where(u < expit(cn * (2.0 * lam)), cn, -cn)
+    return xi, e
 
 
 def _variance_switch_walk(law: _StepLaw, rng: np.random.Generator,
                           lam: float):
     s_plus, s_minus = law.switch
-    u = rng.random(law.n)
-    p_plus = _expit(2.0 * lam * s_plus)
-    p_minus = _expit(2.0 * lam * s_minus)
+    words = rng.bit_generator.random_raw(law.n).tolist()
+    w_plus = _word_threshold(_expit(2.0 * lam * s_plus))
+    w_minus = _word_threshold(_expit(2.0 * lam * s_minus))
     xi = np.empty(law.n)
     var = np.empty(law.n)
     s = 0.0
     for i in range(law.n):
         if s >= 0.0:  # sign(0) = +1
-            scale, p_up = s_plus, p_plus
+            scale, w_up = s_plus, w_plus
         else:
-            scale, p_up = s_minus, p_minus
-        step = scale if u[i] < p_up else -scale
+            scale, w_up = s_minus, w_minus
+        step = scale if words[i] < w_up else -scale
         xi[i] = step
         var[i] = scale * scale
         s += step
     return xi, np.cumsum(var)
 
 
-def _three_point_outcomes(u: np.ndarray, lam: float,
-                          support: np.ndarray) -> np.ndarray:
+def _word_threshold(p: float) -> int:
+    """The word bound equivalent to u < p: w < ceil(p * 2^53) << 11.
+
+    m < p*2^53 exactly when m < ceil(p*2^53), as m is an integer, and
+    (w >> 11) < k exactly when w < k << 11.  Needs p < 1, which every
+    tilt inside [0, 1/eps) gives, so the bound fits in 64 bits.
+    """
+    return math.ceil(p * _UNIT) << _WORD_SHIFT
+
+
+def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
+                          shape: tuple) -> np.ndarray:
     """Outcome in {+1, 0, -1} units for {-c, 0, +c} steps, P(+-) = 1/8.
 
     Tilting scales the point masses by e^{+-lam c} on the extremes; the
-    thresholds reduce to (1/8, 7/8) exactly at lam = 0, where they are
-    used as scalars.  The outcome is the mask difference (u < hi) -
-    (u >= mid): hi < mid, so at most one of the two masks is set.
+    thresholds (hi, mid) reduce to (1/8, 7/8) exactly at lam = 0, where
+    u < 1/8 and u >= 7/8 read the word's top three bits.  Otherwise both
+    thresholds are scaled by 2^53 (exactly: the total is scaled by 2^-53
+    before the divisions) and compared with m.  The outcome is the int8
+    mask difference (u < hi) - (u >= mid): hi < mid, so at most one is
+    set.  The masks keep the layout of ``words`` and only the outcome
+    bytes are copied to C order.
     """
     if lam == 0.0:
-        hi, mid = 0.125, 0.875
+        up = np.less(words, 1 << 61)
+        down = np.greater_equal(words, 7 << 61)
     else:
+        # in place: t becomes the down weight, then 0.75/total, then mid
         t = lam * support
-        up_w = 0.125 * np.exp(t)
-        down_w = 0.125 * np.exp(-t)
-        total = up_w + 0.75 + down_w
-        hi = up_w / total
-        mid = hi + 0.75 / total
-    return np.subtract(u < hi, u >= mid, dtype=float)
+        hi = np.exp(t)
+        hi *= 0.125
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        t *= 0.125
+        total = hi + 0.75
+        total += t
+        total *= _ULP
+        np.divide(hi, total, out=hi)
+        np.divide(0.75, total, out=t)
+        t += hi
+        m = total
+        np.copyto(m, np.right_shift(words, _WORD_SHIFT, out=words),
+                  casting="unsafe")
+        up = np.less(m, hi)
+        down = np.greater_equal(m, t)
+    outcome = np.subtract(up.view(np.int8), down.view(np.int8))
+    return np.ascontiguousarray(outcome)
 
 
-def _steps(law: _StepLaw, scales: np.ndarray, u: np.ndarray, lam: float):
-    """(c, xi): step sizes and steps for normalized scales and uniforms u.
+def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float):
+    """(c, xi, e): step sizes, steps and exp(-2*lam*c) for raw words.
 
-    c is the scale itself for two-point steps and the support 2*scale for
-    three-point ones; xi = c * outcome, with the outcome thresholded from
-    u at tilt lam.  ``scales`` may broadcast against ``u``.
+    ``words`` holds one raw Philox word per step, step-major: (n,) for one
+    path, or the (n, k) transpose of a chunk's (k, n) draw.  Each word w
+    stands for the uniform u = (w >> 11) * 2^-53 that numpy's
+    ``Generator.random`` would return, and every comparison with u is made
+    on the 53-bit integer m = w >> 11 (or on w) against a threshold scaled
+    by 2^53, which gives the same decision exactly; the tilted two-point
+    threshold falls back to scipy's expit within a margin (see
+    ``_two_point_steps``).  c is the scale itself for two-point steps and
+    the support 2*scale for three-point ones; xi = c * outcome, a new
+    C-contiguous array of the broadcast shape of ``scales`` and ``words``.
+    e is exp(-2*lam*c), which ``_log_cosh`` reuses at the same tilt, or
+    None when no threshold needed it.  The words are consumed: the tilted
+    thresholds shift them in place.
     """
+    shape = np.broadcast_shapes(np.shape(scales), words.shape)
     if law.three_point:
         c = 2.0 * scales
-        outcome = _three_point_outcomes(u, lam, c)
-    else:
-        c = scales
-        outcome = _signs_from_uniforms(u, lam, c)
-    return c, np.multiply(outcome, c, out=outcome)
+        outcome = _three_point_outcomes(words, lam, c, shape)
+        return c, np.multiply(outcome, c), None
+    xi, e = _two_point_steps(words, lam, scales, shape)
+    return scales, xi, e
 
 
 def _generate(model: MartingaleModel, lam: float, seed: int,
               path_index: int) -> PathSample:
     law = model._law()
     rng = generator_for(seed, STREAM_PATH, path_index)
+    bits = rng.bit_generator
     if law.switch is not None:
         xi, qc_tail = _variance_switch_walk(law, rng, lam)
     else:
@@ -581,14 +670,12 @@ def _generate(model: MartingaleModel, lam: float, seed: int,
             scales = np.asarray(law.weights)
             qc_tail = np.cumsum(scales * scales)
         else:
-            # magnitudes or covariates first, then one uniform per step;
-            # low + (high-low)*u keeps the degenerate low == high case exact
-            low, high = law.band
-            m = low + (high - low) * rng.random(law.n)
+            # magnitudes or covariates first, then one word per step
+            m = _band_values(law.band, bits.random_raw(law.n))
             csum = np.cumsum(m * m)
             scales = m / math.sqrt(csum[-1])
             qc_tail = csum / csum[-1]
-        _, xi = _steps(law, scales, rng.random(law.n), lam)
+        _, xi, _ = _steps(law, scales, bits.random_raw(law.n), lam)
     sums = np.concatenate(([0.0], np.cumsum(xi)))
     qc = np.concatenate(([0.0], qc_tail))
     sq = math.fsum(v * v for v in xi.tolist())
@@ -626,16 +713,19 @@ def simulate_tilted_path(model: MartingaleModel, lam: float, seed: int, *,
     return _generate(model, lam, seed, path_index)
 
 
-def _log_cosh(t: np.ndarray) -> np.ndarray:
-    """log cosh(t) = |t| + log1p(e^{-2|t|}) - log 2 for an array t.
+def _log_cosh(t: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+    """log cosh(t) = t + log1p(e^{-2t}) - log 2 for an array t >= 0.
 
-    The terms are evaluated in that order into one buffer besides |t|.
+    Every caller passes t = lam * c with lam, c >= 0.  ``e`` is e^{-2t}
+    when the caller already holds it, and is overwritten: the two-point
+    thresholds at tilt lam compute exp(-2*lam*c), the same float as
+    exp(-2*t) for t = lam*c.
     """
-    a = np.abs(t)
-    out = np.multiply(a, -2.0)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    np.add(a, out, out=out)
+    if e is None:
+        e = np.multiply(t, -2.0)
+        np.exp(e, out=e)
+    out = np.log1p(e, out=e)
+    np.add(t, out, out=out)
     np.subtract(out, _LOG2, out=out)
     return out
 

@@ -28,10 +28,20 @@ matrix from the chunk's stream, so a chunk holds O(block) floats besides
 its per-path outputs (and, for VarianceSwitch, its two bool masks), not
 a (rows, n) draw.  The other families transpose each block once to
 step-major (n, rows) order, so that its temporaries stay in the L2 cache
-and each sum over the steps is one reduce (``_fold``).  None of this
+and each sum over the steps is one reduce (``_fold``).
+
+The kernels read the stream as raw Philox words (``random_raw``), never
+as doubles.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
+``Generator.random`` would return, and every comparison with u is made
+on the 53-bit integer m = w >> 11, or on w, against a threshold scaled
+by 2^53: u < p exactly when m < p*2^53.  The tilted two-point threshold
+2^53*expit(2*lam*c) comes from numpy's exp, which moves it by at most 2
+units of m against scipy's expit; words within a margin of 16 units are
+decided by scipy's expit (see ``martingales._steps``).  None of this
 changes a result: every object equals, bit for bit, its plain evaluation
-over one whole-chunk draw with np.where signs, per-step threshold
-selects and column folds, which the tests keep as the reference.
+over one whole-chunk ``Generator.random`` draw with np.where signs,
+per-step threshold selects and column folds, which the tests keep as the
+reference.
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -61,8 +71,9 @@ from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
-from .martingales import (_check_tilt, _expit, _lemma_ceilings, _log_cosh,
-                          _require_model, _special, _steps, _StepLaw)
+from .martingales import (_band_values, _check_tilt, _expit,
+                          _lemma_ceilings, _log_cosh, _require_model,
+                          _special, _steps, _StepLaw, _word_threshold)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -406,6 +417,10 @@ def _fold(steps: np.ndarray, op=np.add) -> np.ndarray:
     row would be a 1-d reduce, which numpy adds pairwise, so it takes the
     last entry of the step-by-step accumulate instead.
     """
+    if not steps.flags.c_contiguous:
+        # an F-ordered block would be reduced pairwise, not in step order
+        raise ValueError("_fold needs a C-contiguous (n, rows) block, got "
+                         f"strides {steps.strides} for shape {steps.shape}")
     start = float(op.identity)
     if steps.shape[1] == 1:
         return op.accumulate(np.append(start, steps))[-1:]
@@ -441,11 +456,13 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     chunk's stream holds the (rows, n) magnitudes or covariates at draw
     offset 0 and the (rows, n) uniforms at offset rows*n; the kernel keeps
     a cursor in each, swapping the generator's state between them, and
-    places the second by advancing the Philox counter (4 draws per step)
+    places the second by advancing the Philox counter (4 words per step)
     and drawing the remainder.  A chunk therefore holds O(block) floats
-    besides its outputs, whatever n is.  Each block's draws are copied
-    once into C-contiguous step-major (n, rows) arrays; every stage is
-    then elementwise or one ``_fold`` per object, in step order.  Fixed
+    besides its outputs, whatever n is.  Each block's draws are raw words
+    w, read as u = (w >> 11) * 2^-53 and compared as 53-bit integers (see
+    ``martingales._steps``); the first stage on each writes a C-contiguous
+    step-major (n, rows) array, and every later stage is elementwise or
+    one ``_fold`` per object, in step order.  Fixed
     weights enter as an (n, 1) column, and Psi_n and B_n fold once on that
     column per block rather than once per row.  Each block folds into its
     own row slice of the outputs (``_new_batch``), the same bytes as one
@@ -481,16 +498,16 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     if law.switch is not None:
         return _variance_switch_chunk(law, rng, lam, want, batch)
 
-    # the stream holds the (rows, n) magnitudes (or covariates) first, then
-    # the (rows, n) uniforms; each block reads its rows of both, keeping
-    # one cursor per matrix and swapping the generator's state between them
+    # the stream holds the (rows, n) magnitude (or covariate) words first,
+    # then the (rows, n) uniform words; each block reads its rows of both,
+    # keeping one cursor per matrix and swapping the generator's state
     n = law.n
     bits = rng.bit_generator
     if law.band is not None:
         at_draws = bits.state
-        # one Philox counter step yields 4 draws; draw the remainder by hand
+        # one Philox counter step yields 4 words; draw the remainder by hand
         bits.advance(rows * n // 4)
-        rng.random(rows * n % 4)
+        bits.random_raw(rows * n % 4)
         at_uniforms, bits.state = bits.state, at_draws
     block = max(1, _BLOCK_ELEMENTS // n)
     for r0 in range(0, rows, block):
@@ -499,16 +516,14 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
         if law.band is None:
             scales = np.asarray(law.weights)[:, None]
         else:
-            low, high = law.band
-            scales = low + (high - low) * np.ascontiguousarray(
-                rng.random((k, n)).T)
+            scales = _band_values(law.band, bits.random_raw((k, n)).T,
+                                  np.empty((n, k)))
             scales /= np.sqrt(_fold(scales * scales))
             at_draws, bits.state = bits.state, at_uniforms
-        u = np.ascontiguousarray(rng.random((k, n)).T)
+        c, xi, e = _steps(law, scales, bits.random_raw((k, n)).T, lam)
         if law.band is not None:
             at_uniforms, bits.state = bits.state, at_draws
-        c, xi = _steps(law, scales, u, lam)
-        _accumulate(law, c, xi, want, batch, rows_in)
+        _accumulate(law, c, xi, want, batch, rows_in, lam, e)
     if want.qc:
         batch.qc_final.fill(1.0 if law.band is not None else
                             math.fsum(v * v for v in law.weights))
@@ -516,17 +531,25 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
 
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
-                want: _Request, batch: _Batch, rows_in: slice) -> None:
+                want: _Request, batch: _Batch, rows_in: slice, lam: float,
+                e: Optional[np.ndarray]) -> None:
     """Fold the (n, rows) steps xi of size c into batch rows ``rows_in``.
 
-    c is (n, rows), or an (n, 1) column for fixed weights.
+    c is (n, rows), or an (n, 1) column for fixed weights.  e is
+    exp(-2*lam*c) from the sampling thresholds at tilt lam, or None; the
+    first two-point log-MGF at that same tilt reads it (and overwrites
+    it) instead of a new exp.
     """
     log_mgf, drift, mgf = law.mgf_terms
     batch.finals[rows_in] = _fold(xi)
     for j, cl in enumerate(want.lams):
         t = cl * c
         if want.psi:
-            batch.psi[j][rows_in] = _fold(log_mgf(t))
+            if e is not None and cl == lam:
+                terms, e = _log_cosh(t, e), None
+            else:
+                terms = log_mgf(t)
+            batch.psi[j][rows_in] = _fold(terms)
         if want.b:
             batch.b_drift[j][rows_in] = _fold(c * drift(t))
         if want.z:
@@ -538,11 +561,12 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
                            batch: _Batch) -> _Batch:
     """Step-major walk: the state enters only through pos = (S >= 0).
 
-    A step goes up when u < p_plus (pos) or u < p_minus (not pos).  Both
+    A step goes up when u < p_plus (pos) or u < p_minus (not pos), that
+    is when its raw word is below ``_word_threshold(p)``.  Both
     comparisons are made once per chunk, as contiguous (n, rows) masks
     ``minus`` = u < p_minus and ``flip`` = minus ^ (u < p_plus), filled
-    row block by row block from (block, n) draws, so the chunk holds the
-    two masks (one byte per step and path) and one block of floats; the up
+    row block by row block from (block, n) words, so the chunk holds the
+    two masks (one byte per step and path) and one block of words; the up
     mask of step i is then minus[i] ^ (pos & flip[i]).  At lam = 0 the
     thresholds agree and ``flip`` is empty.  Each step looks its values up
     by the code 2*pos + up in four-entry tables ordered (-s_minus,
@@ -551,18 +575,19 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     """
     s_plus, s_minus = law.switch
     rows = batch.finals.size
-    p_plus = _expit(2.0 * lam * s_plus)
-    p_minus = _expit(2.0 * lam * s_minus)
+    w_plus = _word_threshold(_expit(2.0 * lam * s_plus))
+    w_minus = _word_threshold(_expit(2.0 * lam * s_minus))
     minus = np.empty((law.n, rows), dtype=bool)
-    flip = None if p_plus == p_minus else np.empty_like(minus)
+    flip = None if w_plus == w_minus else np.empty_like(minus)
     block = max(1, _BLOCK_ELEMENTS // law.n)
     for r0 in range(0, rows, block):
         cols = slice(r0, r0 + block)
-        u = rng.random((min(block, rows - r0), law.n)).T
-        np.less(u, p_minus, out=minus[:, cols])
+        # compared in draw order, then only the mask bytes are transposed
+        words = rng.bit_generator.random_raw((min(block, rows - r0), law.n))
+        below = np.less(words, w_minus)
+        minus[:, cols] = below.T
         if flip is not None:
-            np.less(u, p_plus, out=flip[:, cols])
-            flip[:, cols] ^= minus[:, cols]
+            flip[:, cols] = (np.less(words, w_plus) ^ below).T
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
     tables = []   # (table, accumulator, fold) per requested object

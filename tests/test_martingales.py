@@ -18,8 +18,10 @@ from martkit.martingales import (ConjugatePathStats, NoiseFamily, PathSample,
                                  model_to_json, noise_bernstein_constant,
                                  path_to_csv, simulate_path,
                                  simulate_tilted_path, verify_A1, verify_A2)
-from martkit.martingales import (_expit, _three_point_drift_factor,
-                                 _three_point_psi)
+from martkit.martingales import (_MARGIN, _band_values, _expit,
+                                 _three_point_drift_factor,
+                                 _three_point_outcomes, _three_point_psi,
+                                 _two_point_steps, _word_threshold)
 
 SR4 = ScaledRademacher.equal_weights(4)
 
@@ -258,6 +260,104 @@ class TestScalarExpit:
                 xs.extend(2.0 * lam * s for s in scales)
         assert len(xs) == 12
         self.assert_bits_equal(xs)
+
+
+def _words_and_uniforms(size, index=0):
+    """Raw Philox words and the uniforms Generator.random makes of them."""
+    words = generator_for(31, 0, index).bit_generator.random_raw(size)
+    return words, generator_for(31, 0, index).random(size)
+
+
+class TestWordThresholds:
+    """Decisions on raw words equal the decisions on their uniforms."""
+
+    def test_words_are_the_uniforms_stream(self):
+        words, u = _words_and_uniforms(1000)
+        assert ((words >> 11) * 2.0 ** -53).tobytes() == u.tobytes()
+
+    def test_integer_comparison_matches_the_uniform_one(self):
+        words, u = _words_and_uniforms(20_000)
+        m = words >> 11
+        ps = [0.5, 0.125, 0.875, 2.0 ** -53, 1.0 - 2.0 ** -53]
+        # p on the 2^-53 grid, at and beside drawn values of m
+        ps += [float(k) * 2.0 ** -53 for v in m[:50].tolist()
+               for k in (v - 1, v, v + 1)]
+        ps += np.random.default_rng(3).random(200).tolist()
+        for p in ps:
+            want = u < p
+            assert np.array_equal(m < p * 2.0 ** 53, want)
+            assert np.array_equal(words < _word_threshold(p), want)
+
+    @pytest.mark.parametrize("band", [(1.0, 2.5), (1.0, 2.0), (0.5, 1.5),
+                                      (1.5, 1.5), (3.0, 3.0 + 1e-9)])
+    def test_band_values_match_the_uniform_formula(self, band):
+        low, high = band
+        words, u = _words_and_uniforms(20_000, 1)
+        got = _band_values(band, words)
+        assert got.tobytes() == (low + (high - low) * u).tobytes()
+
+    def test_top_bit_sign_matches_the_half_threshold(self):
+        words, u = _words_and_uniforms(20_000, 2)
+        c = np.random.default_rng(4).uniform(0.01, 0.3, 20_000)
+        xi, e = _two_point_steps(words, 0.0, c, c.shape)
+        assert e is None
+        assert xi.tobytes() == ((2.0 * (u < 0.5) - 1.0) * c).tobytes()
+
+    def test_tilted_signs_match_expit(self):
+        from scipy.special import expit
+        words, u = _words_and_uniforms(20_000, 3)
+        c = np.random.default_rng(5).uniform(0.01, 0.3, 20_000)
+        lam = 2.7
+        xi, e = _two_point_steps(words.copy(), lam, c, c.shape)
+        want = np.where(u < expit(c * (2.0 * lam)), c, -c)
+        assert xi.tobytes() == want.tobytes()
+        assert e.tobytes() == np.exp(c * (-2.0 * lam)).tobytes()
+
+    def test_fallback_decides_words_on_the_fast_threshold(self):
+        # numpy's exp and libm's can disagree by an ulp, moving the fast
+        # threshold 2^53/(1 + exp(-x)) off 2^53 expit(x); words placed
+        # between the two, and around them, must follow scipy's expit
+        from scipy.special import expit
+        lam = 1.0
+        c = np.random.default_rng(6).uniform(0.0, 1.0, 200_000)
+        fast = 2.0 ** 53 / (1.0 + np.exp(c * (-2.0 * lam)))
+        exact = expit(c * (2.0 * lam)) * 2.0 ** 53
+        assert np.abs(fast - exact).max() <= 2.0 < _MARGIN
+        # an integer m with fast and exact on opposite sides of it
+        m = np.ceil(np.minimum(fast, exact))
+        split = m < np.maximum(fast, exact)
+        assert split.sum() >= 100
+        c, fast = np.repeat(c[split], 5), np.repeat(fast[split], 5)
+        m = (np.repeat(m[split], 5)
+             + np.tile([-2.0, -1.0, 0.0, 1.0, 2.0], int(split.sum())))
+        low_bits = np.random.default_rng(7).integers(0, 1 << 11, c.size,
+                                                     dtype=np.uint64)
+        words = (m.astype(np.uint64) << np.uint64(11)) | low_bits
+        u = m * 2.0 ** -53
+        xi, _ = _two_point_steps(words, lam, c, c.shape)
+        want = np.where(u < expit(c * (2.0 * lam)), c, -c)
+        assert xi.tobytes() == want.tobytes()
+        # the fast threshold alone decides some of these words wrongly
+        assert np.any((m < fast) != (u < expit(c * (2.0 * lam))))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 3.0])
+    def test_three_point_outcomes_match_the_uniform_rule(self, lam):
+        words, u = _words_and_uniforms(20_000, 4)
+        edges = np.array([(1 << 61) - 1, 1 << 61, (7 << 61) - 1, 7 << 61],
+                         dtype=np.uint64)
+        words = np.concatenate((words, edges))
+        u = np.concatenate((u, (edges >> np.uint64(11)) * 2.0 ** -53))
+        c = np.random.default_rng(8).uniform(0.01, 0.6, u.size)
+        t = lam * c
+        up_w, down_w = 0.125 * np.exp(t), 0.125 * np.exp(-t)
+        total = up_w + 0.75 + down_w
+        hi = up_w / total
+        mid = hi + 0.75 / total
+        want = np.subtract(u < hi, u >= mid, dtype=float)
+        got = _three_point_outcomes(words, lam, c, c.shape)
+        assert np.array_equal(got, want)
+        if lam == 0.0:
+            assert got[-4:].tolist() == [1, 0, 0, -1]
 
 
 class TestConjugateStats:

@@ -459,14 +459,20 @@ class TestImportFootprint:
         out = _fresh_python("import sys, martkit.cli\n" + _PRINT_HEAVY)
         assert out == "[]"
 
-    def test_bound_command_runs_without_numpy_or_scipy(self):
+    @pytest.mark.parametrize("envelope", [
+        ["thm21", "--epsilon", "0.05"],
+        ["wang-jing", "--l3n", "0.1", "--tail-sum", "0.01"],
+        ["regression", "--epsilon", "0.05"],
+        ["selfnorm", "--epsilon", "0.05"],
+    ], ids=lambda args: args[0])
+    def test_bound_command_runs_without_numpy_or_scipy(self, envelope):
         # python -m martkit.cli, run in process so that sys.modules can be
         # read after it exits
+        argv = (["martkit", "bound", "--envelope"] + envelope
+                + ["--x-from", "0", "--x-to", "4", "--x-step", "0.5"])
         out = _fresh_python(
             "import runpy, sys\n"
-            "sys.argv = ['martkit', 'bound', '--envelope', 'thm21',\n"
-            "            '--epsilon', '0.05', '--x-from', '0', '--x-to',\n"
-            "            '4', '--x-step', '0.5']\n"
+            f"sys.argv = {argv!r}\n"
             "try:\n"
             "    runpy.run_module('martkit.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
@@ -621,6 +627,10 @@ SEAM_FAMILIES = (
     RegressionModel(theta=0.5, n=30, covariate_low=1.0, covariate_high=2.0,
                     sigma=1.0, noise=NoiseFamily.RADEMACHER_SCALED))
 _SEAM_IDS = ("sn31", "reg-3pt33", "reg-rad30")
+# a constant design runs the band path with high - low = 0
+REG3_CONST = RegressionModel(theta=0.5, n=24, covariate_low=1.5,
+                             covariate_high=1.5, sigma=1.0,
+                             noise=NoiseFamily.TRUNCATED_SYMMETRIC)
 _FULL = dict(psi=True, b=True, z=True, qc=True)
 
 
@@ -668,10 +678,22 @@ class TestStepMajorFold:
             assert _same_bytes(_fold(np.full((n, rows), -0.0), op),
                                np.zeros(rows))
 
+    @pytest.mark.parametrize("block", [
+        np.asfortranarray(np.ones((64, 512))),
+        np.ones((64, 1024))[:, ::2],
+        np.ones((512, 64)).T,
+    ], ids=["fortran", "strided", "transposed"])
+    def test_refuses_a_block_not_in_c_order(self, block):
+        # numpy would reduce such a block in another order than step by
+        # step, and change the bytes without a sign
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _fold(block)
+
 
 class TestSamplingKernels:
-    @pytest.mark.parametrize("model", KERNEL_FAMILIES + SEAM_FAMILIES,
-                             ids=_FAMILY_IDS + _SEAM_IDS)
+    @pytest.mark.parametrize("model",
+                             KERNEL_FAMILIES + SEAM_FAMILIES + (REG3_CONST,),
+                             ids=_FAMILY_IDS + _SEAM_IDS + ("reg-3pt-const",))
     @pytest.mark.parametrize("tilt_fraction, rows", [
         (0.0, 777), (0.6, 777), (0.0, _seam_rows), (0.6, _seam_rows),
         (0.6, _one_row_tail),

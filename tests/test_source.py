@@ -4,7 +4,9 @@ No linter ships with the toolchain, so the rules the package keeps are
 checked here with ``ast``: every name a module imports at module level is
 either used in that module or re-exported through ``__all__``, scipy is
 imported only inside function bodies, only ``martingales`` and
-``montecarlo`` key Philox generators, only
+``montecarlo`` key Philox generators, the samplers read raw Philox words
+(``Generator.random`` is called only by
+``martingales.bolthausen_augment``, which draws no family steps), only
 ``montecarlo._new_batch`` builds a chunk's outputs, and every Philox
 stream key is assigned in ``martingales`` alone, each to its own value.
 """
@@ -134,6 +136,14 @@ def test_only_the_samplers_key_generators():
     # augmentation), montecarlo the chunk kernel; every other module,
     # coverage experiments included, samples through them
     assert generator_callers() == {"martingales", "montecarlo"}
+
+
+def test_samplers_draw_raw_words():
+    # the chunk kernels and the per-path sampler compare raw words
+    # (random_raw) as 53-bit integers and never form a double uniform;
+    # only the augmentation's padding signs use Generator.random
+    assert set(call_sites("random")) == {("martingales",
+                                          "bolthausen_augment")}
 
 
 def test_chunk_outputs_have_one_layout():
