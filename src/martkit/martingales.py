@@ -190,7 +190,7 @@ class _StepLaw:
         """(log-MGF, tilted mean / c, MGF) of a step of size c at t = lam*c."""
         if self.three_point:
             return _three_point_psi, _three_point_drift_factor, _three_point_mgf
-        return _log_cosh, np.tanh, np.cosh
+        return _log_cosh, np.tanh, np.cosh   # each takes out=
 
 
 @dataclass(frozen=True)
@@ -507,6 +507,19 @@ def _expit(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def _lent(work: Optional[dict], name: str, shape: tuple) -> np.ndarray:
+    """``work[name]`` when the caller lent an array of this shape, else a
+    new one.
+
+    The chunk kernel lends every row block the same C-contiguous (n, k)
+    arrays (see ``montecarlo._simulate_chunk``); the per-path sampler
+    lends none, and column-shaped stages of fixed weights always get
+    their own small arrays.
+    """
+    buf = None if work is None else work.get(name)
+    return buf if buf is not None and buf.shape == shape else np.empty(shape)
+
+
 def _band_values(band: tuple, words: np.ndarray, out=None) -> np.ndarray:
     """low + (high - low)*u for the uniforms u of raw words, bit for bit.
 
@@ -522,7 +535,7 @@ def _band_values(band: tuple, words: np.ndarray, out=None) -> np.ndarray:
 
 
 def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
-                     shape: tuple):
+                     shape: tuple, work: Optional[dict] = None):
     """(xi, e): steps +-c, up with probability expit(2*lam*c).
 
     A step goes up when u < p.  At lam = 0, p = 1/2, and u < 1/2 exactly
@@ -535,18 +548,18 @@ def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
     expit(2*lam*c) itself, so xi equals the steps of that rule bit for bit.
     """
     c = np.asarray(c, dtype=float)
+    xi = _lent(work, "xi", shape)
     if lam == 0.0:
-        signed = np.bitwise_and(words, _SIGN_BIT,
-                                out=np.empty(shape, np.uint64))
+        signed = np.bitwise_and(words, _SIGN_BIT, out=xi.view(np.uint64))
         signed |= c.view(np.uint64)
-        return signed.view(np.float64), None
+        return xi, None
     expit = _special("expit")
-    e = np.multiply(c, -2.0 * lam)
+    e = np.multiply(c, -2.0 * lam, out=_lent(work, "e", c.shape))
     np.exp(e, out=e)
-    thr = np.add(e, 1.0)
+    thr = np.add(e, 1.0, out=_lent(work, "a", c.shape))
     np.divide(_UNIT, thr, out=thr)
     m = np.right_shift(words, _WORD_SHIFT, out=words)
-    gap = np.empty(shape)
+    gap = xi
     np.copyto(gap, m, casting="unsafe")
     np.subtract(thr, gap, out=gap)
     near = np.greater(gap, -_MARGIN)
@@ -554,7 +567,6 @@ def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
     signed = gap.view(np.uint64)
     signed &= _SIGN_BIT
     signed |= c.view(np.uint64)
-    xi = signed.view(np.float64)
     if near.any():
         cn = np.broadcast_to(c, shape)[near]
         u = m[near] * _ULP
@@ -594,7 +606,8 @@ def _word_threshold(p: float) -> int:
 
 
 def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
-                          shape: tuple) -> np.ndarray:
+                          shape: tuple, work: Optional[dict] = None
+                          ) -> np.ndarray:
     """Outcome in {+1, 0, -1} units for {-c, 0, +c} steps, P(+-) = 1/8.
 
     Tilting scales the point masses by e^{+-lam c} on the extremes; the
@@ -611,13 +624,13 @@ def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
         down = np.greater_equal(words, 7 << 61)
     else:
         # in place: t becomes the down weight, then 0.75/total, then mid
-        t = lam * support
-        hi = np.exp(t)
+        t = np.multiply(support, lam, out=_lent(work, "a", shape))
+        hi = np.exp(t, out=_lent(work, "b", shape))
         hi *= 0.125
         np.negative(t, out=t)
         np.exp(t, out=t)
         t *= 0.125
-        total = hi + 0.75
+        total = np.add(hi, 0.75, out=_lent(work, "d", shape))
         total += t
         total *= _ULP
         np.divide(hi, total, out=hi)
@@ -632,7 +645,8 @@ def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
     return np.ascontiguousarray(outcome)
 
 
-def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float):
+def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float,
+           work: Optional[dict] = None):
     """(c, xi, e): step sizes, steps and exp(-2*lam*c) for raw words.
 
     ``words`` holds one raw Philox word per step, step-major: (n,) for one
@@ -647,14 +661,15 @@ def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float):
     C-contiguous array of the broadcast shape of ``scales`` and ``words``.
     e is exp(-2*lam*c), which ``_log_cosh`` reuses at the same tilt, or
     None when no threshold needed it.  The words are consumed: the tilted
-    thresholds shift them in place.
+    thresholds shift them in place.  ``work`` lends arrays that c, xi, e
+    and the temporaries are written into (see ``_lent``).
     """
     shape = np.broadcast_shapes(np.shape(scales), words.shape)
     if law.three_point:
-        c = 2.0 * scales
-        outcome = _three_point_outcomes(words, lam, c, shape)
-        return c, np.multiply(outcome, c), None
-    xi, e = _two_point_steps(words, lam, scales, shape)
+        c = np.multiply(scales, 2.0, out=_lent(work, "c", shape))
+        outcome = _three_point_outcomes(words, lam, c, shape, work)
+        return c, np.multiply(outcome, c, out=_lent(work, "xi", shape)), None
+    xi, e = _two_point_steps(words, lam, scales, shape, work)
     return scales, xi, e
 
 
@@ -713,16 +728,17 @@ def simulate_tilted_path(model: MartingaleModel, lam: float, seed: int, *,
     return _generate(model, lam, seed, path_index)
 
 
-def _log_cosh(t: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+def _log_cosh(t: np.ndarray, e: Optional[np.ndarray] = None,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """log cosh(t) = t + log1p(e^{-2t}) - log 2 for an array t >= 0.
 
     Every caller passes t = lam * c with lam, c >= 0.  ``e`` is e^{-2t}
     when the caller already holds it, and is overwritten: the two-point
     thresholds at tilt lam compute exp(-2*lam*c), the same float as
-    exp(-2*t) for t = lam*c.
+    exp(-2*t) for t = lam*c.  Otherwise e^{-2t} is formed in ``out``.
     """
     if e is None:
-        e = np.multiply(t, -2.0)
+        e = np.multiply(t, -2.0, out=out)
         np.exp(e, out=e)
     out = np.log1p(e, out=e)
     np.add(t, out, out=out)
@@ -730,7 +746,7 @@ def _log_cosh(t: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _three_point_psi(t: np.ndarray) -> np.ndarray:
+def _three_point_psi(t: np.ndarray, out=None) -> np.ndarray:
     """log E[e^{lam xi}] for the {-c, 0, +c} step, t = lam*c >= 0.
 
     The direct form needs no overflow-safe branch: every tilt that reaches
@@ -738,24 +754,27 @@ def _three_point_psi(t: np.ndarray) -> np.ndarray:
     largest step c is at most 2*sqrt(3)*eps, so t < 2*sqrt(3), far below
     the t ~ 710 where cosh overflows.
     """
-    out = np.cosh(t)
+    out = np.cosh(t, out=out)
     out *= 0.25
     out += 0.75
     return np.log(out, out=out)
 
 
-def _three_point_drift_factor(t: np.ndarray) -> np.ndarray:
+def _three_point_drift_factor(t: np.ndarray, out=None) -> np.ndarray:
     """sinh(t)/(3 + cosh(t)), the tilted mean in units of the support c."""
     den = np.cosh(t)
     den += 3.0
-    out = np.sinh(t)
+    out = np.sinh(t, out=out)
     out /= den
     return out
 
 
-def _three_point_mgf(t: np.ndarray) -> np.ndarray:
+def _three_point_mgf(t: np.ndarray, out=None) -> np.ndarray:
     """E[e^{lam xi}] for the {-c, 0, +c} step, t = lam*c."""
-    return 0.75 + 0.25 * np.cosh(t)
+    out = np.cosh(t, out=out)
+    out *= 0.25
+    out += 0.75
+    return out
 
 
 def conjugate_stats(path: PathSample, model: MartingaleModel,

@@ -72,7 +72,7 @@ from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
 from .martingales import (_band_values, _check_tilt, _expit,
-                          _lemma_ceilings, _log_cosh, _require_model,
+                          _lemma_ceilings, _lent, _log_cosh, _require_model,
                           _special, _steps, _StepLaw, _word_threshold)
 
 __all__ = [
@@ -86,6 +86,9 @@ __all__ = [
 
 _LEAF_CAP = 1 << 20
 _BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
+# the (n, k) arrays a row block's stages are written into: the scales, a
+# three-point support, the steps, exp(-2 lam c) and three temporaries
+_WORK = ("scales", "c", "xi", "e", "a", "b", "d")
 # refusal caps on a config, far above the largest run in use (8192 x 128
 # entries per matrix, 123 chunks); draws stream through row blocks, but at
 # 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB
@@ -510,20 +513,26 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
         bits.random_raw(rows * n % 4)
         at_uniforms, bits.state = bits.state, at_draws
     block = max(1, _BLOCK_ELEMENTS // n)
+    # every (n, k) stage of every block writes into rows of this one
+    # allocation, which the allocator keeps from chunk to chunk
+    slab = np.empty((len(_WORK), n * min(block, rows)))
     for r0 in range(0, rows, block):
         rows_in = slice(r0, r0 + block)
         k = min(block, rows - r0)
+        work = {name: row[:n * k].reshape(n, k)
+                for name, row in zip(_WORK, slab)}
         if law.band is None:
             scales = np.asarray(law.weights)[:, None]
         else:
             scales = _band_values(law.band, bits.random_raw((k, n)).T,
-                                  np.empty((n, k)))
-            scales /= np.sqrt(_fold(scales * scales))
+                                  work["scales"])
+            scales /= np.sqrt(_fold(np.multiply(scales, scales,
+                                                out=work["a"])))
             at_draws, bits.state = bits.state, at_uniforms
-        c, xi, e = _steps(law, scales, bits.random_raw((k, n)).T, lam)
+        c, xi, e = _steps(law, scales, bits.random_raw((k, n)).T, lam, work)
         if law.band is not None:
             at_uniforms, bits.state = bits.state, at_draws
-        _accumulate(law, c, xi, want, batch, rows_in, lam, e)
+        _accumulate(law, c, xi, want, batch, rows_in, lam, e, work)
     if want.qc:
         batch.qc_final.fill(1.0 if law.band is not None else
                             math.fsum(v * v for v in law.weights))
@@ -532,29 +541,35 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
 
 def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
                 want: _Request, batch: _Batch, rows_in: slice, lam: float,
-                e: Optional[np.ndarray]) -> None:
+                e: Optional[np.ndarray], work: dict) -> None:
     """Fold the (n, rows) steps xi of size c into batch rows ``rows_in``.
 
     c is (n, rows), or an (n, 1) column for fixed weights.  e is
     exp(-2*lam*c) from the sampling thresholds at tilt lam, or None; the
     first two-point log-MGF at that same tilt reads it (and overwrites
-    it) instead of a new exp.
+    it) instead of a new exp.  The terms are formed in the arrays ``a``,
+    ``b`` and ``d`` of ``work`` (see ``martingales._lent``).
     """
     log_mgf, drift, mgf = law.mgf_terms
     batch.finals[rows_in] = _fold(xi)
     for j, cl in enumerate(want.lams):
-        t = cl * c
+        t = np.multiply(c, cl, out=_lent(work, "a", c.shape))
         if want.psi:
             if e is not None and cl == lam:
                 terms, e = _log_cosh(t, e), None
             else:
-                terms = log_mgf(t)
+                terms = log_mgf(t, out=_lent(work, "b", c.shape))
             batch.psi[j][rows_in] = _fold(terms)
         if want.b:
-            batch.b_drift[j][rows_in] = _fold(c * drift(t))
+            terms = drift(t, out=_lent(work, "b", c.shape))
+            terms *= c
+            batch.b_drift[j][rows_in] = _fold(terms)
         if want.z:
-            batch.z_prod[j][rows_in] = _fold(np.exp(cl * xi) / mgf(t),
-                                             np.multiply)
+            den = mgf(t, out=_lent(work, "d", c.shape))
+            terms = np.multiply(xi, cl, out=_lent(work, "b", xi.shape))
+            np.exp(terms, out=terms)
+            terms /= den
+            batch.z_prod[j][rows_in] = _fold(terms, np.multiply)
 
 
 def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
@@ -577,8 +592,12 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     rows = batch.finals.size
     w_plus = _word_threshold(_expit(2.0 * lam * s_plus))
     w_minus = _word_threshold(_expit(2.0 * lam * s_minus))
-    minus = np.empty((law.n, rows), dtype=bool)
-    flip = None if w_plus == w_minus else np.empty_like(minus)
+    # both masks in one allocation: glibc's malloc then keeps that much
+    # heap for the next chunk, where two 1 MiB masks (n = 128) were handed
+    # back to the system and faulted in again, 512 page faults a chunk
+    masks = np.empty((1 if w_plus == w_minus else 2, law.n, rows), dtype=bool)
+    minus = masks[0]
+    flip = masks[1] if len(masks) == 2 else None
     block = max(1, _BLOCK_ELEMENTS // law.n)
     for r0 in range(0, rows, block):
         cols = slice(r0, r0 + block)
