@@ -187,10 +187,13 @@ class _StepLaw:
 
     @property
     def mgf_terms(self) -> tuple:
-        """(log-MGF, tilted mean / c, MGF) of a step of size c at t = lam*c."""
+        """(log-MGF, tilted mean / c, MGF) of a step of size c at t = lam*c.
+
+        Each takes the array t and an optional ``out`` array.
+        """
         if self.three_point:
             return _three_point_psi, _three_point_drift_factor, _three_point_mgf
-        return _log_cosh, np.tanh, np.cosh   # each takes out=
+        return _log_cosh, np.tanh, np.cosh
 
 
 @dataclass(frozen=True)
@@ -657,7 +660,7 @@ def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float,
     by 2^53, which gives the same decision exactly; the tilted two-point
     threshold falls back to scipy's expit within a margin (see
     ``_two_point_steps``).  c is the scale itself for two-point steps and
-    the support 2*scale for three-point ones; xi = c * outcome, a new
+    the support 2*scale for three-point ones; xi = c * outcome, a
     C-contiguous array of the broadcast shape of ``scales`` and ``words``.
     e is exp(-2*lam*c), which ``_log_cosh`` reuses at the same tilt, or
     None when no threshold needed it.  The words are consumed: the tilted

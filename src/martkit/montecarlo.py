@@ -465,7 +465,9 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     w, read as u = (w >> 11) * 2^-53 and compared as 53-bit integers (see
     ``martingales._steps``); the first stage on each writes a C-contiguous
     step-major (n, rows) array, and every later stage is elementwise or
-    one ``_fold`` per object, in step order.  Fixed
+    one ``_fold`` per object, in step order.  The stages write into the
+    ``_WORK`` arrays, rows of one allocation per chunk lent to every
+    block, so a block allocates only its two word arrays.  Fixed
     weights enter as an (n, 1) column, and Psi_n and B_n fold once on that
     column per block rather than once per row.  Each block folds into its
     own row slice of the outputs (``_new_batch``), the same bytes as one
