@@ -550,7 +550,6 @@ def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
     most 2; every m within ``_MARGIN`` of T is decided by u <
     expit(2*lam*c) itself, so xi equals the steps of that rule bit for bit.
     """
-    c = np.asarray(c, dtype=float)
     xi = _lent(work, "xi", shape)
     if lam == 0.0:
         signed = np.bitwise_and(words, _SIGN_BIT, out=xi.view(np.uint64))
@@ -609,8 +608,7 @@ def _word_threshold(p: float) -> int:
 
 
 def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
-                          shape: tuple, work: Optional[dict] = None
-                          ) -> np.ndarray:
+                          work: Optional[dict] = None) -> np.ndarray:
     """Outcome in {+1, 0, -1} units for {-c, 0, +c} steps, P(+-) = 1/8.
 
     Tilting scales the point masses by e^{+-lam c} on the extremes; the
@@ -627,6 +625,7 @@ def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
         down = np.greater_equal(words, 7 << 61)
     else:
         # in place: t becomes the down weight, then 0.75/total, then mid
+        shape = support.shape
         t = np.multiply(support, lam, out=_lent(work, "a", shape))
         hi = np.exp(t, out=_lent(work, "b", shape))
         hi *= 0.125
@@ -670,7 +669,7 @@ def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float,
     shape = np.broadcast_shapes(np.shape(scales), words.shape)
     if law.three_point:
         c = np.multiply(scales, 2.0, out=_lent(work, "c", shape))
-        outcome = _three_point_outcomes(words, lam, c, shape, work)
+        outcome = _three_point_outcomes(words, lam, c, work)
         return c, np.multiply(outcome, c, out=_lent(work, "xi", shape)), None
     xi, e = _two_point_steps(words, lam, scales, shape, work)
     return scales, xi, e

@@ -462,8 +462,10 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     places the second by advancing the Philox counter (4 words per step)
     and drawing the remainder.  A chunk therefore holds O(block) floats
     besides its outputs, whatever n is.  Each block's draws are raw words
-    w, read as u = (w >> 11) * 2^-53 and compared as 53-bit integers (see
-    ``martingales._steps``); the first stage on each writes a C-contiguous
+    w, read as u = (w >> 11) * 2^-53 and compared as 53-bit integers, with
+    scipy's expit deciding the words within a margin of a tilted
+    two-point threshold (see ``martingales._steps``); the first stage on
+    each writes a C-contiguous
     step-major (n, rows) array, and every later stage is elementwise or
     one ``_fold`` per object, in step order.  The stages write into the
     ``_WORK`` arrays, rows of one allocation per chunk lent to every

@@ -308,7 +308,7 @@ class TestWordThresholds:
         words, u = _words_and_uniforms(20_000, 3)
         c = np.random.default_rng(5).uniform(0.01, 0.3, 20_000)
         lam = 2.7
-        xi, e = _two_point_steps(words.copy(), lam, c, c.shape)
+        xi, e = _two_point_steps(words, lam, c, c.shape)
         want = np.where(u < expit(c * (2.0 * lam)), c, -c)
         assert xi.tobytes() == want.tobytes()
         assert e.tobytes() == np.exp(c * (-2.0 * lam)).tobytes()
@@ -354,7 +354,7 @@ class TestWordThresholds:
         hi = up_w / total
         mid = hi + 0.75 / total
         want = np.subtract(u < hi, u >= mid, dtype=float)
-        got = _three_point_outcomes(words, lam, c, c.shape)
+        got = _three_point_outcomes(words, lam, c)
         assert np.array_equal(got, want)
         if lam == 0.0:
             assert got[-4:].tolist() == [1, 0, 0, -1]
