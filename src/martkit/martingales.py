@@ -196,6 +196,58 @@ class _StepLaw:
         return _log_cosh, np.tanh, np.cosh
 
 
+@dataclass(frozen=True, eq=False)
+class _SwitchCounts:
+    """Per-path step counts, which fix every object of a ``switch`` path.
+
+    k = ``plus`` steps were taken at s_plus (S_{i-1} >= 0) and n - k at
+    s_minus; only Z reads the up-steps at each scale.  <S>_n, Psi_n and
+    B_n are k v_plus + (n - k) v_minus for the value v = s^2,
+    log cosh(lam s) or s tanh(lam s) of each scale.
+    """
+
+    law: _StepLaw
+    plus: np.ndarray
+    up_plus: Optional[np.ndarray] = None
+    up_minus: Optional[np.ndarray] = None
+
+    def _total(self, per_scale, out=None):
+        out = np.multiply(self.plus, per_scale[0], out=out)
+        out += np.multiply(self.law.n - self.plus, per_scale[1])
+        return out
+
+    def qc(self, out=None):
+        return self._total([s * s for s in self.law.switch], out)
+
+    def psi(self, lam: float, out=None):
+        return self._total(_log_cosh(lam * np.array(self.law.switch)), out)
+
+    def b(self, lam: float, out=None):
+        scales = np.array(self.law.switch)
+        return self._total(scales * np.tanh(lam * scales), out)
+
+    def z(self, lam: float, out=None):
+        """Each step kind's factor e^{lam xi}/cosh(lam s) to its count.
+
+        A float route apart from exp(lam S_n - Psi_n).  The count raises
+        the factor's rounding to its power, so the factors are formed as a
+        per-step product forms them: numpy's exp over math.cosh.
+        """
+        s_plus, s_minus = self.law.switch
+        steps = lam * np.array([s_plus, -s_plus, s_minus, -s_minus])
+        cosh = [math.cosh(abs(t)) for t in steps]
+        minus = self.law.n - self.plus
+        counts = (self.up_plus, self.plus - self.up_plus,
+                  self.up_minus, minus - self.up_minus)
+        powers = np.arange(self.law.n + 1)
+        f0, f1, f2, f3 = ((f ** powers).take(count)
+                          for f, count in zip(np.exp(steps) / cosh, counts))
+        out = np.multiply(f0, f1, out=out)
+        out *= f2
+        out *= f3
+        return out
+
+
 @dataclass(frozen=True)
 class ScaledRademacher:
     """Independent fair signs on deterministic scales w_i, sum w_i^2 = 1."""
@@ -785,7 +837,10 @@ def conjugate_stats(path: PathSample, model: MartingaleModel,
 
     The identities log Z = lam*S_n - Psi and S_n = Y + B hold exactly by
     construction (each is computed from the other two), which is what the
-    per-path hard checks rely on.
+    per-path hard checks rely on.  For switch laws Psi and B come from the
+    path's step counts (``_SwitchCounts``), as in the chunk kernel, while
+    ``per_step_psi`` and ``per_step_b`` stay per step for the prefixes
+    that ``lemma_checks`` reads; their sums may differ in the last bits.
     """
     _require_model(model)
     _check_tilt(lam, model.bernstein_params().epsilon)
@@ -804,8 +859,13 @@ def conjugate_stats(path: PathSample, model: MartingaleModel,
     t = lam * scales
     psi_steps = log_mgf(t)
     b_steps = scales * drift(t)
-    psi = float(np.cumsum(psi_steps)[-1]) if psi_steps.size else 0.0
-    b_drift = float(np.cumsum(b_steps)[-1]) if b_steps.size else 0.0
+    if law.switch is not None:   # k steps at s_plus, sign(0) = +1
+        counts = _SwitchCounts(law, np.count_nonzero(path.partial_sums[:-1]
+                                                     >= 0.0))
+        psi, b_drift = float(counts.psi(lam)), float(counts.b(lam))
+    else:
+        psi = float(np.cumsum(psi_steps)[-1]) if psi_steps.size else 0.0
+        b_drift = float(np.cumsum(b_steps)[-1]) if b_steps.size else 0.0
     sn = path.final
     log_z = lam * sn - psi
     return ConjugatePathStats(

@@ -16,19 +16,20 @@ step, and accumulate terminal sums in step order.
 A chunk computes only the per-path objects its caller reads: the plain
 estimators read terminal sums alone, ``estimate_tail_is`` reads Psi_n at
 its tilt, ``conjugate_clt_check`` reads B_n at its tilt, and only
-``run_verification_suite`` reads Psi_n, B_n, the per-step product Z and
-<S>_n, at every one of its tilts.  At tilt zero the sign thresholds are
-the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
-as scalars.  The VarianceSwitch walk compares its uniforms with both
-thresholds once per chunk, into step-major (n, rows) masks, and each step
-then only reads the sign of the running sum and looks its increments up
-in small tables.  Every per-step-scale family draws in row blocks of 2^15
-entries (256 KiB per array): a block reads its own rows of each (rows, n)
-matrix from the chunk's stream, so a chunk holds O(block) floats besides
-its per-path outputs (and, for VarianceSwitch, its two bool masks), not
-a (rows, n) draw.  The other families transpose each block once to
-step-major (n, rows) order, so that its temporaries stay in the L2 cache
-and each sum over the steps is one reduce (``_fold``).
+``run_verification_suite`` reads Psi_n, B_n, the product Z and <S>_n, at
+every one of its tilts.  At tilt zero the sign thresholds are the
+constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared as
+scalars.  The VarianceSwitch walk compares its uniforms with both
+thresholds once per chunk, into step-major (n, rows) masks, and each
+step then only reads the sign of the running sum and looks its increment
+up in a small table; its other objects follow from per-path step counts.
+Every per-step-scale family draws in row blocks of 2^15 entries (256 KiB
+per array): a block reads its own rows of each (rows, n) matrix from the
+chunk's stream, so a chunk holds O(block) floats besides its per-path
+outputs (and, for VarianceSwitch, its two bool masks), not a (rows, n)
+draw.  The other families transpose each block once to step-major
+(n, rows) order, so that its temporaries stay in the L2 cache and each
+sum over the steps is one reduce (``_fold``).
 
 The kernels read the stream as raw Philox words (``random_raw``), never
 as doubles.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
@@ -40,8 +41,8 @@ units of m against scipy's expit; words within a margin of 16 units are
 decided by scipy's expit (see ``martingales._steps``).  None of this
 changes a result: every object equals, bit for bit, its plain evaluation
 over one whole-chunk ``Generator.random`` draw with np.where signs,
-per-step threshold selects and column folds, which the tests keep as the
-reference.
+per-step threshold selects and column folds (for VarianceSwitch, the
+count form of its objects), which the tests keep as the reference.
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -73,7 +74,8 @@ from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
 from .martingales import (_band_values, _check_tilt, _expit,
                           _lemma_ceilings, _lent, _log_cosh, _require_model,
-                          _special, _steps, _StepLaw, _word_threshold)
+                          _special, _steps, _StepLaw, _SwitchCounts,
+                          _word_threshold)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -381,8 +383,8 @@ def _use_enumeration(config: SimulationConfig) -> Optional[int]:
 class _Request:
     """The per-path objects a caller reads from a chunk, besides S_n.
 
-    ``psi``, ``b`` and ``z`` ask for Psi_n, B_n and the per-step product Z
-    at each tilt in ``lams``; ``qc`` asks for <S>_n.  Nothing else is
+    ``psi``, ``b`` and ``z`` ask for Psi_n, B_n and the product Z at each
+    tilt in ``lams``; ``qc`` asks for <S>_n.  Nothing else is
     computed, so the default request yields terminal sums alone.
     """
 
@@ -399,17 +401,17 @@ class _Batch:
     qc_final: Optional[np.ndarray]
     psi: list       # one array per requested tilt
     b_drift: list
-    z_prod: list    # per-step product route
+    z_prod: list    # product route, apart from exp(lam S - Psi)
 
 
 def _new_batch(rows: int, want: _Request) -> _Batch:
-    """A chunk's outputs, allocated once: sums start at 0 and Z at 1."""
-    def per_lam(wanted: bool, start: float) -> list:
-        return [np.full(rows, start) for _ in want.lams] if wanted else []
+    """A chunk's outputs, allocated once: S_n starts at 0 for the walk,
+    and every kernel writes each other output whole."""
+    def per_lam(wanted: bool) -> list:
+        return [np.empty(rows) for _ in want.lams] if wanted else []
 
-    return _Batch(np.zeros(rows), np.zeros(rows) if want.qc else None,
-                  per_lam(want.psi, 0.0), per_lam(want.b, 0.0),
-                  per_lam(want.z, 1.0))
+    return _Batch(np.zeros(rows), np.empty(rows) if want.qc else None,
+                  per_lam(want.psi), per_lam(want.b), per_lam(want.z))
 
 
 def _fold(steps: np.ndarray, op=np.add) -> np.ndarray:
@@ -442,15 +444,17 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     hard-assertion suite for Psi, B, Z and <S>_n at every
     one of its tilts on one draw of plain paths.  Its tilts need not equal
     the sampling tilt.  Z is the literal per-step product
-    prod e^{lam xi_i}/m_i, a float route independent of exp(lam S - Psi);
-    the suite compares the two.
+    prod e^{lam xi_i}/m_i, or for VarianceSwitch the product of its four
+    per-step factors, each raised to its count; either way a float route
+    independent of exp(lam S - Psi), and the suite compares the two.
 
     Every object keeps one arithmetic whatever else is requested: each sum
     runs in step order, and signs come from the documented thresholds, so
     a lean request returns the same bytes as the suite's full one.  The
     VarianceSwitch kernel reads its uniforms through step-major masks
-    built once per chunk (see ``_variance_switch_chunk``), with the same
-    results as a per-step threshold select.
+    built once per chunk, with the same results as a per-step threshold
+    select, and forms <S>_n, Psi_n, B_n and Z from per-path step counts
+    (see ``_variance_switch_chunk``).
 
     The per-step-scale families (SelfNormalized, RegressionModel, and
     ScaledRademacher with unequal weights) run over row blocks of
@@ -587,10 +591,16 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     row block by row block from (block, n) words, so the chunk holds the
     two masks (one byte per step and path) and one block of words; the up
     mask of step i is then minus[i] ^ (pos & flip[i]).  At lam = 0 the
-    thresholds agree and ``flip`` is empty.  Each step looks its values up
-    by the code 2*pos + up in four-entry tables ordered (-s_minus,
-    +s_minus, -s_plus, +s_plus) and adds them in step order, as the
-    per-path walk does, into the arrays of ``batch``.
+    thresholds agree and ``flip`` is empty.  Each step looks its increment
+    up by the code 2*pos + up in the table (-s_minus, +s_minus, -s_plus,
+    +s_plus) and adds it to S in step order, as the per-path walk does.
+
+    No other object is walked.  Each path tallies k, its steps taken at
+    s_plus, and when Z is asked for, its up-steps in all and at s_plus;
+    after the walk ``martingales._SwitchCounts`` forms <S>_n, Psi_n, B_n
+    and Z from those counts, as ``conjugate_stats`` does.  A request for
+    none of them tallies nothing.  Each counter is the smallest unsigned
+    type that holds n, one byte per path for n < 256.
     """
     s_plus, s_minus = law.switch
     rows = batch.finals.size
@@ -613,27 +623,10 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
             flip[:, cols] = (np.less(words, w_plus) ^ below).T
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
-    tables = []   # (table, accumulator, fold) per requested object
-    if want.qc:
-        tables.append((steps * steps, batch.qc_final, np.add))
-    for j, cl in enumerate(want.lams):
-        lc_m, lc_p = (_log_cosh_scalar(cl * s_minus),
-                      _log_cosh_scalar(cl * s_plus))
-        bt_m, bt_p = (s_minus * math.tanh(cl * s_minus),
-                      s_plus * math.tanh(cl * s_plus))
-        ch_m, ch_p = math.cosh(cl * s_minus), math.cosh(cl * s_plus)
-        if want.psi:
-            tables.append((np.array([lc_m, lc_m, lc_p, lc_p]),
-                           batch.psi[j], np.add))
-        if want.b:
-            tables.append((np.array([bt_m, bt_m, bt_p, bt_p]),
-                           batch.b_drift[j], np.add))
-        if want.z:
-            # numpy's exp maps each entry as it would within a row array
-            tables.append((np.exp(cl * steps)
-                           / np.array([ch_m, ch_m, ch_p, ch_p]),
-                           batch.z_prod[j], np.multiply))
-
+    # k, then for Z all up-steps and the up-steps at s_plus
+    asked = want.qc or (bool(want.lams) and (want.psi or want.b or want.z))
+    counts = list(np.zeros((3 if want.z and want.lams else 1 if asked else 0,
+                            rows), dtype=np.min_scalar_type(law.n)))
     finals = batch.finals
     pos = np.empty(rows, dtype=bool)
     up = np.empty(rows, dtype=bool)
@@ -652,12 +645,28 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
             up8 = up.view(np.uint8)
         np.add(pos8, pos8, out=twice)
         np.add(twice, up8, out=code)
+        if counts:
+            counts[0] += pos8
+            if len(counts) == 3:
+                counts[1] += up8
+                # ``twice`` is free once the code is formed
+                counts[2] += np.bitwise_and(pos8, up8, out=twice)
         # codes are always in range; the default mode would buffer ``out``
-        for table, acc, fold in tables:
-            table.take(code, out=term, mode="clip")
-            fold(acc, term, out=acc)
         steps.take(code, out=term, mode="clip")
         finals += term
+
+    if asked:
+        ups = (counts[2], counts[1] - counts[2]) if len(counts) == 3 else ()
+        tally = _SwitchCounts(law, counts[0], *ups)
+        if want.qc:
+            tally.qc(out=batch.qc_final)
+        for j, cl in enumerate(want.lams):
+            if want.psi:
+                tally.psi(cl, out=batch.psi[j])
+            if want.b:
+                tally.b(cl, out=batch.b_drift[j])
+            if want.z:
+                tally.z(cl, out=batch.z_prod[j])
     return batch
 
 
@@ -1010,9 +1019,12 @@ def run_verification_suite(config: SimulationConfig,
     the change-of-measure weight Z must sit within 4 standard errors of 1,
     and for two-point normalized families every prefix Psi_k must stay
     below lam^2/2 (per-step terms are nonnegative, so the terminal value
-    is the prefix maximum).  Z computed as the literal per-step product
+    is the prefix maximum).  Z computed as a product of per-step factors
     must agree with exp(lam S - Psi) to 1e-10 relative, tying the two
-    factorizations together.  The quadratic characteristic is checked
+    factorizations together: the literal per-step product, or for
+    VarianceSwitch each of its four step kinds' factor raised to its count
+    on the path.  The two are still independent float routes, but the
+    VarianceSwitch one is no longer a product over the steps.  The quadratic characteristic is checked
     against its declared band, and the plain tail against exp(-xhat^2/2)
     at the domination levels, counted on the same draw unless the model is
     enumerated exactly.  Violations are collected with replay coordinates,

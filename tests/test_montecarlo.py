@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: enumeration oracles, estimator contracts,
 worker determinism, and the hard-assertion suite."""
 
+import hashlib
 import itertools
 import math
 import operator
@@ -527,11 +528,57 @@ def _fresh_python(code: str) -> str:
     return proc.stdout.strip()
 
 
+def _log_cosh_ref(t):
+    a = np.abs(t)
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+
+
+def _switch_walk_ref(model, seed, stream, chunk, rows, lam):
+    """Strided uniforms, both thresholds and the per-step VarianceSwitch
+    walk: yields (pos, up, finals) before each step is added to finals,
+    in place, so that after the walk finals holds S_n."""
+    d2 = model.delta ** 2
+    s_plus = math.sqrt((1.0 + d2) / model.n)
+    s_minus = math.sqrt((1.0 - d2) / model.n)
+    u = generator_for(seed, stream, chunk).random((rows, model.n))
+    p_plus = float(expit(2.0 * lam * s_plus))
+    p_minus = float(expit(2.0 * lam * s_minus))
+    finals = np.zeros(rows)
+    for i in range(model.n):
+        pos = finals >= 0.0
+        scale = np.where(pos, s_plus, s_minus)
+        up = u[:, i] < np.where(pos, p_plus, p_minus)
+        yield pos, up, finals
+        finals += np.where(up, scale, -scale)
+
+
+def _switch_step_folds(model, seed, stream, chunk, rows, lam, lams):
+    """(qc, psi, b, z) of a VarianceSwitch chunk as per-step folds along
+    the walk, each step's term picked by the sign of the running sum."""
+    s_plus, s_minus = model._law().switch
+    qc = np.zeros(rows)
+    psi, b = ([np.zeros(rows) for _ in lams] for _ in range(2))
+    z = [np.ones(rows) for _ in lams]
+    for pos, up, _ in _switch_walk_ref(model, seed, stream, chunk, rows, lam):
+        scale = np.where(pos, s_plus, s_minus)
+        step = np.where(up, scale, -scale)
+        qc += scale * scale
+        for j, cl in enumerate(lams):
+            psi[j] += np.where(pos, _log_cosh_ref(np.array([cl * s_plus]))[0],
+                               _log_cosh_ref(np.array([cl * s_minus]))[0])
+            b[j] += np.where(pos, s_plus * math.tanh(cl * s_plus),
+                             s_minus * math.tanh(cl * s_minus))
+            z[j] *= np.exp(cl * step) / np.where(
+                pos, math.cosh(cl * s_plus), math.cosh(cl * s_minus))
+    return qc, psi, b, z
+
+
 def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
     """A plain restatement of the sampling kernels, the bit-exact reference.
 
     np.where signs and outcomes, expit at every tilt, unblocked column
-    loops and a per-step VarianceSwitch walk over strided columns.
+    loops and a per-step VarianceSwitch walk over strided columns, which
+    tallies each path's step counts for the count form of its objects.
     Returns (finals, qc, psi, b, z) with one array per tilt in the last
     three.
     """
@@ -543,35 +590,29 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
             op(total, parts[:, j], out=total)
         return total
 
-    def log_cosh(t):
-        a = np.abs(t)
-        return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
-
     if isinstance(model, VarianceSwitch):
-        d2 = model.delta ** 2
-        s_plus = math.sqrt((1.0 + d2) / model.n)
-        s_minus = math.sqrt((1.0 - d2) / model.n)
-        u = rng.random((rows, model.n))
-        p_plus = float(expit(2.0 * lam * s_plus))
-        p_minus = float(expit(2.0 * lam * s_minus))
-        finals, qc = np.zeros(rows), np.zeros(rows)
-        psi = [np.zeros(rows) for _ in lams]
-        b = [np.zeros(rows) for _ in lams]
-        z = [np.ones(rows) for _ in lams]
-        for i in range(model.n):
-            pos = finals >= 0.0
-            scale = np.where(pos, s_plus, s_minus)
-            step = np.where(u[:, i] < np.where(pos, p_plus, p_minus),
-                            scale, -scale)
-            qc += scale * scale
-            for k, cl in enumerate(lams):
-                psi[k] += np.where(pos, log_cosh(np.array([cl * s_plus]))[0],
-                                   log_cosh(np.array([cl * s_minus]))[0])
-                b[k] += np.where(pos, s_plus * math.tanh(cl * s_plus),
-                                 s_minus * math.tanh(cl * s_minus))
-                z[k] *= np.exp(cl * step) / np.where(
-                    pos, math.cosh(cl * s_plus), math.cosh(cl * s_minus))
-            finals += step
+        s_plus, s_minus = model._law().switch
+        # k steps at s_plus, and the up-steps at each scale
+        k, up_plus, up_minus = (np.zeros(rows, dtype=np.int64)
+                                for _ in range(3))
+        for pos, up, finals in _switch_walk_ref(model, seed, stream, chunk,
+                                                rows, lam):
+            k += pos
+            up_plus += pos & up
+            up_minus += ~pos & up
+        rest = model.n - k
+        qc = k * (s_plus * s_plus) + rest * (s_minus * s_minus)
+        psi, b, z = [], [], []
+        for cl in lams:
+            lc_p, lc_m = _log_cosh_ref(np.array([cl * s_plus, cl * s_minus]))
+            psi.append(k * lc_p + rest * lc_m)
+            b.append(k * (s_plus * np.tanh(cl * s_plus))
+                     + rest * (s_minus * np.tanh(cl * s_minus)))
+            f_p, g_p, f_m, g_m = (np.exp(cl * x) / math.cosh(cl * abs(x))
+                                  for x in (s_plus, -s_plus, s_minus,
+                                            -s_minus))
+            z.append(f_p ** up_plus * g_p ** (k - up_plus) * f_m ** up_minus
+                     * g_m ** (rest - up_minus))
         return finals, qc, psi, b, z
 
     if isinstance(model, ScaledRademacher):
@@ -602,7 +643,7 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
                  for cl in lams]
     else:
         xi = scales * np.where(u < expit(2.0 * lam * scales), 1.0, -1.0)
-        terms = [(log_cosh(cl * scales), scales * np.tanh(cl * scales),
+        terms = [(_log_cosh_ref(cl * scales), scales * np.tanh(cl * scales),
                   np.exp(cl * xi) / np.cosh(cl * scales)) for cl in lams]
     return (fold(xi), qc, [fold(p) for p, _, _ in terms],
             [fold(d) for _, d, _ in terms],
@@ -714,6 +755,64 @@ class TestSamplingKernels:
                              (psi, b, z)):
             assert len(got) == len(lams)
             assert all(_same_bytes(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 64, 128])
+    @pytest.mark.parametrize("tilt_fraction", [0.0, 0.6])
+    @pytest.mark.parametrize("rows", [1, 33, 8192])
+    def test_switch_counts_match_the_per_step_folds(self, n, tilt_fraction,
+                                                    rows):
+        # the count form of <S>_n, Psi, B and Z against the walk's own
+        # per-step folds: two float routes, a few ulps apart at n = 128
+        model = VarianceSwitch(n=n, delta=0.5)
+        # eps is the larger step; above 1/2 for n = 1, 2, which
+        # bernstein_params refuses but the kernel samples
+        eps = model._law().switch[0]
+        lam = tilt_fraction / eps
+        lams = (0.0, 0.6 / eps, 0.9 / eps)
+        batch = _simulate_chunk(model, 13, STREAM_MC_TILTED, 4, rows, lam,
+                                _Request(lams, **_FULL))
+        qc, psi, b, z = _switch_step_folds(model, 13, STREAM_MC_TILTED, 4,
+                                           rows, lam, lams)
+        for got, want in zip([batch.qc_final] + batch.psi + batch.b_drift
+                             + batch.z_prod, [qc] + psi + b + z):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    # sha256 of the finals of _simulate_chunk(VarianceSwitch(n, 0.5), 5,
+    # STREAM_MC_TILTED, 2, rows, f / eps), recorded before the walk
+    # tallied step counts: the counts must not move S_n
+    _SWITCH_FINALS_SHA256 = {
+        (64, 0.0, 1): "a762c6fcc53783804eded498a709060b"
+                      "85e59681b361bf072417681b60d106ce",
+        (64, 0.0, 8192): "50d20c6d13bf1ac1d8c6c824b4280504"
+                         "71025961a3f5b91e39d057357b7ea9c6",
+        (64, 0.5, 1): "8394f419fa4bf37cdd2f98cc9852a8ce"
+                      "9e601d8a0dbf794778d5ce250828722e",
+        (64, 0.5, 8192): "6c320311fdfb6639a4de7867459672792"
+                         "c5ec994cda5e90dbebe8f3f41558d0d",
+        (128, 0.0, 1): "09a98f70bdbe1b6c713080148a7ffd43"
+                       "cdb4c2f5875a16ae9b65b7bf91fd755b",
+        (128, 0.0, 8192): "88ae96c413e5d7724e8009426e1aec89"
+                          "ad455738032e8f36a5b7f450fcefbe6e",
+        (128, 0.5, 1): "b73e27e1b312dbe7c935f5039f5e93dc"
+                       "7b37695a95208e18ffd88a4e04e3b6db",
+        (128, 0.5, 8192): "767244866f400591c87a85588d5c09de"
+                          "3ee9fbc700ddd99c398a5e7f6d4b90da",
+    }
+
+    @pytest.mark.parametrize("n, tilt_fraction, rows",
+                             sorted(_SWITCH_FINALS_SHA256))
+    def test_switch_finals_keep_their_bytes(self, n, tilt_fraction, rows):
+        model = VarianceSwitch(n=n, delta=0.5)
+        eps = model.bernstein_params().epsilon
+        lam = tilt_fraction / eps
+        lams = (0.1 / eps, 0.5 / eps, 0.9 / eps)
+        for want in (_Request(), _Request((lam,), psi=True),
+                     _Request(lams, **_FULL)):
+            batch = _simulate_chunk(model, 5, STREAM_MC_TILTED, 2, rows, lam,
+                                    want)
+            digest = hashlib.sha256(batch.finals.tobytes()).hexdigest()
+            assert digest == self._SWITCH_FINALS_SHA256[n, tilt_fraction,
+                                                        rows]
 
     def test_long_steps_with_a_one_row_tail_block(self):
         # 32 rows per block at n = 1000: 33 rows leave one row in block two
