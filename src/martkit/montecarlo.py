@@ -1024,12 +1024,13 @@ def run_verification_suite(config: SimulationConfig,
     factorizations together: the literal per-step product, or for
     VarianceSwitch each of its four step kinds' factor raised to its count
     on the path.  The two are still independent float routes, but the
-    VarianceSwitch one is no longer a product over the steps.  The quadratic characteristic is checked
-    against its declared band, and the plain tail against exp(-xhat^2/2)
-    at the domination levels, counted on the same draw unless the model is
-    enumerated exactly.  Violations are collected with replay coordinates,
-    not raised: the band once per chunk, then per lam in chunk order, then
-    its mean-Z verdict, then tail domination.
+    VarianceSwitch one is no longer a product over the steps.  The
+    quadratic characteristic is checked against its declared band, and the
+    plain tail against exp(-xhat^2/2) at the domination levels, counted on
+    the same draw unless the model is enumerated exactly.  Violations are
+    collected with replay coordinates, not raised: the band once per
+    chunk, then per lam in chunk order, then its mean-Z verdict, then tail
+    domination.
 
     ``check_z_mean`` gates the 4-standard-error test of E[Z] = 1 (the
     per-lam sample stats are always reported).  The test presumes the

@@ -533,14 +533,17 @@ def _log_cosh_ref(t):
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def _switch_walk_ref(model, seed, stream, chunk, rows, lam):
+def _switch_scales_ref(model):
+    d2 = model.delta ** 2
+    return math.sqrt((1.0 + d2) / model.n), math.sqrt((1.0 - d2) / model.n)
+
+
+def _switch_walk_ref(model, rng, rows, lam):
     """Strided uniforms, both thresholds and the per-step VarianceSwitch
     walk: yields (pos, up, finals) before each step is added to finals,
     in place, so that after the walk finals holds S_n."""
-    d2 = model.delta ** 2
-    s_plus = math.sqrt((1.0 + d2) / model.n)
-    s_minus = math.sqrt((1.0 - d2) / model.n)
-    u = generator_for(seed, stream, chunk).random((rows, model.n))
+    s_plus, s_minus = _switch_scales_ref(model)
+    u = rng.random((rows, model.n))
     p_plus = float(expit(2.0 * lam * s_plus))
     p_minus = float(expit(2.0 * lam * s_minus))
     finals = np.zeros(rows)
@@ -555,11 +558,12 @@ def _switch_walk_ref(model, seed, stream, chunk, rows, lam):
 def _switch_step_folds(model, seed, stream, chunk, rows, lam, lams):
     """(qc, psi, b, z) of a VarianceSwitch chunk as per-step folds along
     the walk, each step's term picked by the sign of the running sum."""
-    s_plus, s_minus = model._law().switch
+    s_plus, s_minus = _switch_scales_ref(model)
     qc = np.zeros(rows)
     psi, b = ([np.zeros(rows) for _ in lams] for _ in range(2))
     z = [np.ones(rows) for _ in lams]
-    for pos, up, _ in _switch_walk_ref(model, seed, stream, chunk, rows, lam):
+    for pos, up, _ in _switch_walk_ref(
+            model, generator_for(seed, stream, chunk), rows, lam):
         scale = np.where(pos, s_plus, s_minus)
         step = np.where(up, scale, -scale)
         qc += scale * scale
@@ -591,12 +595,11 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
         return total
 
     if isinstance(model, VarianceSwitch):
-        s_plus, s_minus = model._law().switch
+        s_plus, s_minus = _switch_scales_ref(model)
         # k steps at s_plus, and the up-steps at each scale
         k, up_plus, up_minus = (np.zeros(rows, dtype=np.int64)
                                 for _ in range(3))
-        for pos, up, finals in _switch_walk_ref(model, seed, stream, chunk,
-                                                rows, lam):
+        for pos, up, finals in _switch_walk_ref(model, rng, rows, lam):
             k += pos
             up_plus += pos & up
             up_minus += ~pos & up
@@ -766,7 +769,7 @@ class TestSamplingKernels:
         model = VarianceSwitch(n=n, delta=0.5)
         # eps is the larger step; above 1/2 for n = 1, 2, which
         # bernstein_params refuses but the kernel samples
-        eps = model._law().switch[0]
+        eps = _switch_scales_ref(model)[0]
         lam = tilt_fraction / eps
         lams = (0.0, 0.6 / eps, 0.9 / eps)
         batch = _simulate_chunk(model, 13, STREAM_MC_TILTED, 4, rows, lam,
