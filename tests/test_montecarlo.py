@@ -823,6 +823,12 @@ class TestSamplingKernels:
             SelfNormalized(n=1000, magnitude_low=1.0, magnitude_high=2.5),
             0.6, 33)
 
+    def test_switch_counts_wider_than_a_byte(self):
+        # 300 steps overflow a one-byte step counter, so the walk counts
+        # in two bytes
+        self.test_chunk_equals_plain_reference(
+            VarianceSwitch(n=300, delta=0.5), 0.6, 777)
+
     def test_seam_families_start_uniforms_inside_a_counter_step(self):
         assert sorted(777 * m.n % 4 for m in SEAM_FAMILIES) == [1, 2, 3]
         assert all(_one_row_tail(m) * m.n % 4 for m in SEAM_FAMILIES)
