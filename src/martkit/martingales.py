@@ -196,56 +196,42 @@ class _StepLaw:
         return _log_cosh, np.tanh, np.cosh
 
 
-@dataclass(frozen=True, eq=False)
-class _SwitchCounts:
-    """Per-path step counts, which fix every object of a ``switch`` path.
+def _switch_total(law: _StepLaw, plus, values, out=None):
+    """k v_plus + (n - k) v_minus for k = ``plus`` steps at s_plus and
+    ``values`` = (v_plus, v_minus): <S>_n for v = s^2, Psi_n for
+    log cosh(lam s) and B_n for s tanh(lam s)."""
+    out = np.multiply(plus, values[0], out=out)
+    out += np.multiply(law.n - plus, values[1])
+    return out
 
-    k = ``plus`` steps were taken at s_plus (S_{i-1} >= 0) and n - k at
-    s_minus; only Z reads the up-steps at each scale.  <S>_n, Psi_n and
-    B_n are k v_plus + (n - k) v_minus for the value v = s^2,
-    log cosh(lam s) or s tanh(lam s) of each scale.
-    """
 
-    law: _StepLaw
-    plus: np.ndarray
-    up_plus: Optional[np.ndarray] = None
-    up_minus: Optional[np.ndarray] = None
+def _switch_terms(law: _StepLaw, lam: float):
+    """(log cosh(lam s), s tanh(lam s)) at s = (s_plus, s_minus)."""
+    scales = np.array(law.switch)
+    return _log_cosh(lam * scales), scales * np.tanh(lam * scales)
 
-    def _total(self, per_scale, out=None):
-        out = np.multiply(self.plus, per_scale[0], out=out)
-        out += np.multiply(self.law.n - self.plus, per_scale[1])
-        return out
 
-    def qc(self, out=None):
-        return self._total([s * s for s in self.law.switch], out)
-
-    def psi(self, lam: float, out=None):
-        return self._total(_log_cosh(lam * np.array(self.law.switch)), out)
-
-    def b(self, lam: float, out=None):
-        scales = np.array(self.law.switch)
-        return self._total(scales * np.tanh(lam * scales), out)
-
-    def z(self, lam: float, out=None):
-        """Each step kind's factor e^{lam xi}/cosh(lam s) to its count.
-
-        A float route apart from exp(lam S_n - Psi_n).  The count raises
-        the factor's rounding to its power, so the factors are formed as a
-        per-step product forms them: numpy's exp over math.cosh.
-        """
-        s_plus, s_minus = self.law.switch
-        steps = lam * np.array([s_plus, -s_plus, s_minus, -s_minus])
-        cosh = [math.cosh(abs(t)) for t in steps]
-        minus = self.law.n - self.plus
-        counts = (self.up_plus, self.plus - self.up_plus,
-                  self.up_minus, minus - self.up_minus)
-        powers = np.arange(self.law.n + 1)
-        f0, f1, f2, f3 = ((f ** powers).take(count)
-                          for f, count in zip(np.exp(steps) / cosh, counts))
-        out = np.multiply(f0, f1, out=out)
-        out *= f2
-        out *= f3
-        return out
+def _switch_z(law: _StepLaw, lams, plus, up_plus, up_minus, outs):
+    """Z at each tilt in ``lams`` into ``outs``, from step counts: at each
+    scale f_up f_down to the path's up-down pairs, times the surplus
+    kind's factor f = e^{lam xi}/cosh(lam s) to its surplus, which keeps
+    both powers near Z's magnitude (f_down^downs alone underflows where
+    Z does not)."""
+    n, powers = law.n, np.arange(law.n + 1)
+    per_scale = []   # (scale, pairs, surplus + n) of each path
+    for s, steps, ups in ((law.switch[0], plus, up_plus),
+                          (law.switch[1], n - plus, up_minus)):
+        downs = steps - ups
+        per_scale.append((s, np.minimum(ups, downs),
+                          ups.astype(np.intp) - downs + n))
+    for lam, out in zip(lams, outs):
+        out[:] = 1.0
+        for s, pairs, surplus in per_scale:
+            # numpy's exp, as a per-step product forms the factors
+            up, down = np.exp([lam * s, -lam * s]) / math.cosh(lam * s)
+            with np.errstate(over="ignore"):   # read only where Z overflows
+                lone = np.concatenate(((down ** powers)[:0:-1], up ** powers))
+            out *= ((up * down) ** powers).take(pairs) * lone.take(surplus)
 
 
 @dataclass(frozen=True)
@@ -838,7 +824,7 @@ def conjugate_stats(path: PathSample, model: MartingaleModel,
     The identities log Z = lam*S_n - Psi and S_n = Y + B hold exactly by
     construction (each is computed from the other two), which is what the
     per-path hard checks rely on.  For switch laws Psi and B come from the
-    path's step counts (``_SwitchCounts``), as in the chunk kernel, while
+    path's step counts (``_switch_total``), as in the chunk kernel, while
     ``per_step_psi`` and ``per_step_b`` stay per step for the prefixes
     that ``lemma_checks`` reads; their sums may differ in the last bits.
     """
@@ -860,9 +846,9 @@ def conjugate_stats(path: PathSample, model: MartingaleModel,
     psi_steps = log_mgf(t)
     b_steps = scales * drift(t)
     if law.switch is not None:   # k steps at s_plus, sign(0) = +1
-        counts = _SwitchCounts(law, np.count_nonzero(path.partial_sums[:-1]
-                                                     >= 0.0))
-        psi, b_drift = float(counts.psi(lam)), float(counts.b(lam))
+        plus = np.count_nonzero(path.partial_sums[:-1] >= 0.0)
+        psi, b_drift = (float(_switch_total(law, plus, v))
+                        for v in _switch_terms(law, lam))
     else:
         psi = float(np.cumsum(psi_steps)[-1]) if psi_steps.size else 0.0
         b_drift = float(np.cumsum(b_steps)[-1]) if b_steps.size else 0.0

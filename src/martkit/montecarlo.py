@@ -16,20 +16,19 @@ step, and accumulate terminal sums in step order.
 A chunk computes only the per-path objects its caller reads: the plain
 estimators read terminal sums alone, ``estimate_tail_is`` reads Psi_n at
 its tilt, ``conjugate_clt_check`` reads B_n at its tilt, and only
-``run_verification_suite`` reads Psi_n, B_n, the product Z and <S>_n, at
-every one of its tilts.  At tilt zero the sign thresholds are the
-constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared as
-scalars.  The VarianceSwitch walk compares its uniforms with both
-thresholds once per chunk, into step-major (n, rows) masks, and each
-step then only reads the sign of the running sum and looks its increment
-up in a small table; its other objects follow from per-path step counts.
-Every per-step-scale family draws in row blocks of 2^15 entries (256 KiB
-per array): a block reads its own rows of each (rows, n) matrix from the
-chunk's stream, so a chunk holds O(block) floats besides its per-path
-outputs (and, for VarianceSwitch, its two bool masks), not a (rows, n)
-draw.  The other families transpose each block once to step-major
-(n, rows) order, so that its temporaries stay in the L2 cache and each
-sum over the steps is one reduce (``_fold``).
+``run_verification_suite`` reads Psi_n, B_n, the per-step product Z and
+<S>_n, at every one of its tilts.  At tilt zero the sign thresholds are
+the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
+as scalars.  The VarianceSwitch walk compares its uniforms with both
+thresholds once per chunk, into step-major (n, rows) masks, and each step
+then only reads the sign of the running sum and looks its increment up
+in a table.  Every per-step-scale family draws in row blocks of 2^15
+entries (256 KiB per array): a block reads its own rows of each (rows, n)
+matrix from the chunk's stream, so a chunk holds O(block) floats besides
+its per-path outputs (and, for VarianceSwitch, its two bool masks), not
+a (rows, n) draw.  The other families transpose each block once to
+step-major (n, rows) order, so that its temporaries stay in the L2 cache
+and each sum over the steps is one reduce (``_fold``).
 
 The kernels read the stream as raw Philox words (``random_raw``), never
 as doubles.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
@@ -41,8 +40,9 @@ units of m against scipy's expit; words within a margin of 16 units are
 decided by scipy's expit (see ``martingales._steps``).  None of this
 changes a result: every object equals, bit for bit, its plain evaluation
 over one whole-chunk ``Generator.random`` draw with np.where signs,
-per-step threshold selects and column folds (for VarianceSwitch, the
-count form of its objects), which the tests keep as the reference.
+per-step threshold selects and column folds, which the tests keep as the
+reference; VarianceSwitch forms its objects besides S_n from per-path
+step counts (see ``_variance_switch_chunk``).
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -74,8 +74,8 @@ from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
 from .martingales import (_band_values, _check_tilt, _expit,
                           _lemma_ceilings, _lent, _log_cosh, _require_model,
-                          _special, _steps, _StepLaw, _SwitchCounts,
-                          _word_threshold)
+                          _special, _steps, _StepLaw, _switch_terms,
+                          _switch_total, _switch_z, _word_threshold)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -383,8 +383,8 @@ def _use_enumeration(config: SimulationConfig) -> Optional[int]:
 class _Request:
     """The per-path objects a caller reads from a chunk, besides S_n.
 
-    ``psi``, ``b`` and ``z`` ask for Psi_n, B_n and the product Z at each
-    tilt in ``lams``; ``qc`` asks for <S>_n.  Nothing else is
+    ``psi``, ``b`` and ``z`` ask for Psi_n, B_n and the per-step product Z
+    at each tilt in ``lams``; ``qc`` asks for <S>_n.  Nothing else is
     computed, so the default request yields terminal sums alone.
     """
 
@@ -401,17 +401,17 @@ class _Batch:
     qc_final: Optional[np.ndarray]
     psi: list       # one array per requested tilt
     b_drift: list
-    z_prod: list    # product route, apart from exp(lam S - Psi)
+    z_prod: list    # per-step product route
 
 
 def _new_batch(rows: int, want: _Request) -> _Batch:
-    """A chunk's outputs, allocated once: S_n starts at 0 for the walk,
-    and every kernel writes each other output whole."""
-    def per_lam(wanted: bool) -> list:
-        return [np.empty(rows) for _ in want.lams] if wanted else []
+    """A chunk's outputs, allocated once: sums start at 0 and Z at 1."""
+    def per_lam(wanted: bool, start: float) -> list:
+        return [np.full(rows, start) for _ in want.lams] if wanted else []
 
-    return _Batch(np.zeros(rows), np.empty(rows) if want.qc else None,
-                  per_lam(want.psi), per_lam(want.b), per_lam(want.z))
+    return _Batch(np.zeros(rows), np.zeros(rows) if want.qc else None,
+                  per_lam(want.psi, 0.0), per_lam(want.b, 0.0),
+                  per_lam(want.z, 1.0))
 
 
 def _fold(steps: np.ndarray, op=np.add) -> np.ndarray:
@@ -443,18 +443,17 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     ``applications.regression_coverage`` for nothing, and the
     hard-assertion suite for Psi, B, Z and <S>_n at every
     one of its tilts on one draw of plain paths.  Its tilts need not equal
-    the sampling tilt.  Z is the literal per-step product
-    prod e^{lam xi_i}/m_i, or for VarianceSwitch the product of its four
-    per-step factors, each raised to its count; either way a float route
-    independent of exp(lam S - Psi), and the suite compares the two.
+    the sampling tilt.  Z is the product of the per-step factors
+    e^{lam xi_i}/m_i (for VarianceSwitch, each step kind's factor to its
+    count), a float route independent of exp(lam S - Psi); the suite
+    compares the two.
 
     Every object keeps one arithmetic whatever else is requested: each sum
     runs in step order, and signs come from the documented thresholds, so
     a lean request returns the same bytes as the suite's full one.  The
     VarianceSwitch kernel reads its uniforms through step-major masks
-    built once per chunk, with the same results as a per-step threshold
-    select, and forms <S>_n, Psi_n, B_n and Z from per-path step counts
-    (see ``_variance_switch_chunk``).
+    built once per chunk (see ``_variance_switch_chunk``), with the same
+    results as a per-step threshold select.
 
     The per-step-scale families (SelfNormalized, RegressionModel, and
     ScaledRademacher with unequal weights) run over row blocks of
@@ -594,13 +593,10 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     thresholds agree and ``flip`` is empty.  Each step looks its increment
     up by the code 2*pos + up in the table (-s_minus, +s_minus, -s_plus,
     +s_plus) and adds it to S in step order, as the per-path walk does.
-
-    No other object is walked.  Each path tallies k, its steps taken at
-    s_plus, and when Z is asked for, its up-steps in all and at s_plus;
-    after the walk ``martingales._SwitchCounts`` forms <S>_n, Psi_n, B_n
-    and Z from those counts, as ``conjugate_stats`` does.  A request for
-    none of them tallies nothing.  Each counter is the smallest unsigned
-    type that holds n, one byte per path for n < 256.
+    Alongside, each path counts its steps at s_plus and, for Z, its
+    up-steps in all and at s_plus, in the smallest unsigned type that
+    holds n; ``martingales._switch_total`` and ``_switch_z`` form the
+    other objects from those counts, as ``conjugate_stats`` does.
     """
     s_plus, s_minus = law.switch
     rows = batch.finals.size
@@ -623,10 +619,12 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
             flip[:, cols] = (np.less(words, w_plus) ^ below).T
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
-    # k, then for Z all up-steps and the up-steps at s_plus
-    asked = want.qc or (bool(want.lams) and (want.psi or want.b or want.z))
-    counts = list(np.zeros((3 if want.z and want.lams else 1 if asked else 0,
-                            rows), dtype=np.min_scalar_type(law.n)))
+    # k, the steps at s_plus, for every object; the up-steps in all and
+    # at s_plus for Z alone
+    count = np.min_scalar_type(law.n)
+    tally, with_z = want.qc or bool(want.lams), want.z and bool(want.lams)
+    plus, ups, up_plus = (np.zeros(rows, count) if on else None
+                          for on in (tally, with_z, with_z))
     finals = batch.finals
     pos = np.empty(rows, dtype=bool)
     up = np.empty(rows, dtype=bool)
@@ -645,28 +643,27 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
             up8 = up.view(np.uint8)
         np.add(pos8, pos8, out=twice)
         np.add(twice, up8, out=code)
-        if counts:
-            counts[0] += pos8
-            if len(counts) == 3:
-                counts[1] += up8
-                # ``twice`` is free once the code is formed
-                counts[2] += np.bitwise_and(pos8, up8, out=twice)
+        if tally:
+            plus += pos8
+        if with_z:
+            ups += up8
+            # ``twice`` is free once the code is formed
+            up_plus += np.bitwise_and(pos8, up8, out=twice)
         # codes are always in range; the default mode would buffer ``out``
         steps.take(code, out=term, mode="clip")
         finals += term
 
-    if asked:
-        ups = (counts[2], counts[1] - counts[2]) if len(counts) == 3 else ()
-        tally = _SwitchCounts(law, counts[0], *ups)
-        if want.qc:
-            tally.qc(out=batch.qc_final)
-        for j, cl in enumerate(want.lams):
-            if want.psi:
-                tally.psi(cl, out=batch.psi[j])
-            if want.b:
-                tally.b(cl, out=batch.b_drift[j])
-            if want.z:
-                tally.z(cl, out=batch.z_prod[j])
+    if want.qc:
+        _switch_total(law, plus, (s_plus * s_plus, s_minus * s_minus),
+                      batch.qc_final)
+    for j, cl in enumerate(want.lams):
+        log_cosh, drift = _switch_terms(law, cl)
+        if want.psi:
+            _switch_total(law, plus, log_cosh, batch.psi[j])
+        if want.b:
+            _switch_total(law, plus, drift, batch.b_drift[j])
+    if with_z:
+        _switch_z(law, want.lams, plus, up_plus, ups - up_plus, batch.z_prod)
     return batch
 
 
@@ -1019,18 +1016,15 @@ def run_verification_suite(config: SimulationConfig,
     the change-of-measure weight Z must sit within 4 standard errors of 1,
     and for two-point normalized families every prefix Psi_k must stay
     below lam^2/2 (per-step terms are nonnegative, so the terminal value
-    is the prefix maximum).  Z computed as a product of per-step factors
+    is the prefix maximum).  Z computed as the product of the per-step
+    factors (for VarianceSwitch, each step kind's factor to its count)
     must agree with exp(lam S - Psi) to 1e-10 relative, tying the two
-    factorizations together: the literal per-step product, or for
-    VarianceSwitch each of its four step kinds' factor raised to its count
-    on the path.  The two are still independent float routes, but the
-    VarianceSwitch one is no longer a product over the steps.  The
-    quadratic characteristic is checked against its declared band, and the
-    plain tail against exp(-xhat^2/2) at the domination levels, counted on
-    the same draw unless the model is enumerated exactly.  Violations are
-    collected with replay coordinates, not raised: the band once per
-    chunk, then per lam in chunk order, then its mean-Z verdict, then tail
-    domination.
+    factorizations together.  The quadratic characteristic is checked
+    against its declared band, and the plain tail against exp(-xhat^2/2)
+    at the domination levels, counted on the same draw unless the model is
+    enumerated exactly.  Violations are collected with replay coordinates,
+    not raised: the band once per chunk, then per lam in chunk order, then
+    its mean-Z verdict, then tail domination.
 
     ``check_z_mean`` gates the 4-standard-error test of E[Z] = 1 (the
     per-lam sample stats are always reported).  The test presumes the

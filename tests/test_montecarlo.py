@@ -611,11 +611,16 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
             psi.append(k * lc_p + rest * lc_m)
             b.append(k * (s_plus * np.tanh(cl * s_plus))
                      + rest * (s_minus * np.tanh(cl * s_minus)))
-            f_p, g_p, f_m, g_m = (np.exp(cl * x) / math.cosh(cl * abs(x))
-                                  for x in (s_plus, -s_plus, s_minus,
-                                            -s_minus))
-            z.append(f_p ** up_plus * g_p ** (k - up_plus) * f_m ** up_minus
-                     * g_m ** (rest - up_minus))
+            # per scale: up-down pairs, then the surplus kind's factor
+            z_scale = []
+            for s, ups, downs in ((s_plus, up_plus, k - up_plus),
+                                  (s_minus, up_minus, rest - up_minus)):
+                f_up, f_down = (np.exp(cl * x) / math.cosh(cl * s)
+                                for x in (s, -s))
+                lone = np.where(ups >= downs, f_up, f_down)
+                z_scale.append((f_up * f_down) ** np.minimum(ups, downs)
+                               * lone ** np.abs(ups - downs))
+            z.append(z_scale[0] * z_scale[1])
         return finals, qc, psi, b, z
 
     if isinstance(model, ScaledRademacher):
@@ -779,6 +784,25 @@ class TestSamplingKernels:
         for got, want in zip([batch.qc_final] + batch.psi + batch.b_drift
                              + batch.z_prod, [qc] + psi + b + z):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_switch_z_keeps_its_magnitude_on_long_paths(self):
+        # at 0.9/eps f_down^downs underflows past 591 down-steps at s_plus,
+        # while Z, near e^{-0.72 downs}, does not; some of these paths go
+        # past 591, and their Z must still follow the per-step product
+        model = VarianceSwitch(n=1200, delta=0.5)
+        eps = _switch_scales_ref(model)[0]
+        lams, rows = (0.6 / eps, 0.9 / eps), 2048
+        batch = _simulate_chunk(model, 13, STREAM_MC_TILTED, 4, rows, 0.0,
+                                _Request(lams, z=True))
+        downs_plus = np.zeros(rows, dtype=np.int64)
+        for pos, up, _ in _switch_walk_ref(
+                model, generator_for(13, STREAM_MC_TILTED, 4), rows, 0.0):
+            downs_plus += pos & ~up
+        assert downs_plus.max() > 591
+        z = _switch_step_folds(model, 13, STREAM_MC_TILTED, 4, rows, 0.0,
+                               lams)[3]
+        for got, want in zip(batch.z_prod, z):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     # sha256 of the finals of _simulate_chunk(VarianceSwitch(n, 0.5), 5,
     # STREAM_MC_TILTED, 2, rows, f / eps), recorded before the walk
@@ -1107,6 +1131,16 @@ class TestVerificationSuite:
         assert "z-product-route" in rep.checks_run
         assert "tail-domination" in rep.checks_run
         assert len(rep.z_stats) == 3
+
+    def test_long_switch_paths_keep_the_z_product_route(self):
+        # 1200 steps: the paths that stay at s_plus take about 600
+        # down-steps there, where Z is near e^{-420}
+        rep = run_verification_suite(
+            cfg(VarianceSwitch(n=1200, delta=0.5), paths=4096, seed=11,
+                chunk_size=2048, exhaustive=False), check_z_mean=False)
+        assert "z-product-route" in rep.checks_run
+        assert not [v for v in rep.violations
+                    if v.check == "z-product-route"], rep.violations
 
     def test_z_mean_check_passes_on_short_paths(self):
         for n in (4, 16):
