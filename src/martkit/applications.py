@@ -216,9 +216,9 @@ def brentq(f, a: float, b: float, **kwargs) -> float:
     scipy function is reached through a small private wrapper that
     imports it in its body (this one, and ``martingales._special`` for
     scipy.special).  Importing scipy.optimize or scipy.special costs more
-    than importing numpy, and only the level inversion here, the tilted
-    array thresholds and the interval ends need them, so scipy loads
-    with the first call that does.
+    than importing numpy, and only the level inversion here and the
+    interval ends need them, so scipy loads with the first call that
+    does.
     """
     from scipy.optimize import brentq as _brentq
     return _brentq(f, a, b, **kwargs)

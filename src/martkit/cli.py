@@ -386,8 +386,7 @@ def cmd_verify(args, manifest: RunManifest) -> int:
     levels = tuple(_float_list(args.levels, "--levels")) \
         if args.levels else ()
     report = run_verification_suite(config, lam_fractions=fractions,
-                                    domination_levels=levels,
-                                    check_z_mean=args.z_mean)
+                                    domination_levels=levels)
     rows = []
     rows.append(("condition", "a1-moments", None, None, None, None, None,
                  "pass" if report.a1_passed else "fail"))
@@ -572,11 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tilt levels as fractions of 1/eps, each in [0, 1)")
     p.add_argument("--levels", default="0.5,1,1.5,2,2.5,3,3.5,4",
                    help="tail-domination levels; empty string disables")
-    p.add_argument("--z-mean", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="test the mean-one property of the tilt weight "
-                   "(disable for long paths at high tilt, where the "
-                   "sampled mean collapses)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 

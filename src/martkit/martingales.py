@@ -86,7 +86,7 @@ _ULP = 2.0 ** -53
 _SIGN_BIT = 1 << 63
 # numpy's exp and libm's differ by an ulp, which moves a threshold
 # 2^53 * expit(x) by at most 2 units of m (measured over 2e6 thresholds,
-# x in [0, 2)); words within this margin are decided by scipy's expit
+# x in [0, 2)); words within this margin are decided by ``_expit``
 _MARGIN = 16.0
 
 
@@ -528,9 +528,8 @@ class ConjugatePathStats:
 def _special(name: str):
     """The function ``name`` of scipy.special, imported on first use.
 
-    The array thresholds and the interval ends reach scipy.special
-    through this call, so importing the package does not load it (see
-    ``applications.brentq``).
+    The interval ends reach scipy.special through this call, so
+    importing the package does not load it (see ``applications.brentq``).
     """
     import scipy.special
     return getattr(scipy.special, name)
@@ -584,16 +583,15 @@ def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
     sign bit.  At lam > 0 the threshold on m is T = 2^53/(1 + e), with
     e = exp(-2*lam*c) from numpy's exp, returned for ``_log_cosh``; xi is
     c with the sign bit of T - m, set when m > T.  numpy's exp and libm's
-    (behind scipy's expit) differ by an ulp at most, which moves T by at
+    (behind ``_expit``) differ by an ulp at most, which moves T by at
     most 2; every m within ``_MARGIN`` of T is decided by u <
-    expit(2*lam*c) itself, so xi equals the steps of that rule bit for bit.
+    _expit(2*lam*c) itself, so xi equals the steps of that rule bit for bit.
     """
     xi = _lent(work, "xi", shape)
     if lam == 0.0:
         signed = np.bitwise_and(words, _SIGN_BIT, out=xi.view(np.uint64))
         signed |= c.view(np.uint64)
         return xi, None
-    expit = _special("expit")
     e = np.multiply(c, -2.0 * lam, out=_lent(work, "e", c.shape))
     np.exp(e, out=e)
     thr = np.add(e, 1.0, out=_lent(work, "a", c.shape))
@@ -610,7 +608,8 @@ def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
     if near.any():
         cn = np.broadcast_to(c, shape)[near]
         u = m[near] * _ULP
-        xi[near] = np.where(u < expit(cn * (2.0 * lam)), cn, -cn)
+        p = [_expit(x) for x in (cn * (2.0 * lam)).tolist()]
+        xi[near] = np.where(u < p, cn, -cn)
     return xi, e
 
 
@@ -695,7 +694,7 @@ def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float,
     ``Generator.random`` would return, and every comparison with u is made
     on the 53-bit integer m = w >> 11 (or on w) against a threshold scaled
     by 2^53, which gives the same decision exactly; the tilted two-point
-    threshold falls back to scipy's expit within a margin (see
+    threshold falls back to ``_expit`` within a margin (see
     ``_two_point_steps``).  c is the scale itself for two-point steps and
     the support 2*scale for three-point ones; xi = c * outcome, a
     C-contiguous array of the broadcast shape of ``scales`` and ``words``.
@@ -944,6 +943,19 @@ def _lemma_ceilings(lam: float, params: BernsteinParams):
     half_bound = 0.5 * lam * lam
     return tuple((bound, bound + _LEMMA_ALLOW * max(1.0, abs(bound)))
                  for bound in (b_bound, psi_bound, half_bound))
+
+
+def _z_variance_bound(lam: float, law: _StepLaw) -> float:
+    """Var Z at tilt lam is at most exp(sum_i gap(lam c_i)) - 1 (inf past
+    e^709), with gap(t) = psi(2t) - 2 psi(t): Z(lam)^2 = Z(2 lam)
+    exp(Psi_n(2 lam) - 2 Psi_n(lam)) and E Z(2 lam) = 1.  The gap grows
+    with t, so the worst scales bound every step; the sum is exact for
+    fixed weights, and n times the worst gap otherwise."""
+    psi = law.mgf_terms[0]
+    t = lam * np.asarray(law.worst_scales)
+    gap = psi(2.0 * t) - 2.0 * psi(t)
+    total = law.n / t.size * math.fsum(gap.tolist())
+    return math.expm1(total) if total <= 709.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,7 @@ def test_criterion_06_per_path_hard_identities():
     for model in IDENTITY_MODELS:
         report = run_verification_suite(
             SimulationConfig(model, paths=10**5, seed=13, exhaustive=False),
-            lam_fractions=(0.1, 0.5, 0.9), domination_levels=(),
-            check_z_mean=False)
+            lam_fractions=(0.1, 0.5, 0.9), domination_levels=())
         assert report.passed, (type(model).__name__, report.violations)
     ok(6, "6 families x 3 tilts x 1e5 paths, zero violations")
 
@@ -278,8 +277,7 @@ def test_criterion_11_worker_count_invariance():
         plain = estimate_tail_plain_grid(config, (0.5, 1.0, 1.5))
         tilted = estimate_tail_is(config, 2.0)
         suite = run_verification_suite(config, lam_fractions=(0.5,),
-                                       domination_levels=(1.0,),
-                                       check_z_mean=False)
+                                       domination_levels=(1.0,))
         cal = calibrate_constant(config, "thm21", (0.0, 1.0, 2.0))
         results.append((tuple(plain), tilted, suite, cal))
     assert results[0] == results[1] == results[2]

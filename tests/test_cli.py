@@ -10,6 +10,7 @@ doubles bit for bit; that equality is asserted rather than approximated.
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,12 @@ class TestExitCodes:
                      "--paths", "300", "--max-order", "8"]) == 2
         assert "--max-order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--z-mean", "--no-z-mean"])
+    def test_verify_has_no_z_mean_flag(self, capsys, flag):
+        assert main(["verify", "--model", "rademacher", "--n", "8",
+                     "--paths", "300", flag]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_model_without_n_is_config_error(self, capsys):
         assert main(["simulate", "--model", "rademacher"]) == 2
 
@@ -89,6 +96,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: domination_levels values must be finite\n"
 
+    def test_negative_domination_level_is_refused_before_drawing(
+            self, monkeypatch, capsys):
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(montecarlo, "generator_for", no_draw)
+        assert main(["verify", "--model", "selfnorm", "--n", "64",
+                     "--a", "1", "--b", "2.5", "--paths", "50000",
+                     "--levels=-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: domination_levels values must be nonnegative\n"
+
     @pytest.mark.parametrize("fraction", ["1", "1.5", "-0.2", "nan"])
     def test_tilt_fraction_outside_unit_interval_is_domain_error(
             self, fraction, capsys):
@@ -104,20 +125,23 @@ class TestExitCodes:
         monkeypatch.setenv("MARTKIT_SEED", "not-a-number")
         assert main(["simulate", "--model", "rademacher", "--n", "4"]) == 2
 
-    def test_failed_verification_exits_four(self, tmp_path, capsys):
-        # long paths at tilt fraction 0.9: the sampled mean of the
-        # change-of-measure weight sits far below 1, a documented
-        # violation of the mean-one check
+    def test_failed_verification_exits_four(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a zero band puts every VarianceSwitch path outside it
+        monkeypatch.setattr(montecarlo, "verify_A2",
+                            lambda model: (0.0, True))
         rc, header, rows = run_csv(
             tmp_path,
-            ["verify", "--model", "rademacher", "--n", "64",
-             "--paths", "20000", "--seed", "13",
+            ["verify", "--model", "variance-switch", "--n", "64",
+             "--delta", "0.5", "--paths", "20000", "--seed", "13",
              "--lam-fractions", "0.9", "--levels", ""])
         assert rc == 4
         kinds = [r[0] for r in rows]
         assert "violation" in kinds
         bad = [r for r in rows if r[0] == "violation"]
-        assert any(cell(r, header, "name") == "z-martingale-mean"
+        assert any(cell(r, header, "name") == "characteristic-band"
+                   for r in bad)
+        assert all(cell(r, header, "chunk") and cell(r, header, "row")
                    for r in bad)
         assert "seed 13" in capsys.readouterr().err
 
@@ -340,18 +364,23 @@ class TestVerifyCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_report_has_replay_coordinates(self, tmp_path):
+    def test_json_report_has_replay_coordinates(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(montecarlo, "verify_A2",
+                            lambda model: (0.0, True))
         out = tmp_path / "verify.json"
-        rc = main(["verify", "--model", "rademacher", "--n", "64",
-                   "--paths", "20000", "--seed", "13", "--lam-fractions",
-                   "0.9", "--levels", "", "--format", "json",
-                   "--out", str(out)])
+        rc = main(["verify", "--model", "variance-switch", "--n", "64",
+                   "--delta", "0.5", "--paths", "20000", "--seed", "13",
+                   "--lam-fractions", "0.9", "--levels", "", "--format",
+                   "json", "--out", str(out)])
         assert rc == 4
         blob = json.loads(out.read_text(encoding="utf-8"))
         assert blob["passed"] is False
         assert blob["manifest"]["seed"] == 13
         assert blob["violations"]
         assert all(v["check"] for v in blob["violations"])
+        assert all(v["chunk"] is not None and v["row"] is not None
+                   for v in blob["violations"])
         assert blob["z_stats"][0]["se"] > 0.0
 
 
@@ -582,3 +611,22 @@ class TestModuleEntry:
             cwd=str(tmp_path), env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1].startswith("0,")
+
+
+class TestReadmeCommands:
+    def test_command_line_examples_exit_zero(self, tmp_path, monkeypatch,
+                                             capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "\n## Command line\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        assert len(lines) == 6
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "design.csv").write_text(
+            "phi,x\n1.0,2.1\n2.0,3.9\n1.5,3.1\n1.0,1.9\n2.0,4.1\n",
+            encoding="utf-8")
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "martkit"
+            assert main(argv[1:]) == 0, (line, capsys.readouterr().err)

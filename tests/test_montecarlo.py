@@ -25,8 +25,9 @@ from martkit.gaussian import std_normal_cdf
 from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
                                  NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
-                                 VarianceSwitch, conjugate_stats,
-                                 generator_for, simulate_tilted_path)
+                                 VarianceSwitch, _z_variance_bound,
+                                 conjugate_stats, generator_for,
+                                 simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _BLOCK_ELEMENTS,
                                 _chunk_layout, _clopper_pearson, _dkw_band,
@@ -484,9 +485,10 @@ class TestImportFootprint:
         assert lines[-2:] == ["exit 0", "[]"]
 
     def test_first_scipy_use_inside_worker_threads(self):
-        # scipy loads on first use; here that use is in two pool threads at
-        # once (the self-normalized kernel's array thresholds), and the
-        # results must not depend on it
+        # scipy loads on first use, and no sampler uses it: the pool
+        # threads draw without it, scipy.special loads on the main thread
+        # with the first interval end, and the results must not depend on
+        # the worker count
         out = _fresh_python(
             "import sys, threading\n"
             "first = []\n"
@@ -508,8 +510,22 @@ class TestImportFootprint:
             "VarianceSwitch(64, 0.5)):\n"
             "    two = run(model, 2)\n"
             "    print(two == run(model, 1))\n"
-            "print(first[0] != threading.main_thread().name)\n")
+            "print(first[0] == threading.main_thread().name)\n")
         assert out.splitlines() == ["True", "True", "True"]
+
+    def test_tilted_two_point_draws_leave_scipy_special_unloaded(self):
+        out = _fresh_python(
+            "import sys\n"
+            "from martkit.martingales import (STREAM_MC_TILTED, "
+            "SelfNormalized,\n"
+            "                                 simulate_tilted_path)\n"
+            "from martkit.montecarlo import _Request, _simulate_chunk\n"
+            "model = SelfNormalized(64, 1.0, 2.5)\n"
+            "_simulate_chunk(model, 11, STREAM_MC_TILTED, 0, 1024, 2.0,\n"
+            "                _Request((2.0,), psi=True))\n"
+            "simulate_tilted_path(model, 2.0, 11)\n"
+            "print('scipy.special' in sys.modules)")
+        assert out == "False"
 
 
 _PRINT_HEAVY = ("print(sorted({m.partition('.')[0] for m in sys.modules}\n"
@@ -1124,8 +1140,7 @@ class TestVerificationSuite:
                              + getattr(m, "noise", NoiseFamily.RADEMACHER_SCALED).value[:4])
     def test_hard_checks_pass_on_every_family(self, model):
         rep = run_verification_suite(
-            cfg(model, paths=20000, seed=13, exhaustive=False),
-            check_z_mean=False)
+            cfg(model, paths=20000, seed=13, exhaustive=False))
         assert rep.passed, rep.violations
         assert rep.a1_passed
         assert "z-product-route" in rep.checks_run
@@ -1137,7 +1152,7 @@ class TestVerificationSuite:
         # down-steps there, where Z is near e^{-420}
         rep = run_verification_suite(
             cfg(VarianceSwitch(n=1200, delta=0.5), paths=4096, seed=11,
-                chunk_size=2048, exhaustive=False), check_z_mean=False)
+                chunk_size=2048, exhaustive=False))
         assert "z-product-route" in rep.checks_run
         assert not [v for v in rep.violations
                     if v.check == "z-product-route"], rep.violations
@@ -1152,17 +1167,76 @@ class TestVerificationSuite:
 
     def test_z_mean_check_documented_failure_mode(self):
         # long paths at fraction 0.9: the mean of Z concentrates far below
-        # 1 because the compensating right tail is never sampled
+        # 1 because the compensating right tail is never sampled, and the
+        # bound on Var Z says the sample cannot resolve it
         rep = run_verification_suite(
             cfg(ScaledRademacher.equal_weights(64), paths=20000, seed=13,
                 exhaustive=False),
             lam_fractions=(0.9,), domination_levels=())
-        assert any(v.check == "z-martingale-mean" for v in rep.violations)
-        gated = run_verification_suite(
-            cfg(ScaledRademacher.equal_weights(64), paths=20000, seed=13,
+        (_, mean, se), = rep.z_stats
+        assert abs(mean - 1.0) > 4.0 * se
+        assert "z-martingale-mean" in rep.checks_run
+        assert not [v for v in rep.violations
+                    if v.check == "z-martingale-mean"], rep.violations
+
+    @pytest.mark.parametrize("model, exact", [
+        (SR4, True), (SR16, True), (SR_UNEQ, True), (REG3_N10, True),
+        (VS12, False), (VarianceSwitch(n=20, delta=0.5), False)])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_z_variance_bound_against_enumerated_variance(self, model, exact,
+                                                          fraction):
+        lam = fraction / model.bernstein_params().epsilon
+        _, probs, log_z = _enumeration_atoms(model, lam)
+        var = math.fsum((probs * np.exp(log_z)).tolist()) - 1.0
+        bound = _z_variance_bound(lam, model._law())
+        if exact:   # constant or fixed scales: the bound is Var Z itself
+            assert bound == pytest.approx(var, rel=1e-12)
+        else:       # VarianceSwitch: n steps at s_plus bound every path
+            assert var <= bound * (1.0 + 1e-12)
+            assert bound <= 1.16 * var
+
+    def test_z_mean_check_on_long_paths_at_high_tilt(self):
+        # n * gap is about 1450 here: the bound is inf, not an overflow,
+        # and no sample can resolve the mean
+        model = ScaledRademacher.equal_weights(2000)
+        lam = 0.9 / model.bernstein_params().epsilon
+        assert _z_variance_bound(lam, model._law()) == math.inf
+        rep = run_verification_suite(
+            cfg(model, paths=20000, seed=11, exhaustive=False),
+            lam_fractions=(0.9,), domination_levels=())
+        assert "z-martingale-mean" in rep.checks_run
+        assert rep.passed, rep.violations
+
+    def test_z_mean_check_passes_on_400_equal_weights(self):
+        # the sample standard error used to reject f = 0.5 (mean Z near
+        # 5e-08 against 4e-08) and f = 0.9
+        rep = run_verification_suite(
+            cfg(ScaledRademacher.equal_weights(400), paths=20000, seed=11,
                 exhaustive=False),
-            lam_fractions=(0.9,), domination_levels=(), check_z_mean=False)
-        assert gated.passed
+            lam_fractions=(0.5, 0.9), domination_levels=())
+        assert rep.passed, rep.violations
+
+    def test_z_mean_check_keeps_its_power(self, monkeypatch):
+        # Psi raised by 0.05 puts E Z near e^-0.05; at f = 0.1 on SR(16)
+        # both standard errors are near 0.003
+        real = montecarlo._simulate_chunk
+
+        def offset(*args):
+            batch = real(*args)
+            for psi in batch.psi:
+                psi += 0.05
+            return batch
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", offset)
+        rep = run_verification_suite(
+            cfg(SR16, paths=20000, seed=3, exhaustive=False),
+            lam_fractions=(0.1,), domination_levels=())
+        (lam, mean, se), = rep.z_stats
+        bound_se = math.sqrt(_z_variance_bound(lam, SR16._law()) / 20000)
+        assert 4.0 * max(se, bound_se) < 0.02 < abs(mean - 1.0)
+        hits = [v for v in rep.violations if v.check == "z-martingale-mean"]
+        assert len(hits) == 1
+        assert f"sample {se!r}, bound {bound_se!r}" in hits[0].detail
 
     def test_domination_levels_optional(self):
         rep = run_verification_suite(cfg(SR16, paths=5000, exhaustive=False),
@@ -1197,8 +1271,7 @@ class TestVerificationSuite:
         monkeypatch.setattr(montecarlo, "verify_A2", lambda model: (0.0, True))
         c = cfg(VS12, paths=2000, chunk_size=100, exhaustive=False)
         rep = run_verification_suite(c, lam_fractions=(0.1, 0.5, 0.9),
-                                     domination_levels=(),
-                                     check_z_mean=False)
+                                     domination_levels=())
         got = [(v.chunk_index, v.row, v.detail) for v in rep.violations
                if v.check == "characteristic-band"]
         lo, hi = 1.0 - 1e-12, 1.0 + 1e-12
@@ -1250,7 +1323,7 @@ class TestVerificationSuite:
     def test_z_stats_are_reported_either_way(self):
         rep = run_verification_suite(
             cfg(SR16, paths=5000, seed=3, exhaustive=False),
-            lam_fractions=(0.5,), domination_levels=(), check_z_mean=False)
+            lam_fractions=(0.5,), domination_levels=())
         (lam, mean, se), = rep.z_stats
         assert lam == 0.5 / SR16.bernstein_params().epsilon
         assert mean > 0.0 and se > 0.0
@@ -1304,8 +1377,7 @@ class TestWorkerDeterminism:
         assert cals[0] == cals[1] == cals[2]
 
     def test_suite_is_worker_invariant(self):
-        reps = [run_verification_suite(c, lam_fractions=(0.5,),
-                                       check_z_mean=False)
+        reps = [run_verification_suite(c, lam_fractions=(0.5,))
                 for c in self._configs(VarianceSwitch(n=24, delta=0.4),
                                        paths=20000)]
         assert reps[0] == reps[1] == reps[2]
