@@ -209,19 +209,55 @@ class ConfidenceInterval:
         return asdict(self)
 
 
-def brentq(f, a: float, b: float, **kwargs) -> float:
-    """scipy.optimize.brentq, imported on first use.
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4.0 * 2.0 ** -52, maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
-    No martkit module imports scipy when it is itself imported: each
-    scipy function is reached through a small private wrapper that
-    imports it in its body (this one, and ``martingales._special`` for
-    scipy.special).  Importing scipy.optimize or scipy.special costs more
-    than importing numpy, and only the level inversion here and the
-    interval ends need them, so scipy loads with the first call that
-    does.
+    Brent-Dekker: inverse quadratic (or secant) steps, each accepted only
+    when shorter than half the previous one and than 3/4 of the bracket,
+    and bisection otherwise, in the step order of scipy.optimize.brentq.
+    Stops when the bracket is shorter than xtol + rtol*|x| around the best
+    point x, which is returned.
     """
-    from scipy.optimize import brentq as _brentq
-    return _brentq(f, a, b, **kwargs)
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        if (f_pre != 0.0 and f_cur != 0.0
+                and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise RuntimeError(f"no convergence in {maxiter} iterations")
 
 
 def _first_crossing(g, alpha: float, cap: float) -> Optional[float]:

@@ -26,8 +26,8 @@ from datetime import datetime, timezone
 from typing import List, Optional, Sequence
 
 # Only the closed-form layers load with the command line.  applications,
-# martingales and montecarlo (numpy, and scipy on first use) are imported
-# by the subcommands that need them, so ``bound`` starts without numpy.
+# martingales and montecarlo (and with them numpy) are imported by the
+# subcommands that need them, so ``bound`` starts without numpy.
 from . import __version__
 from .bounds import (CALIBRATION_ENVELOPES, BernsteinParams, BoundConstant,
                      MomentSummary, classical_envelopes, corollary_envelope,

@@ -525,16 +525,6 @@ class ConjugatePathStats:
             object.__setattr__(self, name, arr)
 
 
-def _special(name: str):
-    """The function ``name`` of scipy.special, imported on first use.
-
-    The interval ends reach scipy.special through this call, so
-    importing the package does not load it (see ``applications.brentq``).
-    """
-    import scipy.special
-    return getattr(scipy.special, name)
-
-
 def _expit(x: float) -> float:
     """The logistic function 1/(1 + exp(-x)) of one float x >= 0.
 

@@ -74,9 +74,8 @@ from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
 from .martingales import (_band_values, _check_tilt, _expit,
                           _lemma_ceilings, _lent, _log_cosh, _require_model,
-                          _special, _steps, _StepLaw, _switch_terms,
-                          _switch_total, _switch_z, _word_threshold,
-                          _z_variance_bound)
+                          _steps, _StepLaw, _switch_terms, _switch_total,
+                          _switch_z, _word_threshold, _z_variance_bound)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -688,14 +687,182 @@ def _map_chunks(config: SimulationConfig, kernel):
 # ---------------------------------------------------------------------------
 # interval helpers
 
+# stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m/e)^m) for m = 0..15, rounded
+# from 50-digit values (m = 0 is never read)
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+
+def _stirlerr(m: int) -> float:
+    """stirlerr at an integer m >= 1: tabulated below 16, else the
+    Stirling series, whose first omitted term is below 1e-16 at m = 16."""
+    if m < 16:
+        return _STIRLERR[m]
+    inv2 = 1.0 / (m * m)
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - (
+        1.0 / 1680.0 - inv2 / 1188.0) * inv2) * inv2) * inv2) / m
+
+
+def _root_start(k: int, n: int, a: float, z: float) -> float:
+    """log(p/q) near the root of P(Bin(n, p) >= k) = a; z is the normal
+    quantile at 1 - a.
+
+    For small k, two fixed-point passes on the leading terms of the tail,
+    p^k = a / (C(n, k) q^(n-k) (1 + t_1 + ... + t_4)) with t_i the pmf
+    ratios f_{k+i}/f_k, when t_4 is below 1e-3 of that sum; otherwise
+    Paulson's cube-root normal form of the beta quantile; failing both, a
+    point below the top of the bracket.
+    """
+    m = n - k
+    if k <= 30:
+        log_c = math.log(a) - (math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
+                               - math.lgamma(m + 1.0))
+        log_p = log_c / k
+        for _ in range(2):
+            p = math.exp(log_p)
+            if p >= 0.5:
+                break
+            rho = p / (1.0 - p)
+            total = term = 1.0
+            for i in range(4):
+                term *= (m - i) / (k + 1.0 + i) * rho
+                total += term
+            log_p = (log_c - m * math.log1p(-p) - math.log(total)) / k
+        else:
+            if term < 1e-3 * total:
+                return log_p - math.log1p(-math.exp(log_p))
+    a1, a2 = 1.0 / (9.0 * k), 1.0 / (9.0 * (m + 1.0))
+    qa = (1.0 - a2) ** 2 - z * z * a2
+    qb = (1.0 - a1) * (1.0 - a2)
+    qc = (1.0 - a1) ** 2 - z * z * a1
+    disc = qb * qb - qa * qc
+    if qa > 0.0 and disc >= 0.0 and qb > math.sqrt(disc):
+        return math.log(k / (m + 1.0)) + 3.0 * math.log(
+            (qb - math.sqrt(disc)) / qa)
+    return math.log(k / m) - 1.0
+
+
+def _binomial_tail_roots(ks: list, n: int, a: float) -> list:
+    """(p, 1 - p) with P(Bin(n, p) >= k) = a, for each integer k in
+    [2, n-1] of ``ks``, and 0 < a < 1/2.
+
+    The unknown is theta = log(p/q), q = 1 - p, so that p and q both come
+    out to full relative precision.  The tail is F = f_k S, where f_k is
+    the pmf at k and S = sum_j f_{k+j}/f_k = sum_j exp(L_j + j theta),
+    L_j = sum_{i<=j} log((n-k-i+1)/(k+i)), is summed outward from its
+    boundary term.  log f_k is Loader's saddle-point form, stirlerr(n) -
+    stirlerr(k) - stirlerr(n-k) - bd0(k, np) - bd0(n-k, nq) -
+    log(2 pi k (n-k)/n)/2, in which no large terms cancel.
+
+    At p = k/n the median of the binomial is k, so F >= 1/2 > a there and
+    the root lies in theta < log(k/(n-k)).  On that range the terms of S
+    decrease in j, and 9 sigma + 16 of them, sigma^2 = k(n-k)/n, leave a
+    remainder below 2^-56 S.  Halley's method on g = log F - log a, with
+    g' = k q/S and g'' = -g' (p + T/S), T = sum_j j exp(L_j + j theta),
+    runs from ``_root_start``; a step that leaves the bracket is replaced
+    by bisection.  Halley's error constant stays below k/10 here (it grows
+    with k from 0.08 at k = 2 to 1.8e4 at k = 2^19), so a count is done
+    after a step d with k d^3/10 <= 1e-17.  The terms of all
+    counts are evaluated together, but each count runs its own iterates,
+    so its root does not depend on the other counts.
+    """
+    t = math.sqrt(-2.0 * math.log(a))
+    # normal quantile at 1 - a to 5e-4 (Abramowitz-Stegun 26.2.23)
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    st_n, log_a = _stirlerr(n), math.log(a)
+    consts, widths, theta, lo, hi = [], [], [], [], []
+    for k in ks:
+        m = n - k
+        consts.append(st_n - _stirlerr(k) - _stirlerr(m)
+                      - 0.5 * math.log(2.0 * math.pi * k * m / n) - log_a)
+        widths.append(min(m, math.ceil(9.0 * math.sqrt(k * m / n)) + 16) + 1)
+        lo.append(-600.0)
+        hi.append(math.log(k / m))
+        theta.append(min(max(_root_start(k, n, a, z), lo[-1]), hi[-1]))
+    # the terms of every count, one segment each, in one flat array
+    widths = np.array(widths)
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    j = np.arange(ends[-1]) - np.repeat(starts, widths)
+    k_j = np.repeat(np.array(ks, dtype=float), widths)
+    log_c = np.log((n + 1.0 - k_j - j) / (k_j + j))
+    log_c[starts] = 0.0
+    big_l = np.empty_like(log_c)
+    for s0, s1 in zip(starts.tolist(), ends.tolist()):
+        np.add.accumulate(log_c[s0:s1], out=big_l[s0:s1])
+
+    active = range(len(ks))
+    for _ in range(100):
+        if not active:
+            break
+        terms = np.exp(big_l + j * np.repeat(theta, widths))
+        sums = np.add.reduceat(terms, starts).tolist()
+        moments = np.add.reduceat(j * terms, starts).tolist()
+        still = []
+        for i in active:
+            k, th, s = ks[i], theta[i], sums[i]
+            ex = math.exp(th)
+            q = 1.0 / (1.0 + ex)
+            p = q * ex
+            # log F - log a, with bd0(x, M) = x log(x/M) + M - x evaluated
+            # as M((1+d) log1p(d) - d), d = (x - M)/M, whose absolute error
+            # is about 2^-53 |x - M|
+            mean_k, mean_m = n * p, n * q
+            d_k, d_m = (k - mean_k) / mean_k, (n - k - mean_m) / mean_m
+            g = (consts[i] - mean_k * ((1.0 + d_k) * math.log1p(d_k) - d_k)
+                 - mean_m * ((1.0 + d_m) * math.log1p(d_m) - d_m)
+                 + math.log(s))
+            if g < 0.0:
+                lo[i] = th
+            else:
+                hi[i] = th
+            step = -2.0 * g / (2.0 * k * q / s + g * (p + moments[i] / s))
+            if lo[i] <= th + step <= hi[i]:
+                theta[i] = th + step
+                if 0.1 * k * abs(step) ** 3 > 1e-17:
+                    still.append(i)
+            else:
+                theta[i] = 0.5 * (lo[i] + hi[i])
+                still.append(i)
+        active = still
+    out = []
+    for th in theta:
+        q = 1.0 / (1.0 + math.exp(th))
+        out.append((q * math.exp(th), q))
+    return out
+
+
+def _clopper_pearson_ends(hits, n: int, level: float):
+    """Clopper-Pearson (lo, hi) lists for each count in ``hits`` of n.
+
+    lo solves P(Bin(n, lo) >= h) = alpha/2 and hi solves
+    P(Bin(n, hi) <= h) = alpha/2, i.e. P(Bin(n, 1 - hi) >= n - h) =
+    alpha/2; both are roots of one problem, P(Bin(n, p) >= k) = a.  At
+    k = n it has the closed form p = a^(1/n) and at k = 1 the form
+    q = (1 - a)^(1/n), each end taken from whichever of pow, exp or expm1
+    keeps its relative precision; counts 0 and n take the ends 0 and 1.
+    All other roots of one call are solved together
+    (``_binomial_tail_roots``).
+    """
+    hits = [int(h) for h in hits]
+    a = (1.0 - level) / 2.0
+    ks = sorted({k for h in hits for k in (h, n - h) if 2 <= k < n})
+    roots = dict(zip(ks, _binomial_tail_roots(ks, n, a) if ks else ()))
+    log_q = math.log1p(-a) / n
+    roots[1] = (-math.expm1(log_q), math.exp(log_q))
+    roots[n] = (a ** (1.0 / n), -math.expm1(math.log(a) / n))
+    return ([0.0 if h == 0 else roots[h][0] for h in hits],
+            [1.0 if h == n else roots[n - h][1] for h in hits])
+
+
 def _clopper_pearson(hits: int, n: int, level: float):
-    alpha = 1.0 - level
-    betaincinv = _special("betaincinv")
-    lo = 0.0 if hits == 0 else float(
-        betaincinv(hits, n - hits + 1, alpha / 2.0))
-    hi = 1.0 if hits == n else float(
-        betaincinv(hits + 1, n - hits, 1.0 - alpha / 2.0))
-    return lo, hi
+    lo, hi = _clopper_pearson_ends([hits], n, level)
+    return lo[0], hi[0]
 
 
 def _dkw_band(paths: int, level: float) -> float:
@@ -756,14 +923,13 @@ def estimate_tail_plain(config: SimulationConfig, x: float) -> TailEstimate:
 def _plain_estimates(config: SimulationConfig, arr: np.ndarray,
                      counts: np.ndarray) -> list:
     """Estimates at the thresholds arr from the counts at or below them."""
-    out = []
-    for x, hits in zip(arr, (config.paths - counts).tolist()):
-        p_hat = hits / config.paths
-        lo, hi = _clopper_pearson(hits, config.paths, config.confidence_level)
-        out.append(TailEstimate(float(x), p_hat, lo, hi,
-                                EstimateMethod.PLAIN_CLOPPER_PEARSON,
-                                float(config.paths), config.seed))
-    return out
+    tail = (config.paths - counts).tolist()
+    los, his = _clopper_pearson_ends(tail, config.paths,
+                                     config.confidence_level)
+    return [TailEstimate(float(x), hits / config.paths, lo, hi,
+                         EstimateMethod.PLAIN_CLOPPER_PEARSON,
+                         float(config.paths), config.seed)
+            for x, hits, lo, hi in zip(arr, tail, los, his)]
 
 
 def estimate_tail_plain_grid(config: SimulationConfig,
@@ -823,7 +989,8 @@ def estimate_tail_is(config: SimulationConfig, x: float,
     w_max = max(p[2] for p in parts)
     p_hat, se = _mean_se(sum_w, math.fsum(p[1] for p in parts),
                          config.paths)
-    z = float(_special("ndtri")(0.5 * (1.0 + config.confidence_level)))
+    from statistics import NormalDist
+    z = NormalDist().inv_cdf(0.5 * (1.0 + config.confidence_level))
     half = z * se
     ess = sum_w / w_max if w_max > 0.0 else 0.0
     return TailEstimate(float(x), p_hat, max(0.0, p_hat - half), p_hat + half,
@@ -925,12 +1092,10 @@ def calibrate_constant(config: SimulationConfig, envelope: str,
             empirical = np.abs(_exact_cdf_at(config.model, arr) - phi)
             paths_used = leaves
         else:
-            counts = _cdf_counts(config, arr)
-            empirical = np.empty(arr.size)
-            for i in range(arr.size):
-                lo, hi = _clopper_pearson(int(counts[i]), config.paths,
-                                          config.confidence_level)
-                empirical[i] = max(abs(hi - phi[i]), abs(phi[i] - lo))
+            lo, hi = map(np.array, _clopper_pearson_ends(
+                _cdf_counts(config, arr), config.paths,
+                config.confidence_level))
+            empirical = np.maximum(np.abs(hi - phi), np.abs(phi - lo))
             paths_used = config.paths
 
         if envelope == "thm21":

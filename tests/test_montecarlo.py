@@ -6,15 +6,18 @@ import itertools
 import math
 import operator
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, ndtri
 from scipy.stats import beta, binom
 
 import martkit
@@ -30,7 +33,8 @@ from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
                                  simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _BLOCK_ELEMENTS,
-                                _chunk_layout, _clopper_pearson, _dkw_band,
+                                _chunk_layout, _clopper_pearson,
+                                _clopper_pearson_ends, _dkw_band,
                                 _enumeration_atoms, _fold, _map_chunks,
                                 _minimal_constant, _Request, _simulate_chunk,
                                 calibrate_constant, conjugate_clt_check,
@@ -55,6 +59,37 @@ SR_UNEQ = ScaledRademacher(UNEQ_W)
 
 def cfg(model, paths=1000, seed=7, **kw):
     return SimulationConfig(model, paths=paths, seed=seed, **kw)
+
+
+CP_GRID = [(n, hits, level) for n in (1, 2, 7, 100, 1000, 1 << 20)
+           for hits in sorted({h for h in (0, 1, 2, n // 3, n // 2, n - 1, n)
+                               if h <= n})
+           for level in (0.5, 0.95, 0.99, 0.999999)]
+
+
+def _binomial_root_error(end, k, n, a, at_least):
+    """Relative distance of ``end`` from the root x of P(Bin(n, x) >= k) = a
+    (``at_least``) or of P(Bin(n, x) <= k) = a: one Newton step at 40
+    digits, which is exact to first order, with the pmf from log-gamma and
+    the tail summed outward from k to a 1e-45 relative remainder."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(end))
+        q = 1 - x
+        pmf = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                         - mpmath.loggamma(n - k + 1) + k * mpmath.log(x)
+                         + (n - k) * mpmath.log(q))
+        total = term = mpmath.mpf(1)
+        j, cut = k, mpmath.mpf(10) ** -45
+        while (j < n if at_least else j > 0) and term >= cut * total:
+            if at_least:
+                term *= mpmath.mpf(n - j) / (j + 1) * x / q
+                j += 1
+            else:
+                term *= mpmath.mpf(j) / (n - j + 1) * q / x
+                j -= 1
+            total += term
+        slope = pmf * (k / x if at_least else -(n - k) / q)
+        return float((pmf * total - a) / slope / x)
 
 
 class TestSimulationConfig:
@@ -412,17 +447,84 @@ class TestClopperPearson:
         assert all(a <= b + 1e-15 for a, b in zip(los, los[1:]))
         assert all(a <= b + 1e-15 for a, b in zip(his, his[1:]))
 
-    def test_equals_beta_quantiles(self):
-        for n in (1, 2, 7, 100, 1000, 1 << 20):
-            for hits in sorted({h for h in (0, 1, 2, n // 3, n // 2, n - 1, n)
-                                if h <= n}):
-                for level in (0.5, 0.95, 0.99, 0.999999):
-                    alpha = 1.0 - level
-                    lo, hi = _clopper_pearson(hits, n, level)
-                    assert lo == (0.0 if hits == 0 else float(
-                        beta.ppf(alpha / 2.0, hits, n - hits + 1)))
-                    assert hi == (1.0 if hits == n else float(
-                        beta.ppf(1.0 - alpha / 2.0, hits + 1, n - hits)))
+    def test_matches_beta_quantiles(self):
+        # scipy's beta.ppf is itself up to 1.3e-11 relative from the exact
+        # root on this grid: at n = 2^20, and at level 0.999999, where its
+        # upper quantile reads the rounded 1 - alpha/2, a tail 1.1e-10
+        # relative below alpha/2; test_ends_are_exact_roots holds the ends
+        # to 1e-14 of the exact roots on the same grid
+        for n, hits, level in CP_GRID:
+            alpha = 1.0 - level
+            lo, hi = _clopper_pearson(hits, n, level)
+            if hits == 0:
+                assert lo == 0.0
+            else:
+                ref = float(beta.ppf(alpha / 2.0, hits, n - hits + 1))
+                assert abs(lo - ref) <= 2e-11 * ref
+            if hits == n:
+                assert hi == 1.0
+            else:
+                ref = float(beta.ppf(1.0 - alpha / 2.0, hits + 1, n - hits))
+                assert abs(hi - ref) <= 2e-11 * ref
+
+    def test_ends_are_exact_roots(self):
+        for n, hits, level in CP_GRID:
+            a = (1.0 - level) / 2.0
+            lo, hi = _clopper_pearson(hits, n, level)
+            if hits > 0:
+                assert abs(_binomial_root_error(lo, hits, n, a,
+                                                True)) <= 1e-14
+            if hits < n:
+                assert abs(_binomial_root_error(hi, hits, n, a,
+                                                False)) <= 1e-14
+
+    def test_binomial_tails_at_the_ends(self):
+        # the defining equations: P(Bin(n, lo) >= hits) = alpha/2 and
+        # P(Bin(n, hi) <= hits) = alpha/2, within 1e-10 relative once the
+        # tail is allowed to move as far as it does over one ulp of the end
+        for n, hits, level in CP_GRID:
+            a = (1.0 - level) / 2.0
+            lo, hi = _clopper_pearson(hits, n, level)
+            ends = []
+            if hits > 0:
+                ends.append((lo, lambda x: binom.sf(hits - 1, n, x)))
+            if hits < n:
+                ends.append((hi, lambda x: binom.cdf(hits, n, x)))
+            for end, tail in ends:
+                near = [float(tail(x)) for x in (np.nextafter(end, 0.0), end,
+                                                 np.nextafter(end, 1.0))]
+                assert min(near) * (1.0 - 1e-10) <= a \
+                    <= max(near) * (1.0 + 1e-10), (n, hits, level)
+
+    @pytest.mark.parametrize("n", [1, 7, 1 << 15])
+    def test_closed_form_ends_at_zero_and_all_hits(self, n):
+        # P(Bin(n, hi) <= 0) = (1 - hi)^n and P(Bin(n, lo) >= n) = lo^n
+        level = 0.999999
+        with mpmath.workdps(40):
+            edge = (mpmath.mpf(1.0 - level) / 2) ** (mpmath.mpf(1) / n)
+            hi_ref, lo_ref = float(1 - edge), float(edge)
+        lo0, hi0 = _clopper_pearson(0, n, level)
+        lo_n, hi_n = _clopper_pearson(n, n, level)
+        assert lo0 == 0.0 and hi_n == 1.0
+        assert abs(hi0 - hi_ref) <= 4 * math.ulp(hi_ref)
+        assert abs(lo_n - lo_ref) <= 4 * math.ulp(lo_ref)
+
+    def test_ends_solved_together_equal_ends_solved_alone(self):
+        hits = [0, 1, 2, 4, 41, 196, 748, 2187, 5242, 10183, 32766, 32767,
+                32768]
+        for level in (0.5, 0.99, 0.999999):
+            lo, hi = _clopper_pearson_ends(hits, 1 << 15, level)
+            assert list(zip(lo, hi)) == [
+                _clopper_pearson(h, 1 << 15, level) for h in hits]
+
+    @pytest.mark.parametrize("level", [1e-9, 0.3, 1.0 - 2.0 ** -52])
+    def test_extreme_levels_give_ordered_ends(self, level):
+        n = 1000
+        hits = list(range(0, n + 1, 37)) + [1, 2, n - 2, n - 1, n]
+        lo, hi = map(np.array, _clopper_pearson_ends(hits, n, level))
+        p_hat = np.array(hits) / n
+        assert np.all((0.0 <= lo) & (lo <= p_hat) & (p_hat <= hi)
+                      & (hi <= 1.0))
 
 
 class TestImportFootprint:
@@ -484,18 +586,17 @@ class TestImportFootprint:
         assert len(lines) == 1 + 9 + 2
         assert lines[-2:] == ["exit 0", "[]"]
 
-    def test_first_scipy_use_inside_worker_threads(self):
-        # scipy loads on first use, and no sampler uses it: the pool
-        # threads draw without it, scipy.special loads on the main thread
-        # with the first interval end, and the results must not depend on
-        # the worker count
+    def test_sampling_and_intervals_never_import_scipy(self):
+        # no sampler and no interval end uses scipy, on the pool threads
+        # or the main thread, and the results must not depend on the
+        # worker count
         out = _fresh_python(
-            "import sys, threading\n"
-            "first = []\n"
+            "import sys\n"
+            "seen = []\n"
             "def hook(event, args):\n"
-            "    if event == 'import' and args[0] == 'scipy.special' "
-            "and not first:\n"
-            "        first.append(threading.current_thread().name)\n"
+            "    if event == 'import' and args[0].partition('.')[0] == "
+            "'scipy':\n"
+            "        seen.append(args[0])\n"
             "sys.addaudithook(hook)\n"
             "from martkit.martingales import SelfNormalized, VarianceSwitch\n"
             "from martkit.montecarlo import (SimulationConfig, "
@@ -510,8 +611,55 @@ class TestImportFootprint:
             "VarianceSwitch(64, 0.5)):\n"
             "    two = run(model, 2)\n"
             "    print(two == run(model, 1))\n"
-            "print(first[0] == threading.main_thread().name)\n")
-        assert out.splitlines() == ["True", "True", "True"]
+            "print(seen)\n")
+        assert out.splitlines() == ["True", "True", "[]"]
+
+    def test_no_scipy_after_every_sampling_entry_point(self):
+        # a plain grid, an IS estimate, the verification suite, a
+        # calibration, both regression applications, then the README's
+        # simulate, verify and calibrate lines through cli.main, all in
+        # one interpreter
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text(encoding="utf-8").split(
+            "\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+        argvs = [shlex.split(line)[1:] for line in
+                 block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+                 if line.split()[1] in ("simulate", "verify", "calibrate")]
+        assert len(argvs) == 3
+        out = _fresh_python(
+            "import contextlib, io, sys\n"
+            "from martkit import cli\n"
+            "from martkit.applications import (RegressionData, "
+            "regression_ci,\n"
+            "                                  regression_coverage)\n"
+            "from martkit.martingales import (NoiseFamily, RegressionModel,\n"
+            "                                 ScaledRademacher, "
+            "SelfNormalized)\n"
+            "from martkit.montecarlo import (SimulationConfig, "
+            "calibrate_constant,\n"
+            "    estimate_tail_is, estimate_tail_plain_grid, "
+            "run_verification_suite)\n"
+            "c = SimulationConfig(SelfNormalized(32, 1.0, 2.0), "
+            "paths=2048, seed=3)\n"
+            "estimate_tail_plain_grid(c, [0.5, 1.0, 2.0])\n"
+            "estimate_tail_is(c, 2.5)\n"
+            "run_verification_suite(c)\n"
+            "calibrate_constant(SimulationConfig(ScaledRademacher."
+            "equal_weights(16),\n"
+            "    paths=2048, seed=3, exhaustive=False), 'brmti', "
+            "[0.0, 1.0])\n"
+            "regression_ci(RegressionData((1.0, 2.0, 1.5, 1.0), "
+            "(2.1, 3.9, 3.1, 1.9)),\n"
+            "              0.05, 0.95)\n"
+            "regression_coverage(RegressionModel(0.5, 32, 1.0, 2.0, 1.0,\n"
+            "    NoiseFamily.RADEMACHER_SCALED), 0.95, 512, seed=3)\n"
+            "codes = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(codes)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.splitlines() == ["[0, 0, 0]", "[]"]
 
     def test_tilted_two_point_draws_leave_scipy_special_unloaded(self):
         out = _fresh_python(
@@ -990,6 +1138,19 @@ class TestTailIS:
         se_is = (weighted.ci_hi - weighted.ci_lo) / (2.0 * z99)
         pooled = math.hypot(se_pl, se_is)
         assert abs(plain.p_hat - weighted.p_hat) <= 3.0 * pooled
+
+    def test_interval_quantile_is_within_a_few_ulp_of_ndtri(self):
+        # the normal interval's z is the stdlib's inverse CDF (AS241): at
+        # most 4 ulp from scipy's ndtri at the levels in use, and 6 ulp
+        # over a 20009-point grid of levels
+        for levels, ulps in (([0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.999999],
+                              4),
+                             (np.linspace(0.0, 1.0, 20011)[1:-1].tolist(),
+                              6)):
+            for level in levels:
+                p = 0.5 * (1.0 + level)
+                z, ref = NormalDist().inv_cdf(p), float(ndtri(p))
+                assert abs(z - ref) <= ulps * math.ulp(ref), level
 
     def test_weight_collapse_when_no_hits(self):
         est = estimate_tail_is(cfg(SR4, paths=100, seed=1, exhaustive=False),

@@ -2,8 +2,9 @@
 
 No linter ships with the toolchain, so the rules the package keeps are
 checked here with ``ast``: every name a module imports at module level is
-either used in that module or re-exported through ``__all__``, scipy is
-imported only inside function bodies, only ``martingales`` and
+either used in that module or re-exported through ``__all__``, no module
+imports scipy anywhere (numpy is the one runtime dependency that
+``pyproject.toml`` lists), only ``martingales`` and
 ``montecarlo`` key Philox generators, the samplers read raw Philox words
 (``Generator.random`` is called only by
 ``martingales.bolthausen_augment``, which draws no family steps), only
@@ -12,6 +13,7 @@ stream key is assigned in ``martingales`` alone, each to its own value.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -97,10 +99,53 @@ def test_import_scan_skips_function_bodies():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_scipy_is_imported_on_first_use_only(path):
-    # importing scipy.special costs more than numpy; every use reaches it
-    # from a function body (martingales._special, applications.brentq)
+    # superseded by test_no_scipy_import_anywhere, which also reads
+    # function bodies; kept for the module-level half of the rule
     assert import_time_imports(path.read_text(encoding="utf-8"),
                                "scipy") == []
+
+
+def imports_of(source: str, package: str) -> list:
+    """Lines of every import statement naming ``package``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n.partition(".")[0] == package for n in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_full_import_scan_reads_function_bodies():
+    source = ("import scipy.special\n"
+              "def f():\n"
+              "    from scipy.special import expit\n"
+              "    import scipyx, numpy\n"
+              "class A:\n"
+              "    def g(self):\n"
+              "        import scipy\n"
+              "from . import scipy\n")
+    assert imports_of(source, "scipy") == [1, 3, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_scipy_import_anywhere(path):
+    # the interval ends, the normal quantile and the level inversion are
+    # computed in the package, so no call loads scipy
+    assert imports_of(path.read_text(encoding="utf-8"), "scipy") == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.split(r"[<>=!~ ;\[]", dep, maxsplit=1)[0]
+            for dep in project["dependencies"]] == ["numpy"]
 
 
 def call_sites(name: str) -> list:
