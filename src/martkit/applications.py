@@ -209,8 +209,10 @@ class ConfidenceInterval:
         return asdict(self)
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = 4.0 * 2.0 ** -52, maxiter: int = 100) -> float:
+_BRENTQ_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent-Dekker: inverse quadratic (or secant) steps, each accepted only
@@ -228,7 +230,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
     if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
         raise ValueError("f(a) and f(b) must have different signs")
     x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENTQ_MAXITER):
         if (f_pre != 0.0 and f_cur != 0.0
                 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
             x_blk, f_blk = x_pre, f_pre
@@ -257,7 +259,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
         f_cur = f(x_cur)
-    raise RuntimeError(f"no convergence in {maxiter} iterations")
+    raise RuntimeError(f"no convergence in {_BRENTQ_MAXITER} iterations")
 
 
 def _first_crossing(g, alpha: float, cap: float) -> Optional[float]:

@@ -707,34 +707,11 @@ def _stirlerr(m: int) -> float:
         1.0 / 1680.0 - inv2 / 1188.0) * inv2) * inv2) * inv2) / m
 
 
-def _root_start(k: int, n: int, a: float, z: float) -> float:
-    """log(p/q) near the root of P(Bin(n, p) >= k) = a; z is the normal
-    quantile at 1 - a.
-
-    For small k, two fixed-point passes on the leading terms of the tail,
-    p^k = a / (C(n, k) q^(n-k) (1 + t_1 + ... + t_4)) with t_i the pmf
-    ratios f_{k+i}/f_k, when t_4 is below 1e-3 of that sum; otherwise
-    Paulson's cube-root normal form of the beta quantile; failing both, a
-    point below the top of the bracket.
-    """
-    m = n - k
-    if k <= 30:
-        log_c = math.log(a) - (math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
-                               - math.lgamma(m + 1.0))
-        log_p = log_c / k
-        for _ in range(2):
-            p = math.exp(log_p)
-            if p >= 0.5:
-                break
-            rho = p / (1.0 - p)
-            total = term = 1.0
-            for i in range(4):
-                term *= (m - i) / (k + 1.0 + i) * rho
-                total += term
-            log_p = (log_c - m * math.log1p(-p) - math.log(total)) / k
-        else:
-            if term < 1e-3 * total:
-                return log_p - math.log1p(-math.exp(log_p))
+def _root_start(k: int, m: int, z: float) -> float:
+    """log(p/q) near the root of P(Bin(k + m, p) >= k) = a, from Paulson's
+    cube-root normal form of the beta quantile; z is the normal quantile
+    at 1 - a.  Where that form has no root (small k at small a) it is inf,
+    which the caller clips to the top of the bracket."""
     a1, a2 = 1.0 / (9.0 * k), 1.0 / (9.0 * (m + 1.0))
     qa = (1.0 - a2) ** 2 - z * z * a2
     qb = (1.0 - a1) * (1.0 - a2)
@@ -743,12 +720,46 @@ def _root_start(k: int, n: int, a: float, z: float) -> float:
     if qa > 0.0 and disc >= 0.0 and qb > math.sqrt(disc):
         return math.log(k / (m + 1.0)) + 3.0 * math.log(
             (qb - math.sqrt(disc)) / qa)
-    return math.log(k / m) - 1.0
+    return math.inf
+
+
+# terms of the binomial tails that one batch of _binomial_tail_roots holds,
+# 512 KiB per array; a count with more terms than this is a batch alone
+_ROOT_BATCH_TERMS = 1 << 16
 
 
 def _binomial_tail_roots(ks: list, n: int, a: float) -> list:
     """(p, 1 - p) with P(Bin(n, p) >= k) = a, for each integer k in
     [2, n-1] of ``ks``, and 0 < a < 1/2.
+
+    Consecutive counts are solved together in batches of at most
+    ``_ROOT_BATCH_TERMS`` tail terms (``_tail_roots_batch``), so memory
+    does not grow with the number of counts: a batch holds a few arrays of
+    max(2^16, 4.5 sqrt(n) + 17) floats.  Each count runs its own iterates,
+    so its root does not depend on the batch.
+    """
+    from statistics import NormalDist
+    z = NormalDist().inv_cdf(1.0 - a)
+    roots, batch, widths, held = [], [], [], 0
+    for k in ks:
+        m = n - k
+        width = min(m, math.ceil(9.0 * math.sqrt(k * m / n)) + 16) + 1
+        if batch and held + width > _ROOT_BATCH_TERMS:
+            roots += _tail_roots_batch(batch, widths, n, a, z)
+            batch, widths, held = [], [], 0
+        batch.append(k)
+        widths.append(width)
+        held += width
+    if batch:
+        roots += _tail_roots_batch(batch, widths, n, a, z)
+    return roots
+
+
+def _tail_roots_batch(ks: list, widths: list, n: int, a: float,
+                      z: float) -> list:
+    """The roots of ``_binomial_tail_roots`` for the counts ``ks``, with
+    the first widths[i] terms of each tail in one flat array; z is the
+    normal quantile at 1 - a.
 
     The unknown is theta = log(p/q), q = 1 - p, so that p and q both come
     out to full relative precision.  The tail is F = f_k S, where f_k is
@@ -766,25 +777,17 @@ def _binomial_tail_roots(ks: list, n: int, a: float) -> list:
     runs from ``_root_start``; a step that leaves the bracket is replaced
     by bisection.  Halley's error constant stays below k/10 here (it grows
     with k from 0.08 at k = 2 to 1.8e4 at k = 2^19), so a count is done
-    after a step d with k d^3/10 <= 1e-17.  The terms of all
-    counts are evaluated together, but each count runs its own iterates,
-    so its root does not depend on the other counts.
+    after a step d with k d^3/10 <= 1e-17, and its terms leave the arrays.
     """
-    t = math.sqrt(-2.0 * math.log(a))
-    # normal quantile at 1 - a to 5e-4 (Abramowitz-Stegun 26.2.23)
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
     st_n, log_a = _stirlerr(n), math.log(a)
-    consts, widths, theta, lo, hi = [], [], [], [], []
+    consts, theta, lo, hi = [], [], [], []
     for k in ks:
         m = n - k
         consts.append(st_n - _stirlerr(k) - _stirlerr(m)
                       - 0.5 * math.log(2.0 * math.pi * k * m / n) - log_a)
-        widths.append(min(m, math.ceil(9.0 * math.sqrt(k * m / n)) + 16) + 1)
         lo.append(-600.0)
         hi.append(math.log(k / m))
-        theta.append(min(max(_root_start(k, n, a, z), lo[-1]), hi[-1]))
-    # the terms of every count, one segment each, in one flat array
+        theta.append(min(max(_root_start(k, m, z), lo[-1]), hi[-1]))
     widths = np.array(widths)
     ends = np.cumsum(widths)
     starts = ends - widths
@@ -792,20 +795,22 @@ def _binomial_tail_roots(ks: list, n: int, a: float) -> list:
     k_j = np.repeat(np.array(ks, dtype=float), widths)
     log_c = np.log((n + 1.0 - k_j - j) / (k_j + j))
     log_c[starts] = 0.0
+    del k_j
     big_l = np.empty_like(log_c)
     for s0, s1 in zip(starts.tolist(), ends.tolist()):
         np.add.accumulate(log_c[s0:s1], out=big_l[s0:s1])
+    del log_c
 
-    active = range(len(ks))
+    active = list(range(len(ks)))
     for _ in range(100):
-        if not active:
-            break
-        terms = np.exp(big_l + j * np.repeat(theta, widths))
+        terms = np.exp(big_l + j * np.array([theta[i] for i in active])
+                       .repeat(widths))
         sums = np.add.reduceat(terms, starts).tolist()
         moments = np.add.reduceat(j * terms, starts).tolist()
-        still = []
-        for i in active:
-            k, th, s = ks[i], theta[i], sums[i]
+        del terms
+        still, keep = [], []
+        for i, s, t in zip(active, sums, moments):
+            k, th = ks[i], theta[i]
             ex = math.exp(th)
             q = 1.0 / (1.0 + ex)
             p = q * ex
@@ -821,14 +826,21 @@ def _binomial_tail_roots(ks: list, n: int, a: float) -> list:
                 lo[i] = th
             else:
                 hi[i] = th
-            step = -2.0 * g / (2.0 * k * q / s + g * (p + moments[i] / s))
+            step = -2.0 * g / (2.0 * k * q / s + g * (p + t / s))
             if lo[i] <= th + step <= hi[i]:
                 theta[i] = th + step
-                if 0.1 * k * abs(step) ** 3 > 1e-17:
-                    still.append(i)
+                keep.append(0.1 * k * abs(step) ** 3 > 1e-17)
             else:
                 theta[i] = 0.5 * (lo[i] + hi[i])
+                keep.append(True)
+            if keep[-1]:
                 still.append(i)
+        if not still:
+            break
+        if len(still) < len(active):
+            rows = np.repeat(keep, widths)
+            big_l, j, widths = big_l[rows], j[rows], widths[keep]
+            starts = np.cumsum(widths) - widths
         active = still
     out = []
     for th in theta:
@@ -846,7 +858,7 @@ def _clopper_pearson_ends(hits, n: int, level: float):
     k = n it has the closed form p = a^(1/n) and at k = 1 the form
     q = (1 - a)^(1/n), each end taken from whichever of pow, exp or expm1
     keeps its relative precision; counts 0 and n take the ends 0 and 1.
-    All other roots of one call are solved together
+    All other roots of one call are solved together, in batches
     (``_binomial_tail_roots``).
     """
     hits = [int(h) for h in hits]

@@ -448,24 +448,29 @@ class TestClopperPearson:
         assert all(a <= b + 1e-15 for a, b in zip(his, his[1:]))
 
     def test_matches_beta_quantiles(self):
-        # scipy's beta.ppf is itself up to 1.3e-11 relative from the exact
-        # root on this grid: at n = 2^20, and at level 0.999999, where its
-        # upper quantile reads the rounded 1 - alpha/2, a tail 1.1e-10
-        # relative below alpha/2; test_ends_are_exact_roots holds the ends
-        # to 1e-14 of the exact roots on the same grid
+        # within 1e-12 relative of scipy's beta.ppf, except where scipy's
+        # own quantile is more than 1e-12 from the 40-digit root (at
+        # n = 2^20, and at level 0.999999, whose upper quantile reads the
+        # rounded 1 - alpha/2); test_ends_are_exact_roots holds every end
+        # to 1e-14 of that root
         for n, hits, level in CP_GRID:
-            alpha = 1.0 - level
+            a = (1.0 - level) / 2.0
             lo, hi = _clopper_pearson(hits, n, level)
+            ends = []
             if hits == 0:
                 assert lo == 0.0
             else:
-                ref = float(beta.ppf(alpha / 2.0, hits, n - hits + 1))
-                assert abs(lo - ref) <= 2e-11 * ref
+                ends.append((lo, beta.ppf(a, hits, n - hits + 1), True))
             if hits == n:
                 assert hi == 1.0
             else:
-                ref = float(beta.ppf(1.0 - alpha / 2.0, hits + 1, n - hits))
-                assert abs(hi - ref) <= 2e-11 * ref
+                ends.append((hi, beta.ppf(1.0 - a, hits + 1, n - hits),
+                             False))
+            for end, ref, at_least in ends:
+                if abs(end - ref) > 1e-12 * ref:
+                    assert abs(_binomial_root_error(
+                        ref, hits, n, a, at_least)) > 1e-12, \
+                        (n, hits, level, at_least)
 
     def test_ends_are_exact_roots(self):
         for n, hits, level in CP_GRID:
@@ -509,13 +514,31 @@ class TestClopperPearson:
         assert abs(hi0 - hi_ref) <= 4 * math.ulp(hi_ref)
         assert abs(lo_n - lo_ref) <= 4 * math.ulp(lo_ref)
 
-    def test_ends_solved_together_equal_ends_solved_alone(self):
-        hits = [0, 1, 2, 4, 41, 196, 748, 2187, 5242, 10183, 32766, 32767,
-                32768]
+    @pytest.mark.parametrize("n", [1 << 15, 1 << 24])
+    def test_ends_solved_together_equal_ends_solved_alone(self, n):
+        # at 2^24 the tails of these counts fill several batches
+        hits = [0, 1, 2, 4, 41, 196, 748, 2187, n // 6, n // 3, n // 2,
+                n - 2, n - 1, n]
         for level in (0.5, 0.99, 0.999999):
-            lo, hi = _clopper_pearson_ends(hits, 1 << 15, level)
+            lo, hi = _clopper_pearson_ends(hits, n, level)
             assert list(zip(lo, hi)) == [
-                _clopper_pearson(h, 1 << 15, level) for h in hits]
+                _clopper_pearson(h, n, level) for h in hits]
+
+    def test_memory_does_not_grow_with_the_number_of_counts(self):
+        # 273 counts at 2^30: their 544 tails have 1.1e7 terms (86 MiB per
+        # float array if held at once); the widest has 147473 (1.1 MiB)
+        n = 1 << 30
+        hits = sorted({int(h) for h in np.geomspace(1, n // 2, 300)})
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            lo, hi = _clopper_pearson_ends(hits, n, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert all(0.0 < l < h / n < u < 1.0
+                   for l, h, u in zip(lo, hits, hi))
 
     @pytest.mark.parametrize("level", [1e-9, 0.3, 1.0 - 2.0 ** -52])
     def test_extreme_levels_give_ordered_ends(self, level):
