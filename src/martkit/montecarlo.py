@@ -723,43 +723,9 @@ def _root_start(k: int, m: int, z: float) -> float:
     return math.inf
 
 
-# terms of the binomial tails that one batch of _binomial_tail_roots holds,
-# 512 KiB per array; a count with more terms than this is a batch alone
-_ROOT_BATCH_TERMS = 1 << 16
-
-
-def _binomial_tail_roots(ks: list, n: int, a: float) -> list:
-    """(p, 1 - p) with P(Bin(n, p) >= k) = a, for each integer k in
-    [2, n-1] of ``ks``, and 0 < a < 1/2.
-
-    Consecutive counts are solved together in batches of at most
-    ``_ROOT_BATCH_TERMS`` tail terms (``_tail_roots_batch``), so memory
-    does not grow with the number of counts: a batch holds a few arrays of
-    max(2^16, 4.5 sqrt(n) + 17) floats.  Each count runs its own iterates,
-    so its root does not depend on the batch.
-    """
-    from statistics import NormalDist
-    z = NormalDist().inv_cdf(1.0 - a)
-    roots, batch, widths, held = [], [], [], 0
-    for k in ks:
-        m = n - k
-        width = min(m, math.ceil(9.0 * math.sqrt(k * m / n)) + 16) + 1
-        if batch and held + width > _ROOT_BATCH_TERMS:
-            roots += _tail_roots_batch(batch, widths, n, a, z)
-            batch, widths, held = [], [], 0
-        batch.append(k)
-        widths.append(width)
-        held += width
-    if batch:
-        roots += _tail_roots_batch(batch, widths, n, a, z)
-    return roots
-
-
-def _tail_roots_batch(ks: list, widths: list, n: int, a: float,
-                      z: float) -> list:
-    """The roots of ``_binomial_tail_roots`` for the counts ``ks``, with
-    the first widths[i] terms of each tail in one flat array; z is the
-    normal quantile at 1 - a.
+def _binomial_tail_root(k: int, n: int, a: float, z: float):
+    """(p, 1 - p) with P(Bin(n, p) >= k) = a, for an integer k in [2, n-1]
+    and 0 < a < 1/2; z is the normal quantile at 1 - a.
 
     The unknown is theta = log(p/q), q = 1 - p, so that p and q both come
     out to full relative precision.  The tail is F = f_k S, where f_k is
@@ -772,81 +738,55 @@ def _tail_roots_batch(ks: list, widths: list, n: int, a: float,
     At p = k/n the median of the binomial is k, so F >= 1/2 > a there and
     the root lies in theta < log(k/(n-k)).  On that range the terms of S
     decrease in j, and 9 sigma + 16 of them, sigma^2 = k(n-k)/n, leave a
-    remainder below 2^-56 S.  Halley's method on g = log F - log a, with
+    remainder below 2^-56 S; the arrays hold those terms alone, at most
+    4.5 sqrt(n) + 17 of them.  Halley's method on g = log F - log a, with
     g' = k q/S and g'' = -g' (p + T/S), T = sum_j j exp(L_j + j theta),
     runs from ``_root_start``; a step that leaves the bracket is replaced
     by bisection.  Halley's error constant stays below k/10 here (it grows
-    with k from 0.08 at k = 2 to 1.8e4 at k = 2^19), so a count is done
-    after a step d with k d^3/10 <= 1e-17, and its terms leave the arrays.
+    with k from 0.08 at k = 2 to 1.8e4 at k = 2^19), so the root is done
+    after a step d with k d^3/10 <= 1e-17.
     """
-    st_n, log_a = _stirlerr(n), math.log(a)
-    consts, theta, lo, hi = [], [], [], []
-    for k in ks:
-        m = n - k
-        consts.append(st_n - _stirlerr(k) - _stirlerr(m)
-                      - 0.5 * math.log(2.0 * math.pi * k * m / n) - log_a)
-        lo.append(-600.0)
-        hi.append(math.log(k / m))
-        theta.append(min(max(_root_start(k, m, z), lo[-1]), hi[-1]))
-    widths = np.array(widths)
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    j = np.arange(ends[-1]) - np.repeat(starts, widths)
-    k_j = np.repeat(np.array(ks, dtype=float), widths)
-    log_c = np.log((n + 1.0 - k_j - j) / (k_j + j))
-    log_c[starts] = 0.0
-    del k_j
-    big_l = np.empty_like(log_c)
-    for s0, s1 in zip(starts.tolist(), ends.tolist()):
-        np.add.accumulate(log_c[s0:s1], out=big_l[s0:s1])
+    m = n - k
+    const = (_stirlerr(n) - _stirlerr(k) - _stirlerr(m)
+             - 0.5 * math.log(2.0 * math.pi * k * m / n) - math.log(a))
+    lo, hi = -600.0, math.log(k / m)
+    theta = min(max(_root_start(k, m, z), lo), hi)
+    j = np.arange(min(m, math.ceil(9.0 * math.sqrt(k * m / n)) + 16) + 1)
+    log_c = np.log((n + 1.0 - k - j) / (k + j))
+    log_c[0] = 0.0
+    big_l = np.add.accumulate(log_c)
     del log_c
-
-    active = list(range(len(ks)))
     for _ in range(100):
-        terms = np.exp(big_l + j * np.array([theta[i] for i in active])
-                       .repeat(widths))
-        sums = np.add.reduceat(terms, starts).tolist()
-        moments = np.add.reduceat(j * terms, starts).tolist()
+        terms = np.exp(big_l + j * theta)
+        # reduceat, not terms.sum(): the two round differently, and the
+        # ends' bytes (pinned in the tests) are reduceat's
+        s = float(np.add.reduceat(terms, [0])[0])
+        t = float(np.add.reduceat(j * terms, [0])[0])
         del terms
-        still, keep = [], []
-        for i, s, t in zip(active, sums, moments):
-            k, th = ks[i], theta[i]
-            ex = math.exp(th)
-            q = 1.0 / (1.0 + ex)
-            p = q * ex
-            # log F - log a, with bd0(x, M) = x log(x/M) + M - x evaluated
-            # as M((1+d) log1p(d) - d), d = (x - M)/M, whose absolute error
-            # is about 2^-53 |x - M|
-            mean_k, mean_m = n * p, n * q
-            d_k, d_m = (k - mean_k) / mean_k, (n - k - mean_m) / mean_m
-            g = (consts[i] - mean_k * ((1.0 + d_k) * math.log1p(d_k) - d_k)
-                 - mean_m * ((1.0 + d_m) * math.log1p(d_m) - d_m)
-                 + math.log(s))
-            if g < 0.0:
-                lo[i] = th
-            else:
-                hi[i] = th
-            step = -2.0 * g / (2.0 * k * q / s + g * (p + t / s))
-            if lo[i] <= th + step <= hi[i]:
-                theta[i] = th + step
-                keep.append(0.1 * k * abs(step) ** 3 > 1e-17)
-            else:
-                theta[i] = 0.5 * (lo[i] + hi[i])
-                keep.append(True)
-            if keep[-1]:
-                still.append(i)
-        if not still:
+        ex = math.exp(theta)
+        q = 1.0 / (1.0 + ex)
+        p = q * ex
+        # log F - log a, with bd0(x, M) = x log(x/M) + M - x evaluated
+        # as M((1+d) log1p(d) - d), d = (x - M)/M, whose absolute error
+        # is about 2^-53 |x - M|
+        mean_k, mean_m = n * p, n * q
+        d_k, d_m = (k - mean_k) / mean_k, (m - mean_m) / mean_m
+        g = (const - mean_k * ((1.0 + d_k) * math.log1p(d_k) - d_k)
+             - mean_m * ((1.0 + d_m) * math.log1p(d_m) - d_m)
+             + math.log(s))
+        if g < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        step = -2.0 * g / (2.0 * k * q / s + g * (p + t / s))
+        if not lo <= theta + step <= hi:
+            theta = 0.5 * (lo + hi)
+            continue
+        theta += step
+        if 0.1 * k * abs(step) ** 3 <= 1e-17:
             break
-        if len(still) < len(active):
-            rows = np.repeat(keep, widths)
-            big_l, j, widths = big_l[rows], j[rows], widths[keep]
-            starts = np.cumsum(widths) - widths
-        active = still
-    out = []
-    for th in theta:
-        q = 1.0 / (1.0 + math.exp(th))
-        out.append((q * math.exp(th), q))
-    return out
+    q = 1.0 / (1.0 + math.exp(theta))
+    return q * math.exp(theta), q
 
 
 def _clopper_pearson_ends(hits, n: int, level: float):
@@ -858,23 +798,20 @@ def _clopper_pearson_ends(hits, n: int, level: float):
     k = n it has the closed form p = a^(1/n) and at k = 1 the form
     q = (1 - a)^(1/n), each end taken from whichever of pow, exp or expm1
     keeps its relative precision; counts 0 and n take the ends 0 and 1.
-    All other roots of one call are solved together, in batches
-    (``_binomial_tail_roots``).
+    Every other distinct count of one call is solved on its own
+    (``_binomial_tail_root``), so memory is that of one count's tail.
     """
     hits = [int(h) for h in hits]
     a = (1.0 - level) / 2.0
-    ks = sorted({k for h in hits for k in (h, n - h) if 2 <= k < n})
-    roots = dict(zip(ks, _binomial_tail_roots(ks, n, a) if ks else ()))
+    from statistics import NormalDist
+    z = NormalDist().inv_cdf(1.0 - a)
+    ks = {k for h in hits for k in (h, n - h) if 2 <= k < n}
+    roots = {k: _binomial_tail_root(k, n, a, z) for k in ks}
     log_q = math.log1p(-a) / n
     roots[1] = (-math.expm1(log_q), math.exp(log_q))
     roots[n] = (a ** (1.0 / n), -math.expm1(math.log(a) / n))
     return ([0.0 if h == 0 else roots[h][0] for h in hits],
             [1.0 if h == n else roots[n - h][1] for h in hits])
-
-
-def _clopper_pearson(hits: int, n: int, level: float):
-    lo, hi = _clopper_pearson_ends([hits], n, level)
-    return lo[0], hi[0]
 
 
 def _dkw_band(paths: int, level: float) -> float:

@@ -33,8 +33,8 @@ from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
                                  simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _BLOCK_ELEMENTS,
-                                _chunk_layout, _clopper_pearson,
-                                _clopper_pearson_ends, _dkw_band,
+                                _chunk_layout, _clopper_pearson_ends,
+                                _dkw_band,
                                 _enumeration_atoms, _fold, _map_chunks,
                                 _minimal_constant, _Request, _simulate_chunk,
                                 calibrate_constant, conjugate_clt_check,
@@ -65,6 +65,16 @@ CP_GRID = [(n, hits, level) for n in (1, 2, 7, 100, 1000, 1 << 20)
            for hits in sorted({h for h in (0, 1, 2, n // 3, n // 2, n - 1, n)
                                if h <= n})
            for level in (0.5, 0.95, 0.99, 0.999999)]
+
+
+def _clopper_pearson(hits, n, level):
+    lo, hi = _clopper_pearson_ends([hits], n, level)
+    return lo[0], hi[0]
+
+
+def _hits_solved_together(n):
+    return [0, 1, 2, 4, 41, 196, 748, 2187, n // 6, n // 3, n // 2,
+            n - 2, n - 1, n]
 
 
 def _binomial_root_error(end, k, n, a, at_least):
@@ -516,13 +526,25 @@ class TestClopperPearson:
 
     @pytest.mark.parametrize("n", [1 << 15, 1 << 24])
     def test_ends_solved_together_equal_ends_solved_alone(self, n):
-        # at 2^24 the tails of these counts fill several batches
-        hits = [0, 1, 2, 4, 41, 196, 748, 2187, n // 6, n // 3, n // 2,
-                n - 2, n - 1, n]
+        hits = _hits_solved_together(n)
         for level in (0.5, 0.99, 0.999999):
             lo, hi = _clopper_pearson_ends(hits, n, level)
             assert list(zip(lo, hi)) == [
                 _clopper_pearson(h, n, level) for h in hits]
+
+    def test_ends_keep_their_bytes(self):
+        # every end of the CP_GRID points and of the hit lists above, byte
+        # for byte: a rewrite of the root solver must not move an end
+        digest = hashlib.sha256()
+        cases = [([hits], n, level) for n, hits, level in CP_GRID]
+        cases += [(_hits_solved_together(n), n, level)
+                  for n in (1 << 15, 1 << 24)
+                  for level in (0.5, 0.99, 0.999999)]
+        for hits, n, level in cases:
+            lo, hi = _clopper_pearson_ends(hits, n, level)
+            digest.update(np.array([lo, hi], dtype=float).tobytes())
+        assert digest.hexdigest() == (
+            "7ed216fb2341e84166dc0c949d3e0648136f563af1b4781044df3fc7fdc2540b")
 
     def test_memory_does_not_grow_with_the_number_of_counts(self):
         # 273 counts at 2^30: their 544 tails have 1.1e7 terms (86 MiB per

@@ -2,9 +2,10 @@
 
 No linter ships with the toolchain, so the rules the package keeps are
 checked here with ``ast``: every name a module imports at module level is
-either used in that module or re-exported through ``__all__``, no module
-imports scipy anywhere (numpy is the one runtime dependency that
-``pyproject.toml`` lists), only ``martingales`` and
+either used in that module or re-exported through ``__all__``, every
+private module-level function, class or constant is read somewhere in
+the package, no module imports scipy anywhere (numpy is the one runtime
+dependency that ``pyproject.toml`` lists), only ``martingales`` and
 ``montecarlo`` key Philox generators, the samplers read raw Philox words
 (``Generator.random`` is called only by
 ``martingales.bolthausen_augment``, which draws no family steps), only
@@ -59,50 +60,62 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def import_time_imports(source: str, package: str) -> list:
-    """Lines that import ``package`` when the module itself is imported:
-    every import statement outside a function body."""
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                names = [child.module]
+def unused_private_names(sources: dict) -> list:
+    """(module, name) of every private module-level function, class or
+    constant of ``sources`` (module name -> source) that no module reads,
+    by bare or dotted name; assigning to a name does not read it."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                names = [node.target.id]
             else:
                 names = []
-            if any(n.partition(".")[0] == package for n in names):
-                found.append(child.lineno)
-            visit(child)
-
-    visit(ast.parse(source))
-    return found
-
-
-def test_import_scan_skips_function_bodies():
-    source = ("import scipy.special\n"
-              "from scipy import optimize\n"
-              "if True:\n"
-              "    from scipy.special import ndtri\n"
-              "class A:\n"
-              "    import scipy\n"
-              "def f():\n"
-              "    from scipy.special import expit\n"
-              "    import scipy\n"
-              "import scipyx, numpy\n")
-    assert import_time_imports(source, "scipy") == [1, 2, 4, 6]
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return sorted(d for d in defined if d[1] not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
-def test_scipy_is_imported_on_first_use_only(path):
-    # superseded by test_no_scipy_import_anywhere, which also reads
-    # function bodies; kept for the module-level half of the rule
-    assert import_time_imports(path.read_text(encoding="utf-8"),
-                               "scipy") == []
+def test_private_name_scan_flags_only_unreferenced_names():
+    sources = {"a": ("_K = 1\n"
+                     "_unused = 2\n"
+                     "__all__ = []\n"
+                     "def _f(x=_K):\n"
+                     "    return _g(x)\n"
+                     "def _g(x):\n"
+                     "    return x\n"
+                     "class _Dead:\n"
+                     "    _inner = 3\n"
+                     "def public():\n"
+                     "    _local = _f()\n"
+                     "    return _local\n"),
+               "b": ("from . import a\n"
+                     "_T: int = 0\n"
+                     "a._unused = _T\n")}
+    assert unused_private_names(sources) == [("a", "_Dead"),
+                                             ("a", "_unused")]
+
+
+def test_every_private_name_is_referenced():
+    # delete what nothing uses: a private function, class or constant
+    # that no module reads is dead code, whatever tests still call it
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert unused_private_names(sources) == []
 
 
 def imports_of(source: str, package: str) -> list:
