@@ -209,76 +209,28 @@ class ConfidenceInterval:
         return asdict(self)
 
 
-_BRENTQ_MAXITER = 100
-
-
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    Brent-Dekker: inverse quadratic (or secant) steps, each accepted only
-    when shorter than half the previous one and than 3/4 of the bracket,
-    and bisection otherwise, in the step order of scipy.optimize.brentq.
-    Stops when the bracket is shorter than xtol + rtol*|x| around the best
-    point x, which is returned.
-    """
-    x_pre, x_cur = float(a), float(b)
-    f_pre, f_cur = f(x_pre), f(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_BRENTQ_MAXITER):
-        if (f_pre != 0.0 and f_cur != 0.0
-                and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + rtol * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
-                    d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
-    raise RuntimeError(f"no convergence in {_BRENTQ_MAXITER} iterations")
-
-
 def _first_crossing(g, alpha: float, cap: float) -> Optional[float]:
-    """Smallest x in [0, cap] with g(x) <= alpha, or None.
+    """Smallest double x in [0, cap] with g(x) <= alpha, or None.
 
-    g(0) > alpha always holds here; scan for the first sign change, then
-    polish by bracketed root finding.
+    g(0) >= 1 > alpha always holds here, as both routes add a nonnegative
+    term to 2(1 - Phi(0)) = 1.  Scan in steps of 0.05 for the first x
+    with g(x) <= alpha, then bisect the bracket [lo, x] on doubles,
+    keeping g(lo) > alpha >= g(x), until the midpoint rounds to one of
+    its ends; x is then the double just above lo.
     """
     step = 0.05
-    lo, g_lo = 0.0, g(0.0)
-    if g_lo <= alpha:
-        return 0.0
-    x = step
+    lo, x = 0.0, step
     while x <= cap + 1e-12:
-        g_x = g(x)
-        if g_x <= alpha:
-            return brentq(lambda t: g(t) - alpha, lo, x,
-                          xtol=1e-13, rtol=8.9e-16)
-        lo, g_lo = x, g_x
+        if g(x) <= alpha:
+            mid = 0.5 * (lo + x)
+            while lo < mid < x:
+                if g(mid) <= alpha:
+                    x = mid
+                else:
+                    lo = mid
+                mid = 0.5 * (lo + x)
+            return x
+        lo = x
         x += step
     return None
 

@@ -123,7 +123,6 @@ class EnvelopeSource(str, Enum):
     STOPPED_BE = "stopped_be"
     REGRESSION = "regression"
     SELF_NORMALIZED = "self_normalized"
-    WANG_JING = "wang_jing"
 
 
 @dataclass(frozen=True)

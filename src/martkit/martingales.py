@@ -783,9 +783,7 @@ def _three_point_psi(t: np.ndarray, out=None) -> np.ndarray:
     largest step c is at most 2*sqrt(3)*eps, so t < 2*sqrt(3), far below
     the t ~ 710 where cosh overflows.
     """
-    out = np.cosh(t, out=out)
-    out *= 0.25
-    out += 0.75
+    out = _three_point_mgf(t, out=out)
     return np.log(out, out=out)
 
 

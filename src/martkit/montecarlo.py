@@ -55,6 +55,7 @@ them over the chunks, and a tail count is paths minus the count.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import os
@@ -312,17 +313,14 @@ def _enumerate_three_point(n: int, support: float, lam: float):
     p_up = 0.125 * math.exp(t) / m
     p_down = 0.125 * math.exp(-t) / m
     p_zero = 0.75 / m
-    raw_v, raw_p = [], []
+    # atom j is the terminal value support * (j - n), j = up - down + n
+    values = support * np.arange(-n, n + 1)
+    probs = np.zeros(values.size)
     for up in range(n + 1):
         for down in range(n + 1 - up):
-            prob = (math.comb(n, up) * math.comb(n - up, down)
-                    * p_up ** up * p_down ** down
-                    * p_zero ** (n - up - down))
-            raw_v.append(support * (up - down))
-            raw_p.append(prob)
-    values, inverse = np.unique(np.asarray(raw_v), return_inverse=True)
-    probs = np.zeros(values.size)
-    np.add.at(probs, inverse, np.asarray(raw_p))
+            probs[up - down + n] += (math.comb(n, up) * math.comb(n - up, down)
+                                     * p_up ** up * p_down ** down
+                                     * p_zero ** (n - up - down))
     return values, probs, lam * values - n * math.log(m)
 
 
@@ -460,11 +458,11 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
     stay in the core's L2 cache, and each block draws its own rows.  The
     chunk's stream holds the (rows, n) magnitudes or covariates at draw
-    offset 0 and the (rows, n) uniforms at offset rows*n; the kernel keeps
-    a cursor in each, swapping the generator's state between them, and
-    places the second by advancing the Philox counter (4 words per step)
-    and drawing the remainder.  A chunk therefore holds O(block) floats
-    besides its outputs, whatever n is.  Each block's draws are raw words
+    offset 0 and the (rows, n) uniforms at offset rows*n; the kernel reads
+    the second through a copy of the chunk's generator, placed by
+    advancing the Philox counter (4 words per step) and drawing the
+    remainder.  A chunk therefore holds O(block) floats besides its
+    outputs, whatever n is.  Each block's draws are raw words
     w, read as u = (w >> 11) * 2^-53 and compared as 53-bit integers, with
     ``martingales._expit`` deciding the words within a margin of a tilted
     two-point threshold (see ``martingales._steps``); the first stage on
@@ -510,15 +508,14 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
 
     # the stream holds the (rows, n) magnitude (or covariate) words first,
     # then the (rows, n) uniform words; each block reads its rows of both,
-    # keeping one cursor per matrix and swapping the generator's state
+    # the uniforms through a copy of the generator placed rows*n words ahead
     n = law.n
-    bits = rng.bit_generator
+    bits = uniforms = rng.bit_generator
     if law.band is not None:
-        at_draws = bits.state
+        uniforms = copy.deepcopy(bits)
         # one Philox counter step yields 4 words; draw the remainder by hand
-        bits.advance(rows * n // 4)
-        bits.random_raw(rows * n % 4)
-        at_uniforms, bits.state = bits.state, at_draws
+        uniforms.advance(rows * n // 4)
+        uniforms.random_raw(rows * n % 4)
     block = max(1, _BLOCK_ELEMENTS // n)
     # every (n, k) stage of every block writes into rows of this one
     # allocation, which the allocator keeps from chunk to chunk
@@ -535,10 +532,8 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                                   work["scales"])
             scales /= np.sqrt(_fold(np.multiply(scales, scales,
                                                 out=work["a"])))
-            at_draws, bits.state = bits.state, at_uniforms
-        c, xi, e = _steps(law, scales, bits.random_raw((k, n)).T, lam, work)
-        if law.band is not None:
-            at_uniforms, bits.state = bits.state, at_draws
+        c, xi, e = _steps(law, scales, uniforms.random_raw((k, n)).T, lam,
+                          work)
         _accumulate(law, c, xi, want, batch, rows_in, lam, e, work)
     if want.qc:
         batch.qc_final.fill(1.0 if law.band is not None else

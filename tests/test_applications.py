@@ -21,6 +21,7 @@ from martkit.bounds import (BernsteinParams, BoundConstant, ConstantKind,
                             breve_x, cramer_ratio_band, eps_log_eps,
                             nonuniform_be_envelope)
 from martkit.errors import ConfigError, DomainError, UnsupportedModelError
+from martkit.gaussian import std_normal_sf
 from martkit.martingales import (NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
                                  VarianceSwitch, noise_bernstein_constant)
@@ -275,6 +276,35 @@ class TestConfidenceInterval:
         restored = json.loads(json.dumps(ci.to_dict()))
         assert restored["x_star"] == ci.x_star
         assert restored["method"] == "ratio_band"
+
+    @pytest.mark.parametrize("use_envelope", [False, True],
+                             ids=["ratio_band", "envelope"])
+    @pytest.mark.parametrize("c", [0.0, 0.1, 1.0, 5.0])
+    def test_x_star_is_the_first_double_at_the_level(self, c, use_envelope):
+        # g restated from the public formulas: x* is the smallest double
+        # whose two-sided bound is at most 1 - level, so the double just
+        # below it is still above
+        def g(x, eps):
+            rate = eps_log_eps(eps)
+            if use_envelope:
+                env = c * (1.0 + x * x) * rate \
+                    * math.exp(-0.5 * breve_x(x, eps) ** 2)
+                return 2.0 * (std_normal_sf(x) + env)
+            return 2.0 * std_normal_sf(x) * (1.0 + c * (1.0 + x ** 3) * rate)
+
+        checked = 0
+        for eps in (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5):
+            for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.999999):
+                ci = regression_ci(self.D, eps, level, BoundConstant(c),
+                                   use_envelope=use_envelope)
+                if not ci.valid:
+                    continue
+                alpha = 1.0 - level
+                below = math.nextafter(ci.x_star, 0.0)
+                assert g(ci.x_star, eps) <= alpha < g(below, eps), \
+                    (eps, level, ci.x_star)
+                checked += 1
+        assert checked >= 20
 
 
 class TestReports:

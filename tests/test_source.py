@@ -9,11 +9,13 @@ dependency that ``pyproject.toml`` lists), only ``martingales`` and
 ``montecarlo`` key Philox generators, the samplers read raw Philox words
 (``Generator.random`` is called only by
 ``martingales.bolthausen_augment``, which draws no family steps), only
-``montecarlo._new_batch`` builds a chunk's outputs, and every Philox
-stream key is assigned in ``martingales`` alone, each to its own value.
+``montecarlo._new_batch`` builds a chunk's outputs, every Philox
+stream key is assigned in ``martingales`` alone, each to its own value,
+and every ``module.name`` that README.md quotes resolves.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -225,3 +227,30 @@ def test_stream_keys_have_one_home():
     assert {module for module, _, _ in keys} == {"martingales"}
     values = [value for _, _, value in keys]
     assert len(set(values)) == len(values) >= 5
+
+
+def quoted_names(text: str) -> list:
+    """(module, name) of every backticked ``<module>.<name>`` in ``text``,
+    optionally prefixed by ``martkit.``, whose module is a package module."""
+    modules = {p.stem for p in MODULES} - {"__init__"}
+    return [(m.group(1), m.group(2))
+            for m in re.finditer(r"`(?:martkit\.)?(\w+)\.(\w+)", text)
+            if m.group(1) in modules]
+
+
+def test_quoted_name_scan_reads_package_modules_only():
+    text = ("`bounds.breve_x(x, eps)`, `martkit.cli` and "
+            "`martkit.montecarlo._fold`; not np.exp or `np.add.at` or "
+            "`tracing.installed`")
+    assert quoted_names(text) == [("bounds", "breve_x"),
+                                  ("montecarlo", "_fold")]
+
+
+def test_readme_quotes_only_names_that_exist():
+    # a name the README points at must still be there to read
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    missing = [f"{module}.{name}"
+               for module, name in quoted_names(readme.read_text("utf-8"))
+               if not hasattr(importlib.import_module(f"martkit.{module}"),
+                              name)]
+    assert missing == []
