@@ -29,14 +29,19 @@ checks read that description, never the family's class.
 
 Randomness is counter-based: a Philox generator keyed by
 ``[seed, (stream << 56) | index]``.  Draw order inside one path is fixed
-and documented per family (magnitudes or covariates first, then one
-uniform per step for the sign/outcome).  The samplers read raw 64-bit
-words: a word w stands for the uniform u = (w >> 11) * 2^-53 that
-numpy's ``Generator.random`` would return, and each comparison with u is
-made exactly on the integer w >> 11 (see ``_steps``).  A step goes up
-when its uniform is below the tilted up-probability
-expit(2*lambda*scale); at lambda = 0 that threshold is exactly 0.5, so
-the tilted sampler reproduces the plain sampler bit for bit.
+and documented per family: magnitudes or covariates first, one raw
+64-bit word per step, then the draws that decide each step's sign or
+outcome.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
+numpy's ``Generator.random`` would return, and each comparison with u
+is made exactly (see ``_steps``).  At lambda = 0 each step
+reads one word and goes up when u < 1/2 (1/8 and 7/8 for three-point
+outcomes), read off the word's top bits.  At lambda > 0 each
+step reads a 16-bit lane v, four to a word, and goes up when
+(v + u') * 2^-16 is below its tilted up-probability expit(2*lambda*scale);
+u' is the uniform of the step's own refinement word, at a fixed offset
+past the lanes, read only when the lane alone cannot decide (see
+``_decisions`` and ``_WordReader``).  Every tilted decision therefore
+has the exact probability, as with one word per step.
 """
 
 from __future__ import annotations
@@ -81,13 +86,16 @@ _INDEX_LIMIT = 1 << 56
 
 # A raw Philox word w stands for the uniform u = (w >> 11) * 2^-53.
 _WORD_SHIFT = 11
-_UNIT = 2.0 ** 53
 _ULP = 2.0 ** -53
 _SIGN_BIT = 1 << 63
+# At lam > 0 a step reads a 16-bit lane v of a word, four lanes to a word,
+# and goes up iff v + u' < 2^16 p, u' the uniform of its refinement word
+_LANES = 4
+_LANE_UNIT = 2.0 ** 16
 # numpy's exp and libm's differ by an ulp, which moves a threshold
-# 2^53 * expit(x) by at most 2 units of m (measured over 2e6 thresholds,
-# x in [0, 2)); words within this margin are decided by ``_expit``
-_MARGIN = 16.0
+# 2^16 * expit(x) by at most 2^-36 (measured over 2e6 thresholds, x in
+# [0, 2)); lanes within this margin of a tie are decided by ``_expit``
+_MARGIN = 2.0 ** -20
 
 
 def generator_for(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -564,92 +572,182 @@ def _band_values(band: tuple, words: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _two_point_steps(words: np.ndarray, lam: float, c: np.ndarray,
-                     shape: tuple, work: Optional[dict] = None):
-    """(xi, e): steps +-c, up with probability expit(2*lam*c).
+def _lane_words(n: int) -> int:
+    """Words that hold n 16-bit lanes, four to a word."""
+    return -(-n // _LANES)
 
-    A step goes up when u < p.  At lam = 0, p = 1/2, and u < 1/2 exactly
-    when the word's top bit is clear, so xi is c with that bit as its
-    sign bit.  At lam > 0 the threshold on m is T = 2^53/(1 + e), with
-    e = exp(-2*lam*c) from numpy's exp, returned for ``_log_cosh``; xi is
-    c with the sign bit of T - m, set when m > T.  numpy's exp and libm's
-    (behind ``_expit``) differ by an ulp at most, which moves T by at
-    most 2; every m within ``_MARGIN`` of T is decided by u <
-    _expit(2*lam*c) itself, so xi equals the steps of that rule bit for bit.
+
+def _decisions(bits, rows: int, n: int, lam: float) -> np.ndarray:
+    """The (rows, n) draws that decide rows' steps: the next words of
+    ``bits``, one per step at lam = 0.
+
+    At lam > 0 a row takes ceil(n/4) words and reads a 16-bit lane per
+    step: lane j of a row is (w >> 16*(j % 4)) & 0xFFFF of its word j // 4,
+    which is the little-endian uint16 view of the words.
+    """
+    if lam == 0.0:
+        return bits.random_raw((rows, n))
+    words = bits.random_raw((rows, _lane_words(n)))
+    return words.astype("<u8", copy=False).view("<u2")[:, :n]
+
+
+class _WordReader:
+    """Single words of a Philox stream by offset, without the words before.
+
+    The stream is the one ``bits`` draws from its first word, at counter
+    0, where ``generator_for`` starts every stream; an offset counts from
+    word ``start``.  The tilted samplers keep each step's refinement word
+    at a fixed offset and read it only when the step's lane ties its
+    threshold, about once in 2^16 steps.  One copy of the generator walks
+    forward: ``advance`` skips whole counter steps of 4 words and
+    ``random_raw`` draws the rest of the way into one, so a read costs a
+    few microseconds however far it skips.  A call's offsets may come in
+    any order; an offset behind the copy starts a new copy.
+    """
+
+    def __init__(self, bits, start: int):
+        self._bits = bits
+        self._start = start
+        self._walker = None
+        self._next = 0     # stream offset of the word the copy draws next
+
+    def __call__(self, offsets) -> np.ndarray:
+        offsets = np.asarray(offsets, dtype=np.int64)
+        out = np.empty(offsets.size, dtype=np.uint64)
+        order = np.argsort(offsets, kind="stable")
+        for j, at in zip(order.tolist(),
+                         (offsets[order] + self._start).tolist()):
+            out[j] = self._word(at)
+        return out
+
+    def _word(self, at: int) -> int:
+        if self._walker is None or at < self._next:
+            key = self._bits.state["state"]["key"]
+            self._walker = np.random.Philox(key=key)
+            self._next = 0
+        if self._next % 4 and at // 4 == self._next // 4:
+            count = at - self._next + 1    # inside the buffered counter step
+        else:
+            skip = at // 4 - -(-self._next // 4)
+            if skip or self._next % 4:
+                self._walker.advance(skip)   # and drops the buffered words
+            count = at % 4 + 1
+        self._next = at + 1
+        return int(self._walker.random_raw(count)[-1])
+
+
+def _refined(read, offsets) -> np.ndarray:
+    """The uniforms u' of the refinement words ``read`` returns at offsets."""
+    return np.right_shift(read(offsets), _WORD_SHIFT) * _ULP
+
+
+def _two_point_steps(draws: np.ndarray, lam: float, c: np.ndarray,
+                     shape: tuple, work: Optional[dict] = None, read=None):
+    """(xi, e): steps +-c, up with probability p = expit(2*lam*c).
+
+    At lam = 0, p = 1/2: a step goes up when u < 1/2, that is when its
+    word's top bit is clear, so xi is c with that bit as its sign bit.  At
+    lam > 0 ``draws`` holds 16-bit lanes, step-major (n, k), and a step
+    with lane v goes up iff v + u' < P = 2^16 p, with u' the uniform of its
+    refinement word, which ``read`` returns at block offsets r*n + i.  The
+    fast threshold is T = 2^16/(1 + e), with e = exp(-2*lam*c) from numpy's
+    exp, returned for ``_log_cosh``; xi is c with the sign bit of T - v,
+    set when v > T.  numpy's exp and libm's (behind ``_expit``) differ by
+    an ulp at most, which moves T by at most 2^-36.  A lane with T - v
+    outside (-_MARGIN, 1 + _MARGIN) is thus decided by T alone, as
+    u' < 1; the others are decided on P = 2^16 _expit(2*lam*c) itself, and
+    read u' where 0 < P - v < 1.  So xi equals the steps of the exact rule
+    bit for bit.  ``c`` is (n, k) or an (n, 1) column.
     """
     xi = _lent(work, "xi", shape)
     if lam == 0.0:
-        signed = np.bitwise_and(words, _SIGN_BIT, out=xi.view(np.uint64))
+        signed = np.bitwise_and(draws, _SIGN_BIT, out=xi.view(np.uint64))
         signed |= c.view(np.uint64)
         return xi, None
     e = np.multiply(c, -2.0 * lam, out=_lent(work, "e", c.shape))
     np.exp(e, out=e)
     thr = np.add(e, 1.0, out=_lent(work, "a", c.shape))
-    np.divide(_UNIT, thr, out=thr)
-    m = np.right_shift(words, _WORD_SHIFT, out=words)
+    np.divide(_LANE_UNIT, thr, out=thr)
     gap = xi
-    np.copyto(gap, m, casting="unsafe")
+    np.copyto(gap, draws, casting="unsafe")
     np.subtract(thr, gap, out=gap)
     near = np.greater(gap, -_MARGIN)
-    near &= np.less(gap, _MARGIN)
+    near &= np.less(gap, 1.0 + _MARGIN)
     signed = gap.view(np.uint64)
     signed &= _SIGN_BIT
     signed |= c.view(np.uint64)
-    if near.any():
-        cn = np.broadcast_to(c, shape)[near]
-        u = m[near] * _ULP
-        p = [_expit(x) for x in (cn * (2.0 * lam)).tolist()]
-        xi[near] = np.where(u < p, cn, -cn)
+    at = np.flatnonzero(near)
+    if at.size:
+        step, row = np.divmod(at, shape[1])
+        cn = c[step, row % c.shape[1]]
+        rest = np.array([_expit(x) for x in (cn * (2.0 * lam)).tolist()])
+        rest = rest * _LANE_UNIT - draws[step, row]   # P - v
+        u = np.zeros(at.size)
+        tie = (rest > 0.0) & (rest < 1.0)
+        if tie.any():
+            u[tie] = _refined(read, row[tie] * shape[0] + step[tie])
+        xi[step, row] = np.where(u < rest, cn, -cn)
     return xi, e
 
 
-def _variance_switch_walk(law: _StepLaw, rng: np.random.Generator,
-                          lam: float):
+def _switch_bounds(law: _StepLaw, lam: float) -> tuple:
+    """(minus, plus): the bounds below which a step's draw goes up at
+    s_minus and s_plus.  At lam = 0 both are 2^63, u < 1/2 on words; at
+    lam > 0 they are P = 2^16 expit(2*lam*s) on lanes."""
+    if lam == 0.0:
+        return _SIGN_BIT, _SIGN_BIT
+    return tuple(_LANE_UNIT * _expit(2.0 * lam * s)
+                 for s in law.switch[::-1])
+
+
+def _variance_switch_walk(law: _StepLaw, bits, lam: float):
+    """Steps and <S> of one VarianceSwitch path: a chunk row of one path.
+
+    A draw below floor(bound) goes up; at lam > 0 a lane equal to it goes
+    up iff u' < bound - v (see ``_switch_bounds``), and any other draw
+    goes down.
+    """
     s_plus, s_minus = law.switch
-    words = rng.bit_generator.random_raw(law.n).tolist()
-    w_plus = _word_threshold(_expit(2.0 * lam * s_plus))
-    w_minus = _word_threshold(_expit(2.0 * lam * s_minus))
+    draws = _decisions(bits, 1, law.n, lam)[0].tolist()
+    bounds = _switch_bounds(law, lam)
+    cuts = [math.floor(b) for b in bounds]
+    read = _WordReader(bits, _lane_words(law.n)) if lam else None
     xi = np.empty(law.n)
     var = np.empty(law.n)
     s = 0.0
     for i in range(law.n):
-        if s >= 0.0:  # sign(0) = +1
-            scale, w_up = s_plus, w_plus
-        else:
-            scale, w_up = s_minus, w_minus
-        step = scale if words[i] < w_up else -scale
+        side = int(s >= 0.0)  # sign(0) = +1
+        scale, v = (s_minus, s_plus)[side], draws[i]
+        up = v < cuts[side] or (read is not None and v == cuts[side]
+                                and _refined(read, [i])[0] < bounds[side] - v)
+        step = scale if up else -scale
         xi[i] = step
         var[i] = scale * scale
         s += step
     return xi, np.cumsum(var)
 
 
-def _word_threshold(p: float) -> int:
-    """The word bound equivalent to u < p: w < ceil(p * 2^53) << 11.
-
-    m < p*2^53 exactly when m < ceil(p*2^53), as m is an integer, and
-    (w >> 11) < k exactly when w < k << 11.  Needs p < 1, which every
-    tilt inside [0, 1/eps) gives, so the bound fits in 64 bits.
-    """
-    return math.ceil(p * _UNIT) << _WORD_SHIFT
-
-
-def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
-                          work: Optional[dict] = None) -> np.ndarray:
+def _three_point_outcomes(draws: np.ndarray, lam: float, support: np.ndarray,
+                          work: Optional[dict] = None,
+                          read=None) -> np.ndarray:
     """Outcome in {+1, 0, -1} units for {-c, 0, +c} steps, P(+-) = 1/8.
 
     Tilting scales the point masses by e^{+-lam c} on the extremes; the
     thresholds (hi, mid) reduce to (1/8, 7/8) exactly at lam = 0, where
-    u < 1/8 and u >= 7/8 read the word's top three bits.  Otherwise both
-    thresholds are scaled by 2^53 (exactly: the total is scaled by 2^-53
-    before the divisions) and compared with m.  The outcome is the int8
-    mask difference (u < hi) - (u >= mid): hi < mid, so at most one is
-    set.  The masks keep the layout of ``words`` and only the outcome
+    u < 1/8 and u >= 7/8 read the word's top three bits.  At lam > 0 the
+    draws are 16-bit lanes v, u = (v + u') 2^-16 with u' from the step's
+    refinement word (see ``_two_point_steps``), and both thresholds are
+    scaled by 2^16 (exactly: the total is scaled by 2^-16 before the
+    divisions).  A lane below floor(hi) goes up and one above floor(mid)
+    goes down whatever u'; a lane at either floor reads u' and goes up iff
+    u' < hi - v, down iff not u' < mid - v.  The outcome is the int8 mask
+    difference (u < hi) - (u >= mid): hi < mid, so at most one is set.
+    At lam = 0 the masks keep the layout of ``draws`` and only the outcome
     bytes are copied to C order.
     """
     if lam == 0.0:
-        up = np.less(words, 1 << 61)
-        down = np.greater_equal(words, 7 << 61)
+        up = np.less(draws, 1 << 61)
+        down = np.greater_equal(draws, 7 << 61)
     else:
         # in place: t becomes the down weight, then 0.75/total, then mid
         shape = support.shape
@@ -661,65 +759,84 @@ def _three_point_outcomes(words: np.ndarray, lam: float, support: np.ndarray,
         t *= 0.125
         total = np.add(hi, 0.75, out=_lent(work, "d", shape))
         total += t
-        total *= _ULP
+        total /= _LANE_UNIT
         np.divide(hi, total, out=hi)
         np.divide(0.75, total, out=t)
         t += hi
-        m = total
-        np.copyto(m, np.right_shift(words, _WORD_SHIFT, out=words),
-                  casting="unsafe")
-        up = np.less(m, hi)
-        down = np.greater_equal(m, t)
+        # 0 < hi < mid < 2^16, so the cast truncates to the floor; the
+        # four comparisons run on one step-major copy of the lanes
+        low, high = hi.astype(np.uint16), t.astype(np.uint16)
+        draws = np.ascontiguousarray(draws)
+        up = np.less(draws, low)
+        down = np.greater(draws, high)
+        near = np.equal(draws, low)
+        near |= np.equal(draws, high)
+        at = np.flatnonzero(near)
+        if at.size:
+            step, row = np.divmod(at, shape[1])
+            v = draws[step, row]
+            u = _refined(read, row * shape[0] + step)
+            up[step, row] = u < hi[step, row] - v
+            down[step, row] = ~(u < t[step, row] - v)
     outcome = np.subtract(up.view(np.int8), down.view(np.int8))
     return np.ascontiguousarray(outcome)
 
 
-def _steps(law: _StepLaw, scales: np.ndarray, words: np.ndarray, lam: float,
-           work: Optional[dict] = None):
-    """(c, xi, e): step sizes, steps and exp(-2*lam*c) for raw words.
+def _steps(law: _StepLaw, scales: np.ndarray, draws: np.ndarray, lam: float,
+           work: Optional[dict] = None, read=None):
+    """(c, xi, e): step sizes, steps and exp(-2*lam*c) for one block.
 
-    ``words`` holds one raw Philox word per step, step-major: (n,) for one
-    path, or the (n, k) transpose of a chunk's (k, n) draw.  Each word w
-    stands for the uniform u = (w >> 11) * 2^-53 that numpy's
-    ``Generator.random`` would return, and every comparison with u is made
-    on the 53-bit integer m = w >> 11 (or on w) against a threshold scaled
-    by 2^53, which gives the same decision exactly; the tilted two-point
-    threshold falls back to ``_expit`` within a margin (see
-    ``_two_point_steps``).  c is the scale itself for two-point steps and
-    the support 2*scale for three-point ones; xi = c * outcome, a
-    C-contiguous array of the broadcast shape of ``scales`` and ``words``.
-    e is exp(-2*lam*c), which ``_log_cosh`` reuses at the same tilt, or
-    None when no threshold needed it.  The words are consumed: the tilted
-    thresholds shift them in place.  ``work`` lends arrays that c, xi, e
-    and the temporaries are written into (see ``_lent``).
+    ``draws`` holds one draw per step, step-major (n, k): the (n, k)
+    transpose of a chunk block's ``_decisions``, or (n, 1) for one path.
+    At lam = 0 a draw is a raw word w, standing for the uniform
+    u = (w >> 11) * 2^-53 that numpy's ``Generator.random`` would return,
+    and each comparison with u reads the word's top bits.  At lam > 0 it
+    is a 16-bit lane v and the step's uniform is (v + u') 2^-16, where u'
+    is the uniform of the step's refinement word; ``read`` returns those
+    words at block offsets r*n + i, and is called only for the lanes that
+    tie a threshold.  Every comparison gives the same decision as on the
+    exact uniform; the tilted two-point threshold falls back to ``_expit``
+    within a margin (see ``_two_point_steps``).  c is the scale itself for
+    two-point steps and the support 2*scale for three-point ones;
+    xi = c * outcome, a C-contiguous array of the broadcast shape of
+    ``scales`` and ``draws``.  e is exp(-2*lam*c), which ``_log_cosh``
+    reuses at the same tilt, or None when no threshold needed it.
+    ``work`` lends arrays that c, xi, e and the temporaries are written
+    into (see ``_lent``).
     """
-    shape = np.broadcast_shapes(np.shape(scales), words.shape)
+    shape = np.broadcast_shapes(np.shape(scales), draws.shape)
     if law.three_point:
         c = np.multiply(scales, 2.0, out=_lent(work, "c", shape))
-        outcome = _three_point_outcomes(words, lam, c, work)
+        outcome = _three_point_outcomes(draws, lam, c, work, read)
         return c, np.multiply(outcome, c, out=_lent(work, "xi", shape)), None
-    xi, e = _two_point_steps(words, lam, scales, shape, work)
+    xi, e = _two_point_steps(draws, lam, scales, shape, work, read)
     return scales, xi, e
 
 
 def _generate(model: MartingaleModel, lam: float, seed: int,
               path_index: int) -> PathSample:
     law = model._law()
-    rng = generator_for(seed, STREAM_PATH, path_index)
-    bits = rng.bit_generator
+    bits = generator_for(seed, STREAM_PATH, path_index).bit_generator
     if law.switch is not None:
-        xi, qc_tail = _variance_switch_walk(law, rng, lam)
+        xi, qc_tail = _variance_switch_walk(law, bits, lam)
     else:
+        lead = 0
         if law.weights is not None:
             scales = np.asarray(law.weights)
             qc_tail = np.cumsum(scales * scales)
         else:
-            # magnitudes or covariates first, then one word per step
+            # magnitudes or covariates first, one word per step
+            lead = law.n
             m = _band_values(law.band, bits.random_raw(law.n))
             csum = np.cumsum(m * m)
             scales = m / math.sqrt(csum[-1])
             qc_tail = csum / csum[-1]
-        _, xi, _ = _steps(law, scales, bits.random_raw(law.n), lam)
+        # then the step draws, as one row of a chunk
+        read = (_WordReader(bits, lead + _lane_words(law.n)) if lam
+                else None)
+        _, xi, _ = _steps(law, scales[:, None],
+                          _decisions(bits, 1, law.n, lam).T, lam, read=read)
+        xi = xi[:, 0]
     sums = np.concatenate(([0.0], np.cumsum(xi)))
     qc = np.concatenate(([0.0], qc_tail))
     sq = math.fsum(v * v for v in xi.tolist())
@@ -749,8 +866,10 @@ def simulate_tilted_path(model: MartingaleModel, lam: float, seed: int, *,
 
     Magnitudes and covariates keep their untilted law (the change of
     measure integrates to one over each step's sign variable alone); only
-    the per-step outcome probabilities move.  Shares the plain sampler's
-    uniforms, so lam = 0 reproduces simulate_path exactly.
+    the per-step outcome probabilities move.  At lam = 0 it draws as
+    simulate_path does and reproduces it exactly; at lam > 0 each step
+    reads a 16-bit lane and, where the lane ties its threshold, its
+    refinement word, as row 0 of a one-row chunk.
     """
     _require_model(model)
     _check_tilt(lam, model.bernstein_params().epsilon)

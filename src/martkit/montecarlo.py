@@ -10,8 +10,9 @@ enumerated exactly, which supplies the oracle side of the test suite.
 Draw order inside a chunk, per family: models with one constant step scale
 draw a single up-step count per path (binomial; the terminal sum and the
 tilting weight are deterministic functions of it); models with per-step
-scales draw their magnitude/covariate matrix first, then one uniform per
-step, and accumulate terminal sums in step order.
+scales draw their magnitude/covariate matrix first, then the draws that
+decide each step (``martingales._decisions``), and accumulate terminal
+sums in step order.
 
 A chunk computes only the per-path objects its caller reads: the plain
 estimators read terminal sums alone, ``estimate_tail_is`` reads Psi_n at
@@ -19,7 +20,7 @@ its tilt, ``conjugate_clt_check`` reads B_n at its tilt, and only
 ``run_verification_suite`` reads Psi_n, B_n, the product-route Z and
 <S>_n, at every one of its tilts.  At tilt zero the sign thresholds are
 the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
-as scalars.  The VarianceSwitch walk compares its uniforms with both
+as scalars.  The VarianceSwitch walk compares its draws with both
 thresholds once per chunk, into step-major (n, rows) masks, and each step
 then only reads the sign of the running sum and looks its increment up
 in a table.  Every per-step-scale family draws in row blocks of 2^15
@@ -32,17 +33,21 @@ and each sum over the steps is one reduce (``_fold``).
 
 The kernels read the stream as raw Philox words (``random_raw``), never
 as doubles.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
-``Generator.random`` would return, and every comparison with u is made
-on the 53-bit integer m = w >> 11, or on w, against a threshold scaled
-by 2^53: u < p exactly when m < p*2^53.  The tilted two-point threshold
-2^53*expit(2*lam*c) comes from numpy's exp, which moves it by at most 2
-units of m against libm's exp; words within a margin of 16 units are
-decided on libm's exp by ``martingales._expit``.  None of this
-changes a result: every object equals, bit for bit, its plain evaluation
-over one whole-chunk ``Generator.random`` draw with np.where signs,
-per-step threshold selects and column folds, which the tests keep as the
-reference; VarianceSwitch forms its objects besides S_n from per-path
-step counts (see ``_variance_switch_chunk``).
+``Generator.random`` would return.  At tilt zero each step reads one
+word, and u < 1/2 (or 1/8, 7/8) is read off its top bits.  At a tilt
+lam > 0 each step reads a 16-bit lane v of ceil(n/4) words per path and
+goes up when (v + u') 2^-16 is below its tilted probability; u' comes from
+the step's refinement word, at a fixed offset past the lanes, which is
+read only when v alone cannot decide, about once in 2^16 steps.  The
+tilted two-point threshold 2^16*expit(2*lam*c) comes from numpy's exp,
+which moves it by at most 2^-36 against libm's exp; lanes within a
+margin of a tie are decided on libm's exp by ``martingales._expit``.
+None of this changes a result: every object equals, bit for bit, its
+plain evaluation over whole-chunk draws (one ``Generator.random`` draw
+at tilt zero; the lane words and the whole refinement region at lam > 0)
+with np.where signs, per-step threshold selects and column folds, which
+the tests keep as the reference; VarianceSwitch forms its objects
+besides S_n from per-path step counts (see ``_variance_switch_chunk``).
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -73,10 +78,11 @@ from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
-from .martingales import (_band_values, _check_tilt, _expit,
-                          _lemma_ceilings, _lent, _log_cosh, _require_model,
-                          _steps, _StepLaw, _switch_terms, _switch_total,
-                          _switch_z, _word_threshold, _z_variance_bound)
+from .martingales import (_band_values, _check_tilt, _decisions, _expit,
+                          _lane_words, _lemma_ceilings, _lent, _log_cosh,
+                          _refined, _require_model, _steps, _StepLaw,
+                          _switch_bounds, _switch_terms, _switch_total,
+                          _switch_z, _WordReader, _z_variance_bound)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -94,7 +100,9 @@ _BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
 _WORK = ("scales", "c", "xi", "e", "a", "b", "d")
 # refusal caps on a config, far above the largest run in use (8192 x 128
 # entries per matrix, 123 chunks); draws stream through row blocks, but at
-# 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB
+# 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB.  A
+# tilted chunk reads a quarter word per step for its decisions, besides
+# any magnitude words, and the refinement words of its ties
 CHUNK_DRAW_MAX_ENTRIES = 1 << 26
 CHUNK_COUNT_MAX = 1 << 20
 _UNIT_C = BoundConstant(1.0)
@@ -122,7 +130,10 @@ class SimulationConfig:
     anything is allocated; so is a model outside the built-in families.
     The matrices are drawn block by block (see ``_simulate_chunk``), so
     the cap bounds a chunk's stream and its VarianceSwitch masks, not one
-    allocation of float draws.
+    allocation of float draws.  An entry of the step matrix is one word
+    at tilt zero; a tilted chunk draws a 16-bit lane per step, ceil(n/4)
+    words per path, and a refinement word for each step whose lane ties
+    its threshold, about one step in 2^16.
     """
 
     model: MartingaleModel
@@ -449,7 +460,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     Every object keeps one arithmetic whatever else is requested: each sum
     runs in step order, and signs come from the documented thresholds, so
     a lean request returns the same bytes as the suite's full one.  The
-    VarianceSwitch kernel reads its uniforms through step-major masks
+    VarianceSwitch kernel reads its draws through step-major masks
     built once per chunk (see ``_variance_switch_chunk``), with the same
     results as a per-step threshold select.
 
@@ -458,23 +469,26 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
     stay in the core's L2 cache, and each block draws its own rows.  The
     chunk's stream holds the (rows, n) magnitudes or covariates at draw
-    offset 0 and the (rows, n) uniforms at offset rows*n; the kernel reads
-    the second through a copy of the chunk's generator, placed by
-    advancing the Philox counter (4 words per step) and drawing the
-    remainder.  A chunk therefore holds O(block) floats besides its
-    outputs, whatever n is.  Each block's draws are raw words
-    w, read as u = (w >> 11) * 2^-53 and compared as 53-bit integers, with
-    ``martingales._expit`` deciding the words within a margin of a tilted
+    offset 0, then the step draws of ``martingales._decisions``: (rows, n)
+    words at tilt zero, or (rows, ceil(n/4)) words of 16-bit lanes at
+    lam > 0 followed by a (rows, n) region of refinement words, in which
+    step i of row r owns word r*n + i.  The kernel reads the step
+    draws through a copy of the chunk's generator, placed by advancing the
+    Philox counter (4 words per step) and drawing the remainder, and a
+    refinement word only for a step whose lane ties its threshold, through
+    one ``martingales._WordReader`` that walks forward over the chunk.  A
+    chunk therefore holds O(block) floats besides its outputs, whatever n
+    is.  Each block's draws decide its steps exactly, with
+    ``martingales._expit`` deciding the lanes within a margin of a tilted
     two-point threshold (see ``martingales._steps``); the first stage on
-    each writes a C-contiguous
-    step-major (n, rows) array, and every later stage is elementwise or
-    one ``_fold`` per object, in step order.  The stages write into the
-    ``_WORK`` arrays, rows of one allocation per chunk lent to every
-    block, so a block allocates only its two word arrays.  Fixed
-    weights enter as an (n, 1) column, and Psi_n and B_n fold once on that
-    column per block rather than once per row.  Each block folds into its
-    own row slice of the outputs (``_new_batch``), the same bytes as one
-    pass over one whole-chunk draw.
+    each writes a C-contiguous step-major (n, rows) array, and every
+    later stage is elementwise or one ``_fold`` per object, in step order.
+    The stages write into the ``_WORK`` arrays, rows of one allocation per
+    chunk lent to every block, so a block allocates little besides its
+    draws.  Fixed weights enter as an (n, 1) column, and Psi_n and B_n
+    fold once on that column per block rather than once per row.  Each
+    block folds into its own row slice of the outputs (``_new_batch``),
+    the same bytes as one pass over whole-chunk draws.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, which the per-path sampler
@@ -507,15 +521,19 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
         return _variance_switch_chunk(law, rng, lam, want, batch)
 
     # the stream holds the (rows, n) magnitude (or covariate) words first,
-    # then the (rows, n) uniform words; each block reads its rows of both,
-    # the uniforms through a copy of the generator placed rows*n words ahead
+    # then the step draws (see ``martingales._decisions``), then at lam > 0
+    # the (rows, n) refinement words; each block reads its rows of the
+    # first two, the draws through a copy of the generator placed past the
+    # magnitudes, and a tied step's refinement word through ``read``
     n = law.n
-    bits = uniforms = rng.bit_generator
-    if law.band is not None:
-        uniforms = copy.deepcopy(bits)
+    bits = draws = rng.bit_generator
+    lead = rows * n if law.band is not None else 0
+    if lead:
+        draws = copy.deepcopy(bits)
         # one Philox counter step yields 4 words; draw the remainder by hand
-        uniforms.advance(rows * n // 4)
-        uniforms.random_raw(rows * n % 4)
+        draws.advance(lead // 4)
+        draws.random_raw(lead % 4)
+    read = _WordReader(bits, lead + rows * _lane_words(n)) if lam else None
     block = max(1, _BLOCK_ELEMENTS // n)
     # every (n, k) stage of every block writes into rows of this one
     # allocation, which the allocator keeps from chunk to chunk
@@ -532,8 +550,10 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                                   work["scales"])
             scales /= np.sqrt(_fold(np.multiply(scales, scales,
                                                 out=work["a"])))
-        c, xi, e = _steps(law, scales, uniforms.random_raw((k, n)).T, lam,
-                          work)
+        refine = (None if read is None else
+                  lambda at, base=r0 * n: read(at + base))
+        c, xi, e = _steps(law, scales, _decisions(draws, k, n, lam).T, lam,
+                          work, refine)
         _accumulate(law, c, xi, want, batch, rows_in, lam, e, work)
     if want.qc:
         batch.qc_final.fill(1.0 if law.band is not None else
@@ -578,45 +598,72 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
                            batch: _Batch) -> _Batch:
     """Step-major walk: the state enters only through pos = (S >= 0).
 
-    A step goes up when u < p_plus (pos) or u < p_minus (not pos), that
-    is when its raw word is below ``_word_threshold(p)``.  Both
-    comparisons are made once per chunk, as contiguous (n, rows) masks
-    ``minus`` = u < p_minus and ``flip`` = minus ^ (u < p_plus), filled
-    row block by row block from (block, n) words, so the chunk holds the
-    two masks (one byte per step and path) and one block of words; the up
-    mask of step i is then minus[i] ^ (pos & flip[i]).  At lam = 0 the
-    thresholds agree and ``flip`` is empty.  Each step looks its increment
-    up by the code 2*pos + up in the table (-s_minus, +s_minus, -s_plus,
-    +s_plus) and adds it to S in step order, as the per-path walk does.
-    Alongside, each path counts its steps at s_plus and, for Z, its
-    up-steps in all and at s_plus, in the smallest unsigned type that
-    holds n; ``martingales._switch_total`` and ``_switch_z`` form the
-    other objects from those counts, as ``conjugate_stats`` does.
+    A step goes up when its draw is below the bound of its scale,
+    ``martingales._switch_bounds``: at lam = 0 a raw word below 2^63
+    (u < 1/2) at either scale; at lam > 0 a 16-bit lane v with
+    v + u' < P = 2^16 p_minus (not pos) or P = 2^16 p_plus (pos), u' from
+    the step's refinement word.  Both comparisons are made once per chunk,
+    as contiguous (n, rows) masks ``minus`` (up at s_minus) and
+    ``flip`` = minus ^ (up at s_plus), filled row block by row block from
+    (block, n) draws, so the chunk holds the two masks (one byte per step
+    and path) and one block of draws; the up mask of step i is then
+    minus[i] ^ (pos & flip[i]).  A lane below floor(P) goes up and one
+    above goes down whatever u'.  A lane at floor(P) of either bound is a
+    tie, decided by u' < P - v; that depends on the step's own draws, not
+    on the path, so the blocks collect the ties' offsets and both masks
+    are patched once, before the walk, from one forward read of their
+    refinement words.  When the bounds agree (lam = 0, or delta = 0)
+    ``flip`` is empty.  Each step looks its increment up by the code
+    2*pos + up in the table (-s_minus, +s_minus, -s_plus, +s_plus) and
+    adds it to S in step order, as the per-path walk does.  Alongside,
+    each path counts its steps at s_plus and, for Z, its up-steps in all
+    and at s_plus, in the smallest unsigned type that holds n;
+    ``martingales._switch_total`` and ``_switch_z`` form the other objects
+    from those counts, as ``conjugate_stats`` does.
     """
     s_plus, s_minus = law.switch
+    n = law.n
     rows = batch.finals.size
-    w_plus = _word_threshold(_expit(2.0 * lam * s_plus))
-    w_minus = _word_threshold(_expit(2.0 * lam * s_minus))
+    bits = rng.bit_generator
+    bounds = _switch_bounds(law, lam)
+    cuts = [math.floor(b) for b in bounds]
     # both masks in one allocation: glibc's malloc then keeps that much
     # heap for the next chunk, where two 1 MiB masks (n = 128) were handed
     # back to the system and faulted in again, 512 page faults a chunk
-    masks = np.empty((1 if w_plus == w_minus else 2, law.n, rows), dtype=bool)
+    masks = np.empty((1 if bounds[0] == bounds[1] else 2, n, rows),
+                     dtype=bool)
     minus = masks[0]
     flip = masks[1] if len(masks) == 2 else None
-    block = max(1, _BLOCK_ELEMENTS // law.n)
+    ties, tied = [], []   # offsets r*n + i of tied steps, and their lanes
+    block = max(1, _BLOCK_ELEMENTS // n)
     for r0 in range(0, rows, block):
         cols = slice(r0, r0 + block)
         # compared in draw order, then only the mask bytes are transposed
-        words = rng.bit_generator.random_raw((min(block, rows - r0), law.n))
-        below = np.less(words, w_minus)
+        draws = _decisions(bits, min(block, rows - r0), n, lam)
+        below = np.less(draws, cuts[0])
         minus[:, cols] = below.T
         if flip is not None:
-            flip[:, cols] = (np.less(words, w_plus) ^ below).T
+            flip[:, cols] = (np.less(draws, cuts[1]) ^ below).T
+        if lam:
+            near = np.equal(draws, cuts[0])
+            if flip is not None:
+                near |= np.equal(draws, cuts[1])
+            at = np.flatnonzero(near)
+            ties.append(at + r0 * n)
+            tied.append(draws[at // n, at % n])
+    if lam:
+        at = np.concatenate(ties)
+        u = _refined(_WordReader(bits, rows * _lane_words(n)), at)
+        v = np.concatenate(tied)
+        row, step = np.divmod(at, n)
+        minus[step, row] = u < bounds[0] - v
+        if flip is not None:
+            flip[step, row] = (u < bounds[1] - v) ^ minus[step, row]
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
     # k, the steps at s_plus, for every object; the up-steps in all and
     # at s_plus for Z alone
-    count = np.min_scalar_type(law.n)
+    count = np.min_scalar_type(n)
     tally, with_z = want.qc or bool(want.lams), want.z and bool(want.lams)
     plus, ups, up_plus = (np.zeros(rows, count) if on else None
                           for on in (tally, with_z, with_z))

@@ -21,7 +21,7 @@ from martkit.martingales import (ConjugatePathStats, NoiseFamily, PathSample,
 from martkit.martingales import (_MARGIN, _band_values, _expit,
                                  _three_point_drift_factor,
                                  _three_point_outcomes, _three_point_psi,
-                                 _two_point_steps, _word_threshold)
+                                 _two_point_steps, _WordReader)
 
 SR4 = ScaledRademacher.equal_weights(4)
 
@@ -284,9 +284,7 @@ class TestWordThresholds:
                for k in (v - 1, v, v + 1)]
         ps += np.random.default_rng(3).random(200).tolist()
         for p in ps:
-            want = u < p
-            assert np.array_equal(m < p * 2.0 ** 53, want)
-            assert np.array_equal(words < _word_threshold(p), want)
+            assert np.array_equal(m < p * 2.0 ** 53, u < p)
 
     @pytest.mark.parametrize("band", [(1.0, 2.5), (1.0, 2.0), (0.5, 1.5),
                                       (1.5, 1.5), (3.0, 3.0 + 1e-9)])
@@ -305,59 +303,162 @@ class TestWordThresholds:
 
     def test_tilted_signs_match_expit(self):
         from scipy.special import expit
-        words, u = _words_and_uniforms(20_000, 3)
-        c = np.random.default_rng(5).uniform(0.01, 0.3, 20_000)
         lam = 2.7
-        xi, e = _two_point_steps(words, lam, c, c.shape)
-        want = np.where(u < expit(c * (2.0 * lam)), c, -c)
+        c = np.random.default_rng(5).uniform(0.01, 0.3, (200, 100))
+        bound = expit(c * (2.0 * lam)) * 2.0 ** 16
+        v, refine, read = _lanes_and_refinements(c.shape, 3, bound)
+        xi, e = _two_point_steps(v, lam, c, c.shape, read=read)
+        u = (refine >> np.uint64(11)) * 2.0 ** -53
+        want = np.where(u < bound - v, c, -c)
         assert xi.tobytes() == want.tobytes()
         assert e.tobytes() == np.exp(c * (-2.0 * lam)).tobytes()
+        # the refinement words read are exactly the tied lanes'
+        tied = (bound - v > 0.0) & (bound - v < 1.0)
+        assert tied.sum() >= 1000
+        assert sorted(read.offsets) == _block_offsets(tied)
 
-    def test_fallback_decides_words_on_the_fast_threshold(self):
+    def test_fallback_decides_lanes_on_the_libm_threshold(self):
         # numpy's exp and libm's can disagree by an ulp, moving the fast
-        # threshold 2^53/(1 + exp(-x)) off 2^53 expit(x); words placed
-        # between the two, and around them, must follow scipy's expit
+        # threshold 2^16/(1 + exp(-x)) off 2^16 expit(x); tied lanes whose
+        # refinement uniform falls between the two must follow scipy's
+        # expit
         from scipy.special import expit
         lam = 1.0
         c = np.random.default_rng(6).uniform(0.0, 1.0, 200_000)
-        fast = 2.0 ** 53 / (1.0 + np.exp(c * (-2.0 * lam)))
-        exact = expit(c * (2.0 * lam)) * 2.0 ** 53
-        assert np.abs(fast - exact).max() <= 2.0 < _MARGIN
-        # an integer m with fast and exact on opposite sides of it
-        m = np.ceil(np.minimum(fast, exact))
-        split = m < np.maximum(fast, exact)
+        fast = 2.0 ** 16 / (1.0 + np.exp(c * (-2.0 * lam)))
+        exact = expit(c * (2.0 * lam)) * 2.0 ** 16
+        assert np.abs(fast - exact).max() <= 2.0 ** -36 < _MARGIN
+        split = (fast != exact) & (np.floor(fast) == np.floor(exact))
         assert split.sum() >= 100
-        c, fast = np.repeat(c[split], 5), np.repeat(fast[split], 5)
-        m = (np.repeat(m[split], 5)
-             + np.tile([-2.0, -1.0, 0.0, 1.0, 2.0], int(split.sum())))
+        c, fast, exact = c[split], fast[split], exact[split]
+        v = np.floor(exact)
+        # u' just at or above the lower of the two: the two rules differ
+        low = np.minimum(fast, exact) - v
+        m = np.ceil(low * 2.0 ** 53)
+        assert np.all(m * 2.0 ** -53 < np.maximum(fast, exact) - v)
         low_bits = np.random.default_rng(7).integers(0, 1 << 11, c.size,
                                                      dtype=np.uint64)
-        words = (m.astype(np.uint64) << np.uint64(11)) | low_bits
+        refine = (m.astype(np.uint64) << np.uint64(11)) | low_bits
+        read = _Reader(refine[:, None])
+        shape = (c.size, 1)
+        xi, _ = _two_point_steps(v.astype(np.uint16)[:, None], lam,
+                                 c[:, None], shape, read=read)
         u = m * 2.0 ** -53
-        xi, _ = _two_point_steps(words, lam, c, c.shape)
-        want = np.where(u < expit(c * (2.0 * lam)), c, -c)
-        assert xi.tobytes() == want.tobytes()
-        # the fast threshold alone decides some of these words wrongly
-        assert np.any((m < fast) != (u < expit(c * (2.0 * lam))))
+        want = np.where(u < exact - v, c, -c)
+        assert xi[:, 0].tobytes() == want.tobytes()
+        # the fast threshold alone decides some of these lanes wrongly
+        assert np.any((u < fast - v) != (u < exact - v))
+
+    def test_margin_decides_a_fast_threshold_past_an_integer(self):
+        # where numpy's fast threshold reaches an integer K that libm's
+        # 2^16 expit stays below, lane K - 1 ties: a refinement uniform
+        # above expit's fraction sends the step down, though T - v >= 1
+        from scipy.special import expit
+        lam = 1.0
+        found = []
+        for k in range(33000, 57000, 97):
+            p = k / 2.0 ** 16
+            root = math.log(p / (1.0 - p)) / (2.0 * lam)
+            c = root + np.arange(-3000, 3000) * np.spacing(root)
+            fast = 2.0 ** 16 / (1.0 + np.exp(c * (-2.0 * lam)))
+            exact = expit(c * (2.0 * lam)) * 2.0 ** 16
+            found.extend(c[(fast >= k) & (exact < k)].tolist())
+        assert len(found) >= 3
+        c = np.array(found)[:, None]
+        lanes = (np.floor(expit(c * (2.0 * lam)) * 2.0 ** 16)
+                 ).astype(np.uint16)
+        refine = np.full(c.shape, (1 << 64) - 1, dtype=np.uint64)
+        xi, _ = _two_point_steps(lanes, lam, c, c.shape,
+                                 read=_Reader(refine))
+        assert np.array_equal(xi, -c)
 
     @pytest.mark.parametrize("lam", [0.0, 0.4, 3.0])
     def test_three_point_outcomes_match_the_uniform_rule(self, lam):
-        words, u = _words_and_uniforms(20_000, 4)
-        edges = np.array([(1 << 61) - 1, 1 << 61, (7 << 61) - 1, 7 << 61],
-                         dtype=np.uint64)
-        words = np.concatenate((words, edges))
-        u = np.concatenate((u, (edges >> np.uint64(11)) * 2.0 ** -53))
-        c = np.random.default_rng(8).uniform(0.01, 0.6, u.size)
+        c = np.random.default_rng(8).uniform(0.01, 0.6, (201, 100))
         t = lam * c
         up_w, down_w = 0.125 * np.exp(t), 0.125 * np.exp(-t)
         total = up_w + 0.75 + down_w
         hi = up_w / total
         mid = hi + 0.75 / total
+        if lam > 0.0:
+            # (v + u') 2^-16 against each threshold, with ties at both
+            hi, mid = hi * 2.0 ** 16, mid * 2.0 ** 16
+            v, refine, read = _lanes_and_refinements(c.shape, 4, hi, mid)
+            u = (refine >> np.uint64(11)) * 2.0 ** -53
+            want = np.subtract(u < hi - v, ~(u < mid - v), dtype=float)
+            got = _three_point_outcomes(v, lam, c, read=read)
+            assert np.array_equal(got, want)
+            tied = (v == np.floor(hi)) | (v == np.floor(mid))
+            assert tied.sum() >= 1000
+            assert sorted(read.offsets) == _block_offsets(tied)
+            return
+        words, u = _words_and_uniforms(c.size, 4)
+        edges = np.array([(1 << 61) - 1, 1 << 61, (7 << 61) - 1, 7 << 61],
+                         dtype=np.uint64)
+        words[-4:] = edges
+        u[-4:] = (edges >> np.uint64(11)) * 2.0 ** -53
+        words, u = words.reshape(c.shape), u.reshape(c.shape)
         want = np.subtract(u < hi, u >= mid, dtype=float)
         got = _three_point_outcomes(words, lam, c)
         assert np.array_equal(got, want)
-        if lam == 0.0:
-            assert got[-4:].tolist() == [1, 0, 0, -1]
+        assert got.ravel()[-4:].tolist() == [1, 0, 0, -1]
+
+
+class _Reader:
+    """Refinement words of a step-major (n, k) block, by block offset
+    r*n + i, recording the offsets read."""
+
+    def __init__(self, refine):
+        self.refine, self.offsets = refine, []
+
+    def __call__(self, at):
+        self.offsets.extend(np.asarray(at).tolist())
+        row, step = np.divmod(at, self.refine.shape[0])
+        return self.refine[step, row]
+
+
+def _block_offsets(mask) -> list:
+    """Block offsets r*n + i of the set entries of a step-major mask."""
+    step, row = np.nonzero(mask)
+    return sorted((row * mask.shape[0] + step).tolist())
+
+
+def _lanes_and_refinements(shape, index, *bounds):
+    """(lanes, refinement words, reader) of a step-major block: random
+    16-bit lanes, every third set to the floor of one of ``bounds`` so
+    that it ties, and random refinement words."""
+    bits = generator_for(31, 0, index).bit_generator
+    lanes = bits.random_raw(shape) >> np.uint64(48)
+    for j, bound in enumerate(bounds):
+        pick = np.zeros(shape, dtype=bool)
+        pick.ravel()[j::3] = True
+        lanes[pick] = np.floor(bound[pick]).astype(np.uint64)
+    refine = bits.random_raw(shape)
+    return lanes.astype(np.uint16), refine, _Reader(refine)
+
+
+class TestWordReader:
+    """Refinement words read by offset, as one straight draw reads them."""
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 777 * 31 + 777 * 8])
+    def test_reader_matches_one_straight_draw(self, start):
+        stream = generator_for(9, 3, 11).bit_generator.random_raw(
+            start + 4000)
+        rng = np.random.default_rng(start)
+        # offsets of every residue mod 4, unsorted, with repeats, a jump
+        # past several counter steps and, in the second call, offsets
+        # behind the first call's last
+        first = np.concatenate((rng.permutation(np.arange(40)),
+                                rng.integers(0, 4000, 30), [3999, 5, 5]))
+        second = rng.integers(0, 4000, 25)
+        bits = generator_for(9, 3, 11).bit_generator
+        bits.random_raw(17)   # the chunk's own draws do not move the reader
+        read = _WordReader(bits, start)
+        for offsets in (first, second, second[::-1]):
+            got = read(offsets)
+            assert got.dtype == np.uint64
+            assert got.tolist() == stream[start + offsets].tolist()
+        assert read(np.array([], dtype=np.int64)).size == 0
 
 
 class TestConjugateStats:

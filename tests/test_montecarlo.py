@@ -747,19 +747,61 @@ def _switch_scales_ref(model):
     return math.sqrt((1.0 + d2) / model.n), math.sqrt((1.0 - d2) / model.n)
 
 
-def _switch_walk_ref(model, rng, rows, lam):
-    """Strided uniforms, both thresholds and the per-step VarianceSwitch
+def _lanes_ref(words, n):
+    """Lane j of a row: (w >> 16*(j % 4)) & 0xFFFF of the row's word j // 4."""
+    j = np.arange(n)
+    shifts = (16 * (j % 4)).astype(np.uint64)
+    return ((words[:, j // 4] >> shifts) & np.uint64(0xFFFF)).astype(float)
+
+
+def _decision_draws_ref(rng, rows, n, lam):
+    """(v, u) deciding (rows, n) steps, drawn next from ``rng``.
+
+    At lam = 0, v is None and u the uniforms of one word per step.  At
+    lam > 0, v holds the 16-bit lanes of ceil(n/4) words per row, and u the
+    uniforms u' of the (rows, n) refinement words after them, drawn in one
+    random_raw: step (r, i) owns word r*n + i.
+    """
+    if lam == 0.0:
+        return None, rng.random((rows, n))
+    lanes = _lanes_ref(rng.bit_generator.random_raw((rows, -(-n // 4))), n)
+    refine = rng.bit_generator.random_raw((rows, n))
+    return lanes, (refine >> np.uint64(11)) * 2.0 ** -53
+
+
+def _below_ref(v, u, p):
+    """u < p at lam = 0; (v + u') 2^-16 < p, that is u' < 2^16 p - v, at
+    lam > 0.  2^16 p is exact, and so is the difference wherever it lies
+    in (-1/2, 1]; elsewhere its rounding cannot change the comparison."""
+    return u < p if v is None else u < p * 65536.0 - v
+
+
+def _tied_ref(v, p):
+    """Steps whose decision at p reads u': 0 < 2^16 p - v < 1."""
+    if v is None:
+        return 0
+    rest = p * 65536.0 - v
+    return int(np.count_nonzero((rest > 0.0) & (rest < 1.0)))
+
+
+def _switch_walk_ref(model, rng, rows, lam, ties=None):
+    """Strided draws, both thresholds and the per-step VarianceSwitch
     walk: yields (pos, up, finals) before each step is added to finals,
-    in place, so that after the walk finals holds S_n."""
+    in place, so that after the walk finals holds S_n.  Appends each
+    step's count of tied decisions to ``ties`` when given."""
     s_plus, s_minus = _switch_scales_ref(model)
-    u = rng.random((rows, model.n))
+    v, u = _decision_draws_ref(rng, rows, model.n, lam)
     p_plus = float(expit(2.0 * lam * s_plus))
     p_minus = float(expit(2.0 * lam * s_minus))
     finals = np.zeros(rows)
     for i in range(model.n):
         pos = finals >= 0.0
         scale = np.where(pos, s_plus, s_minus)
-        up = u[:, i] < np.where(pos, p_plus, p_minus)
+        p = np.where(pos, p_plus, p_minus)
+        v_i = None if v is None else v[:, i]
+        up = _below_ref(v_i, u[:, i], p)
+        if ties is not None:
+            ties.append(_tied_ref(v_i, p))
         yield pos, up, finals
         finals += np.where(up, scale, -scale)
 
@@ -786,14 +828,18 @@ def _switch_step_folds(model, seed, stream, chunk, rows, lam, lams):
     return qc, psi, b, z
 
 
-def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
+def _reference_chunk(model, seed, stream, chunk, rows, lam, lams,
+                     ties=None):
     """A plain restatement of the sampling kernels, the bit-exact reference.
 
-    np.where signs and outcomes, expit at every tilt, unblocked column
-    loops and a per-step VarianceSwitch walk over strided columns, which
-    tallies each path's step counts for the count form of its objects.
-    Returns (finals, qc, psi, b, z) with one array per tilt in the last
-    three.
+    The chunk's stream in three plain draws: magnitudes or covariates,
+    then the step draws of ``_decision_draws_ref``, then at lam > 0 the
+    whole refinement region.  np.where signs and outcomes, expit at every
+    tilt, unblocked column loops and a per-step VarianceSwitch walk over
+    strided columns, which tallies each path's step counts for the count
+    form of its objects.  Returns (finals, qc, psi, b, z) with one array
+    per tilt in the last three, and appends to ``ties``, when given, the
+    counts of decisions that read a refinement word.
     """
     rng = generator_for(seed, stream, chunk)
 
@@ -808,7 +854,8 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
         # k steps at s_plus, and the up-steps at each scale
         k, up_plus, up_minus = (np.zeros(rows, dtype=np.int64)
                                 for _ in range(3))
-        for pos, up, finals in _switch_walk_ref(model, rng, rows, lam):
+        for pos, up, finals in _switch_walk_ref(model, rng, rows, lam,
+                                                ties):
             k += pos
             up_plus += pos & up
             up_minus += ~pos & up
@@ -834,7 +881,6 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
 
     if isinstance(model, ScaledRademacher):
         w = np.asarray(model.weights)
-        u = rng.random((rows, w.size))
         scales = w[None, :] * np.ones((rows, 1))
         qc = np.full(rows, math.fsum(float(v) * float(v) for v in w))
     else:
@@ -842,9 +888,9 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
                      if isinstance(model, SelfNormalized)
                      else (model.covariate_low, model.covariate_high))
         mags = low + (high - low) * rng.random((rows, model.n))
-        u = rng.random((rows, model.n))
         scales = mags / np.sqrt(fold(mags * mags))[:, None]
         qc = np.ones(rows)
+    v, u = _decision_draws_ref(rng, rows, model.n, lam)
     if getattr(model, "noise", None) is NoiseFamily.TRUNCATED_SYMMETRIC:
         support = 2.0 * scales
         t = lam * support
@@ -852,16 +898,22 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams):
         total = up_w + 0.75 + down_w
         hi = up_w / total
         mid = hi + 0.75 / total
-        xi = support * np.where(u < hi, 1.0, np.where(u < mid, 0.0, -1.0))
+        xi = support * np.where(_below_ref(v, u, hi), 1.0,
+                                np.where(_below_ref(v, u, mid), 0.0, -1.0))
+        tied = _tied_ref(v, hi) + _tied_ref(v, mid)
         terms = [(np.log(0.75 + 0.25 * np.cosh(cl * support)),
                   support * (np.sinh(cl * support)
                              / (3.0 + np.cosh(cl * support))),
                   np.exp(cl * xi) / (0.75 + 0.25 * np.cosh(cl * support)))
                  for cl in lams]
     else:
-        xi = scales * np.where(u < expit(2.0 * lam * scales), 1.0, -1.0)
+        p = expit(2.0 * lam * scales)
+        xi = scales * np.where(_below_ref(v, u, p), 1.0, -1.0)
+        tied = _tied_ref(v, p)
         terms = [(_log_cosh_ref(cl * scales), scales * np.tanh(cl * scales),
                   np.exp(cl * xi) / np.cosh(cl * scales)) for cl in lams]
+    if ties is not None:
+        ties.append(tied)
     return (fold(xi), qc, [fold(p) for p, _, _ in terms],
             [fold(d) for _, d, _ in terms],
             [fold(r, np.multiply, 1.0) for _, _, r in terms])
@@ -885,6 +937,17 @@ SEAM_FAMILIES = (
     RegressionModel(theta=0.5, n=30, covariate_low=1.0, covariate_high=2.0,
                     sigma=1.0, noise=NoiseFamily.RADEMACHER_SCALED))
 _SEAM_IDS = ("sn31", "reg-3pt33", "reg-rad30")
+# at 777 rows and odd n, tilted chunks whose step draws (rows * ceil(n/4)
+# lane words, after any rows * n magnitude words) end, and whose
+# refinement words start, inside a Philox counter step
+LANE_SEAM_FAMILIES = (
+    VarianceSwitch(n=27, delta=0.4),
+    ScaledRademacher((0.5, 0.45, 0.4, 0.35, 0.3, 0.25,
+                      math.sqrt(1.0 - 0.25 - 0.2025 - 0.16 - 0.1225 - 0.09
+                                - 0.0625))),
+    RegressionModel(theta=0.5, n=29, covariate_low=1.0, covariate_high=2.0,
+                    sigma=1.0, noise=NoiseFamily.RADEMACHER_SCALED))
+_LANE_SEAM_IDS = ("vs27", "sr7-uneq", "reg-rad29")
 # a constant design runs the band path with high - low = 0
 REG3_CONST = RegressionModel(theta=0.5, n=24, covariate_low=1.5,
                              covariate_high=1.5, sigma=1.0,
@@ -950,8 +1013,10 @@ class TestStepMajorFold:
 
 class TestSamplingKernels:
     @pytest.mark.parametrize("model",
-                             KERNEL_FAMILIES + SEAM_FAMILIES + (REG3_CONST,),
-                             ids=_FAMILY_IDS + _SEAM_IDS + ("reg-3pt-const",))
+                             KERNEL_FAMILIES + SEAM_FAMILIES
+                             + LANE_SEAM_FAMILIES + (REG3_CONST,),
+                             ids=_FAMILY_IDS + _SEAM_IDS + _LANE_SEAM_IDS
+                             + ("reg-3pt-const",))
     @pytest.mark.parametrize("tilt_fraction, rows", [
         (0.0, 777), (0.6, 777), (0.0, _seam_rows), (0.6, _seam_rows),
         (0.6, _one_row_tail),
@@ -1015,24 +1080,26 @@ class TestSamplingKernels:
 
     # sha256 of the finals of _simulate_chunk(VarianceSwitch(n, 0.5), 5,
     # STREAM_MC_TILTED, 2, rows, f / eps), recorded before the walk
-    # tallied step counts: the counts must not move S_n
+    # tallied step counts: the counts must not move S_n.  The tilted
+    # entries are those of the lane layout (16-bit lanes and refinement
+    # words), which moved every tilted path.
     _SWITCH_FINALS_SHA256 = {
         (64, 0.0, 1): "a762c6fcc53783804eded498a709060b"
                       "85e59681b361bf072417681b60d106ce",
         (64, 0.0, 8192): "50d20c6d13bf1ac1d8c6c824b4280504"
                          "71025961a3f5b91e39d057357b7ea9c6",
-        (64, 0.5, 1): "8394f419fa4bf37cdd2f98cc9852a8ce"
-                      "9e601d8a0dbf794778d5ce250828722e",
-        (64, 0.5, 8192): "6c320311fdfb6639a4de7867459672792"
-                         "c5ec994cda5e90dbebe8f3f41558d0d",
+        (64, 0.5, 1): "f610fe6e1f0b99753af82b3fadf7b6d4"
+                      "4cd44ed31ad5abcf82c44793afea3350",
+        (64, 0.5, 8192): "330c692d5f631729914a373f737731ad"
+                         "4d87ccfe5610617c9616a8afb1308b18",
         (128, 0.0, 1): "09a98f70bdbe1b6c713080148a7ffd43"
                        "cdb4c2f5875a16ae9b65b7bf91fd755b",
         (128, 0.0, 8192): "88ae96c413e5d7724e8009426e1aec89"
                           "ad455738032e8f36a5b7f450fcefbe6e",
-        (128, 0.5, 1): "b73e27e1b312dbe7c935f5039f5e93dc"
-                       "7b37695a95208e18ffd88a4e04e3b6db",
-        (128, 0.5, 8192): "767244866f400591c87a85588d5c09de"
-                          "3ee9fbc700ddd99c398a5e7f6d4b90da",
+        (128, 0.5, 1): "9706716d92eb79d51fc330b7b3076ec6"
+                       "101e4b40331a524738d018b0a97eb419",
+        (128, 0.5, 8192): "38973706a6d918d44ac549d1218b1c5c"
+                          "379e588a12719522d958cf6692077401",
     }
 
     @pytest.mark.parametrize("n, tilt_fraction, rows",
@@ -1066,6 +1133,44 @@ class TestSamplingKernels:
         assert sorted(777 * m.n % 4 for m in SEAM_FAMILIES) == [1, 2, 3]
         assert all(_one_row_tail(m) * m.n % 4 for m in SEAM_FAMILIES)
 
+    def test_tilted_regions_start_inside_a_counter_step(self):
+        # at 777 rows, the refinement words of every seam family start
+        # inside a counter step, after rows * ceil(n/4) lane words and,
+        # for the band families, the rows * n magnitude words before them
+        def refinement_start(m):
+            lead = 777 * m.n if m._law().band is not None else 0
+            return lead + 777 * -(-m.n // 4)
+
+        families = SEAM_FAMILIES + LANE_SEAM_FAMILIES
+        assert all(refinement_start(m) % 4 for m in families)
+        assert all(777 * m.n % 4 for m in families
+                   if m._law().band is not None)
+        assert all(m.n % 2 for m in LANE_SEAM_FAMILIES)
+
+    @pytest.mark.parametrize("model", [
+        VarianceSwitch(n=128, delta=0.5),
+        SelfNormalized(n=64, magnitude_low=1.0, magnitude_high=2.5),
+        RegressionModel(theta=0.0, n=32, covariate_low=1.0,
+                        covariate_high=2.0, sigma=1.0,
+                        noise=NoiseFamily.TRUNCATED_SYMMETRIC),
+    ], ids=["vs128", "sn64", "reg3-32"])
+    def test_tied_lanes_read_their_refinement_words(self, model):
+        # a whole chunk at 8192 rows holds lanes that tie the threshold in
+        # use, so the chunk's tie branch decides some of its steps
+        lam = 0.5 / model.bernstein_params().epsilon
+        lams = (lam,)
+        batch = _simulate_chunk(model, 21, STREAM_MC_TILTED, 3, 8192, lam,
+                                _Request(lams, **_FULL))
+        ties = []
+        finals, qc, psi, b, z = _reference_chunk(
+            model, 21, STREAM_MC_TILTED, 3, 8192, lam, lams, ties)
+        assert sum(ties) >= 3
+        assert _same_bytes(batch.finals, finals)
+        assert _same_bytes(batch.qc_final, qc)
+        for got, want in zip((batch.psi, batch.b_drift, batch.z_prod),
+                             (psi, b, z)):
+            assert _same_bytes(got[0], want[0])
+
     @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
     def test_one_row_chunk_replays_the_per_path_api(self, model):
         eps = model.bernstein_params().epsilon
@@ -1088,6 +1193,40 @@ class TestSamplingKernels:
                 assert batch.b_drift[0][0] == stats.b_drift
             assert batch.qc_final[0] == pytest.approx(path.qc[-1], abs=1e-15)
             assert batch.z_prod[0][0] == pytest.approx(stats.z, rel=1e-10)
+
+    @pytest.mark.parametrize("model", [
+        VarianceSwitch(n=128, delta=0.5),
+        SelfNormalized(n=256, magnitude_low=1.0, magnitude_high=2.5),
+    ], ids=["vs128", "sn256"])
+    def test_tilted_paths_with_ties_replay_the_reference(self, model):
+        # the per-path samplers read a tied step's refinement word where a
+        # one-row chunk has it; paths with a lane at the floor of a
+        # threshold are found from their lane words, then replayed
+        lam = 0.5 / model.bernstein_params().epsilon
+        n = model.n
+        lead = n if isinstance(model, SelfNormalized) else 0
+        words = np.stack([
+            generator_for(9, STREAM_PATH, idx).bit_generator.random_raw(
+                lead + -(-n // 4)) for idx in range(6000)])
+        lanes = _lanes_ref(words[:, lead:], n)
+        if lead:
+            mags = 1.0 + 1.5 * ((words[:, :n] >> np.uint64(11)) * 2.0 ** -53)
+            scales = mags / np.sqrt(np.sum(mags * mags, axis=1))[:, None]
+            bounds = [expit(2.0 * lam * scales)]
+        else:
+            bounds = [expit(2.0 * lam * s) for s in _switch_scales_ref(model)]
+        near = np.zeros(len(words), dtype=bool)
+        for bound in bounds:
+            near |= np.any(lanes == np.floor(bound * 65536.0), axis=1)
+        tied = 0
+        for idx in np.flatnonzero(near).tolist():
+            ties = []
+            finals = _reference_chunk(model, 9, STREAM_PATH, idx, 1, lam, (),
+                                      ties)[0]
+            tied += sum(ties)
+            path = simulate_tilted_path(model, lam, 9, path_index=idx)
+            assert path.final == finals[0]
+        assert tied >= 1
 
     @pytest.mark.parametrize("model", KERNEL_FAMILIES + (SR16,),
                              ids=_FAMILY_IDS + ("sr-equal",))
@@ -1113,6 +1252,53 @@ class TestSamplingKernels:
         assert _same_bytes(z_only.z_prod[0], full.z_prod[0])
         qc_only = _simulate_chunk(*args, _Request(qc=True))
         assert _same_bytes(qc_only.qc_final, full.qc_final)
+
+
+REG_SIGN10_CONST = RegressionModel(theta=0.0, n=10, covariate_low=1.0,
+                                   covariate_high=1.0, sigma=1.0,
+                                   noise=NoiseFamily.RADEMACHER_SCALED)
+
+
+def _levels_between_atoms(values, probs, count=3):
+    """Midpoints of the ``count`` gaps wider than 1e-6 between atoms of a
+    law whose tails are nearest 1/2: no sampled sum lies near them."""
+    order = np.argsort(values)
+    atoms, cum = values[order], np.cumsum(probs[order])
+    gaps = np.flatnonzero(np.diff(atoms) > 1e-6)
+    spread = cum[gaps] * (1.0 - cum[gaps])
+    return [float(0.5 * (atoms[k] + atoms[k + 1]))
+            for k in np.sort(gaps[np.argsort(-spread)[:count]])]
+
+
+class TestTiltedLaw:
+    """The sampled tilted law against exact enumeration at 2^20 paths."""
+
+    @pytest.mark.parametrize("model, exact", [
+        (VS12, VS12), (SR_UNEQ, SR_UNEQ), (REG3_N10, REG3_N10),
+        # a constant design takes the binomial shortcut; a design band of
+        # width 2^-30 runs the lane kernel, with the constant design's law
+        # to about 1e-9
+        (REG_SIGN10_CONST, REG_SIGN10_CONST),
+        (RegressionModel(theta=0.0, n=10, covariate_low=1.0,
+                         covariate_high=1.0 + 2.0 ** -30, sigma=1.0,
+                         noise=NoiseFamily.RADEMACHER_SCALED),
+         REG_SIGN10_CONST),
+    ], ids=["vs12", "sr-uneq", "reg3-10-const", "reg-sign10-const",
+            "reg-sign10-narrow"])
+    @pytest.mark.parametrize("fraction", [0.3, 0.8])
+    def test_sampled_tail_matches_the_enumerated_law(self, model, exact,
+                                                     fraction):
+        lam = fraction / model.bernstein_params().epsilon
+        values, probs, _ = _enumeration_atoms(exact, lam)
+        rows, chunks = 1 << 16, 16
+        finals = np.concatenate([
+            _simulate_chunk(model, 29, STREAM_MC_TILTED, c, rows, lam).finals
+            for c in range(chunks)])
+        for x in _levels_between_atoms(values, probs):
+            p = float(probs[values > x].sum())
+            p_hat = np.count_nonzero(finals > x) / finals.size
+            se = math.sqrt(p * (1.0 - p) / finals.size)
+            assert abs(p_hat - p) <= 4.0 * se, (x, p_hat, p)
 
 
 class TestChunkMemory:
