@@ -39,9 +39,11 @@ outcomes), read off the word's top bits.  At lambda > 0 each
 step reads a 16-bit lane v, four to a word, and goes up when
 (v + u') * 2^-16 is below its tilted up-probability expit(2*lambda*scale);
 u' is the uniform of the step's own refinement word, at a fixed offset
-past the lanes, read only when the lane alone cannot decide (see
-``_decisions`` and ``_WordReader``).  Every tilted decision therefore
-has the exact probability, as with one word per step.
+past the lanes, read straight from its counter only when the lane
+equals the floor of the threshold (see ``_decisions``, ``_below`` and
+``_WordReader``).  Every tilted decision therefore has the exact
+probability, as with one word per step.  VarianceSwitch paths, one or a
+chunk of them, read their decisions from ``_switch_masks``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ _LANE_UNIT = 2.0 ** 16
 # 2^16 * expit(x) by at most 2^-36 (measured over 2e6 thresholds, x in
 # [0, 2)); lanes within this margin of a tie are decided by ``_expit``
 _MARGIN = 2.0 ** -20
+_BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
 
 
 def generator_for(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -598,47 +601,51 @@ class _WordReader:
     0, where ``generator_for`` starts every stream; an offset counts from
     word ``start``.  The tilted samplers keep each step's refinement word
     at a fixed offset and read it only when the step's lane ties its
-    threshold, about once in 2^16 steps.  One copy of the generator walks
-    forward: ``advance`` skips whole counter steps of 4 words and
-    ``random_raw`` draws the rest of the way into one, so a read costs a
-    few microseconds however far it skips.  A call's offsets may come in
-    any order; an offset behind the copy starts a new copy.
+    threshold, about once in 2^16 steps.  Word w of the stream is word
+    w % 4 of the block Philox makes after counter w // 4, so each read
+    sets one copy of the generator to that counter, which drops any
+    buffered block, and draws w % 4 + 1 words: a few microseconds however
+    far it reaches, in any order.  The copy is built at the first read,
+    since most chunks read none.
     """
 
     def __init__(self, bits, start: int):
         self._bits = bits
         self._start = start
-        self._walker = None
-        self._next = 0     # stream offset of the word the copy draws next
+        self._copy = self._state = None
 
     def __call__(self, offsets) -> np.ndarray:
         offsets = np.asarray(offsets, dtype=np.int64)
         out = np.empty(offsets.size, dtype=np.uint64)
-        order = np.argsort(offsets, kind="stable")
-        for j, at in zip(order.tolist(),
-                         (offsets[order] + self._start).tolist()):
-            out[j] = self._word(at)
+        if offsets.size and self._copy is None:
+            self._copy = np.random.Philox(key=self._bits.state["state"]["key"])
+            self._state = self._copy.state   # counter 0, no block buffered
+        for j, at in enumerate((offsets + self._start).tolist()):
+            self._state["state"]["counter"][0] = at // 4
+            self._copy.state = self._state
+            out[j] = self._copy.random_raw(at % 4 + 1)[-1]
         return out
-
-    def _word(self, at: int) -> int:
-        if self._walker is None or at < self._next:
-            key = self._bits.state["state"]["key"]
-            self._walker = np.random.Philox(key=key)
-            self._next = 0
-        if self._next % 4 and at // 4 == self._next // 4:
-            count = at - self._next + 1    # inside the buffered counter step
-        else:
-            skip = at // 4 - -(-self._next // 4)
-            if skip or self._next % 4:
-                self._walker.advance(skip)   # and drops the buffered words
-            count = at % 4 + 1
-        self._next = at + 1
-        return int(self._walker.random_raw(count)[-1])
 
 
 def _refined(read, offsets) -> np.ndarray:
     """The uniforms u' of the refinement words ``read`` returns at offsets."""
     return np.right_shift(read(offsets), _WORD_SHIFT) * _ULP
+
+
+def _below(lanes: np.ndarray, bound, cut, refine) -> np.ndarray:
+    """The mask lanes + u' < bound of 16-bit lanes, u' in [0, 1).
+
+    cut is floor(bound): a lane below it is below whatever u' is and a
+    lane above it is not, so only a lane equal to cut reads u', which
+    ``refine(at)`` returns for the lanes at flat indices ``at``.  bound
+    and cut are scalars or arrays of the shape of ``lanes``.
+    """
+    below = np.less(lanes, cut)
+    at = np.flatnonzero(np.equal(lanes, cut))
+    if at.size:
+        rest = (bound.flat[at] if np.ndim(bound) else bound) - lanes.flat[at]
+        below.flat[at] = refine(at) < rest
+    return below
 
 
 def _two_point_steps(draws: np.ndarray, lam: float, c: np.ndarray,
@@ -690,41 +697,63 @@ def _two_point_steps(draws: np.ndarray, lam: float, c: np.ndarray,
     return xi, e
 
 
-def _switch_bounds(law: _StepLaw, lam: float) -> tuple:
-    """(minus, plus): the bounds below which a step's draw goes up at
-    s_minus and s_plus.  At lam = 0 both are 2^63, u < 1/2 on words; at
-    lam > 0 they are P = 2^16 expit(2*lam*s) on lanes."""
+def _switch_masks(law: _StepLaw, bits, rows: int, lam: float):
+    """(minus, flip): step-major (n, rows) masks of rows VarianceSwitch
+    paths drawn from ``bits``; a step at pos = (S >= 0) goes up iff
+    minus[i] ^ (pos & flip[i]).
+
+    minus marks the steps that go up at s_minus, flip those that decide
+    otherwise at s_plus, and flip is None where the two agree (lam = 0,
+    or delta = 0).  At lam = 0 a step goes up when its raw word is below
+    2^63 (u < 1/2); at lam > 0 when its lane v has v + u' < 2^16 p at its
+    scale, p = expit(2*lam*s) (``_below``).  A tie depends on the step's
+    own draws, not on the path, so the masks are final before any walk.
+    Row blocks of ``_BLOCK_ELEMENTS`` draws are compared in draw order
+    and only the mask bytes are transposed.
+    """
+    n = law.n
     if lam == 0.0:
-        return _SIGN_BIT, _SIGN_BIT
-    return tuple(_LANE_UNIT * _expit(2.0 * lam * s)
-                 for s in law.switch[::-1])
+        bounds = [_SIGN_BIT]
+    else:
+        bounds = [_LANE_UNIT * _expit(2.0 * lam * s)
+                  for s in law.switch[::-1]]
+        read = _WordReader(bits, rows * _lane_words(n))
+    bounds = bounds[:1] if bounds[0] == bounds[-1] else bounds
+    # both masks in one allocation: glibc's malloc then keeps that much
+    # heap for the next chunk, where two 1 MiB masks (n = 128) were handed
+    # back to the system and faulted in again, 512 page faults a chunk
+    masks = np.empty((len(bounds), n, rows), dtype=bool)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for r0 in range(0, rows, block):
+        draws = _decisions(bits, min(block, rows - r0), n, lam)
+        if lam == 0.0:
+            below = [np.less(draws, _SIGN_BIT)]
+        else:
+            refine = lambda at, base=r0 * n: _refined(read, at + base)
+            below = [_below(draws, b, math.floor(b), refine) for b in bounds]
+        if len(below) == 2:
+            below[1] ^= below[0]
+        for mask, b in zip(masks, below):
+            mask[:, r0:r0 + block] = b.T
+    return masks[0], (masks[1] if len(masks) == 2 else None)
 
 
 def _variance_switch_walk(law: _StepLaw, bits, lam: float):
-    """Steps and <S> of one VarianceSwitch path: a chunk row of one path.
-
-    A draw below floor(bound) goes up; at lam > 0 a lane equal to it goes
-    up iff u' < bound - v (see ``_switch_bounds``), and any other draw
-    goes down.
-    """
+    """Steps and <S> of one VarianceSwitch path: row 0 of a one-row
+    chunk's masks (see ``_switch_masks``)."""
     s_plus, s_minus = law.switch
-    draws = _decisions(bits, 1, law.n, lam)[0].tolist()
-    bounds = _switch_bounds(law, lam)
-    cuts = [math.floor(b) for b in bounds]
-    read = _WordReader(bits, _lane_words(law.n)) if lam else None
+    minus, flip = _switch_masks(law, bits, 1, lam)
+    minus = minus[:, 0].tolist()
+    flip = [False] * law.n if flip is None else flip[:, 0].tolist()
     xi = np.empty(law.n)
-    var = np.empty(law.n)
     s = 0.0
     for i in range(law.n):
-        side = int(s >= 0.0)  # sign(0) = +1
-        scale, v = (s_minus, s_plus)[side], draws[i]
-        up = v < cuts[side] or (read is not None and v == cuts[side]
-                                and _refined(read, [i])[0] < bounds[side] - v)
-        step = scale if up else -scale
+        pos = s >= 0.0  # sign(0) = +1
+        scale = s_plus if pos else s_minus
+        step = scale if minus[i] ^ (pos and flip[i]) else -scale
         xi[i] = step
-        var[i] = scale * scale
         s += step
-    return xi, np.cumsum(var)
+    return xi, np.cumsum(xi * xi)
 
 
 def _three_point_outcomes(draws: np.ndarray, lam: float, support: np.ndarray,
@@ -738,9 +767,8 @@ def _three_point_outcomes(draws: np.ndarray, lam: float, support: np.ndarray,
     draws are 16-bit lanes v, u = (v + u') 2^-16 with u' from the step's
     refinement word (see ``_two_point_steps``), and both thresholds are
     scaled by 2^16 (exactly: the total is scaled by 2^-16 before the
-    divisions).  A lane below floor(hi) goes up and one above floor(mid)
-    goes down whatever u'; a lane at either floor reads u' and goes up iff
-    u' < hi - v, down iff not u' < mid - v.  The outcome is the int8 mask
+    divisions).  A step goes up iff v + u' < hi and down iff not
+    v + u' < mid, each read by ``_below``.  The outcome is the int8 mask
     difference (u < hi) - (u >= mid): hi < mid, so at most one is set.
     At lam = 0 the masks keep the layout of ``draws`` and only the outcome
     bytes are copied to C order.
@@ -764,20 +792,18 @@ def _three_point_outcomes(draws: np.ndarray, lam: float, support: np.ndarray,
         np.divide(0.75, total, out=t)
         t += hi
         # 0 < hi < mid < 2^16, so the cast truncates to the floor; the
-        # four comparisons run on one step-major copy of the lanes
-        low, high = hi.astype(np.uint16), t.astype(np.uint16)
+        # comparisons run on one step-major copy of the lanes, whose flat
+        # index step*k + row is block offset row*n + step
+        n, k = shape
         draws = np.ascontiguousarray(draws)
-        up = np.less(draws, low)
-        down = np.greater(draws, high)
-        near = np.equal(draws, low)
-        near |= np.equal(draws, high)
-        at = np.flatnonzero(near)
-        if at.size:
-            step, row = np.divmod(at, shape[1])
-            v = draws[step, row]
-            u = _refined(read, row * shape[0] + step)
-            up[step, row] = u < hi[step, row] - v
-            down[step, row] = ~(u < t[step, row] - v)
+
+        def refine(at):
+            step, row = np.divmod(at, k)
+            return _refined(read, row * n + step)
+
+        up = _below(draws, hi, hi.astype(np.uint16), refine)
+        down = _below(draws, t, t.astype(np.uint16), refine)
+        np.logical_not(down, out=down)
     outcome = np.subtract(up.view(np.int8), down.view(np.int8))
     return np.ascontiguousarray(outcome)
 

@@ -21,7 +21,8 @@ its tilt, ``conjugate_clt_check`` reads B_n at its tilt, and only
 <S>_n, at every one of its tilts.  At tilt zero the sign thresholds are
 the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
 as scalars.  The VarianceSwitch walk compares its draws with both
-thresholds once per chunk, into step-major (n, rows) masks, and each step
+thresholds once per chunk, into step-major (n, rows) masks that the
+per-path walk also reads (``martingales._switch_masks``), and each step
 then only reads the sign of the running sum and looks its increment up
 in a table.  Every per-step-scale family draws in row blocks of 2^15
 entries (256 KiB per array): a block reads its own rows of each (rows, n)
@@ -38,7 +39,8 @@ word, and u < 1/2 (or 1/8, 7/8) is read off its top bits.  At a tilt
 lam > 0 each step reads a 16-bit lane v of ceil(n/4) words per path and
 goes up when (v + u') 2^-16 is below its tilted probability; u' comes from
 the step's refinement word, at a fixed offset past the lanes, which is
-read only when v alone cannot decide, about once in 2^16 steps.  The
+read straight from its Philox counter only when v alone cannot decide,
+about once in 2^16 steps (``martingales._below``).  The
 tilted two-point threshold 2^16*expit(2*lam*c) comes from numpy's exp,
 which moves it by at most 2^-36 against libm's exp; lanes within a
 margin of a tie are decided on libm's exp by ``martingales._expit``.
@@ -54,8 +56,9 @@ decides whether a run reads the exact law (it returns the leaf count) or
 samples (None), and is the only estimator-side reader of
 ``enumeration_support``.  ``_counts_at`` counts a chunk's values at or
 below each threshold for every sampled count (CDF, plain tail,
-domination levels and both conjugate-CLT statistics), ``np.sum`` adds
-them over the chunks, and a tail count is paths minus the count.
+domination levels and both conjugate-CLT statistics), ``_Total`` adds
+each chunk's counts into one total as the chunk finishes, and a tail
+count is paths minus the count.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ import copy
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -78,11 +82,12 @@ from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
-from .martingales import (_band_values, _check_tilt, _decisions, _expit,
-                          _lane_words, _lemma_ceilings, _lent, _log_cosh,
-                          _refined, _require_model, _steps, _StepLaw,
-                          _switch_bounds, _switch_terms, _switch_total,
-                          _switch_z, _WordReader, _z_variance_bound)
+from .martingales import (_BLOCK_ELEMENTS, _band_values, _check_tilt,
+                          _decisions, _expit, _lane_words, _lemma_ceilings,
+                          _lent, _log_cosh, _require_model, _steps,
+                          _StepLaw, _switch_masks, _switch_terms,
+                          _switch_total, _switch_z, _WordReader,
+                          _z_variance_bound)
 
 __all__ = [
     "SimulationConfig", "TailEstimate", "BEDistanceEstimate",
@@ -94,7 +99,6 @@ __all__ = [
 ]
 
 _LEAF_CAP = 1 << 20
-_BLOCK_ELEMENTS = 1 << 15   # float64 entries per row block: 256 KiB
 # the (n, k) arrays a row block's stages are written into: the scales, a
 # three-point support, the steps, exp(-2 lam c) and three temporaries
 _WORK = ("scales", "c", "xi", "e", "a", "b", "d")
@@ -105,6 +109,9 @@ _WORK = ("scales", "c", "xi", "e", "a", "b", "d")
 # any magnitude words, and the refinement words of its ties
 CHUNK_DRAW_MAX_ENTRIES = 1 << 26
 CHUNK_COUNT_MAX = 1 << 20
+# tilts per verification run: each holds three rows-long float arrays in
+# every chunk, about 200 KiB at 8192 rows, where 3 are in use
+VERIFY_TILT_MAX = 64
 _UNIT_C = BoundConstant(1.0)
 
 
@@ -461,7 +468,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     runs in step order, and signs come from the documented thresholds, so
     a lean request returns the same bytes as the suite's full one.  The
     VarianceSwitch kernel reads its draws through step-major masks
-    built once per chunk (see ``_variance_switch_chunk``), with the same
+    built once per chunk (``martingales._switch_masks``), with the same
     results as a per-step threshold select.
 
     The per-step-scale families (SelfNormalized, RegressionModel, and
@@ -475,8 +482,8 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     step i of row r owns word r*n + i.  The kernel reads the step
     draws through a copy of the chunk's generator, placed by advancing the
     Philox counter (4 words per step) and drawing the remainder, and a
-    refinement word only for a step whose lane ties its threshold, through
-    one ``martingales._WordReader`` that walks forward over the chunk.  A
+    refinement word only for a step whose lane ties its threshold, read
+    by ``martingales._WordReader`` straight from its counter.  A
     chunk therefore holds O(block) floats besides its outputs, whatever n
     is.  Each block's draws decide its steps exactly, with
     ``martingales._expit`` deciding the lanes within a margin of a tilted
@@ -491,10 +498,9 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     the same bytes as one pass over whole-chunk draws.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
-    Steps come from ``martingales._steps``, which the per-path sampler
-    ``_generate`` also reads; those two are the package's only samplers.
-    The VarianceSwitch walk keeps its own kernel here and a scalar one
-    there, both reading ``law.switch``.
+    Steps come from ``martingales._steps``, and VarianceSwitch decisions
+    from ``martingales._switch_masks``, which the per-path sampler
+    ``_generate`` also reads; those are the package's only samplers.
     """
     rng = generator_for(seed, stream, chunk)
     law = model._law()
@@ -598,67 +604,20 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
                            batch: _Batch) -> _Batch:
     """Step-major walk: the state enters only through pos = (S >= 0).
 
-    A step goes up when its draw is below the bound of its scale,
-    ``martingales._switch_bounds``: at lam = 0 a raw word below 2^63
-    (u < 1/2) at either scale; at lam > 0 a 16-bit lane v with
-    v + u' < P = 2^16 p_minus (not pos) or P = 2^16 p_plus (pos), u' from
-    the step's refinement word.  Both comparisons are made once per chunk,
-    as contiguous (n, rows) masks ``minus`` (up at s_minus) and
-    ``flip`` = minus ^ (up at s_plus), filled row block by row block from
-    (block, n) draws, so the chunk holds the two masks (one byte per step
-    and path) and one block of draws; the up mask of step i is then
-    minus[i] ^ (pos & flip[i]).  A lane below floor(P) goes up and one
-    above goes down whatever u'.  A lane at floor(P) of either bound is a
-    tie, decided by u' < P - v; that depends on the step's own draws, not
-    on the path, so the blocks collect the ties' offsets and both masks
-    are patched once, before the walk, from one forward read of their
-    refinement words.  When the bounds agree (lam = 0, or delta = 0)
-    ``flip`` is empty.  Each step looks its increment up by the code
-    2*pos + up in the table (-s_minus, +s_minus, -s_plus, +s_plus) and
-    adds it to S in step order, as the per-path walk does.  Alongside,
-    each path counts its steps at s_plus and, for Z, its up-steps in all
-    and at s_plus, in the smallest unsigned type that holds n;
-    ``martingales._switch_total`` and ``_switch_z`` form the other objects
-    from those counts, as ``conjugate_stats`` does.
+    The masks come from ``martingales._switch_masks``, as the per-path
+    walk's do: step i goes up iff minus[i] ^ (pos & flip[i]).  Each step
+    looks its increment up by the code 2*pos + up in the table
+    (-s_minus, +s_minus, -s_plus, +s_plus) and adds it to S in step order,
+    as the per-path walk does.  Alongside, each path counts its steps at
+    s_plus and, for Z, its up-steps in all and at s_plus, in the smallest
+    unsigned type that holds n; ``martingales._switch_total`` and
+    ``_switch_z`` form the other objects from those counts, as
+    ``conjugate_stats`` does.
     """
     s_plus, s_minus = law.switch
     n = law.n
     rows = batch.finals.size
-    bits = rng.bit_generator
-    bounds = _switch_bounds(law, lam)
-    cuts = [math.floor(b) for b in bounds]
-    # both masks in one allocation: glibc's malloc then keeps that much
-    # heap for the next chunk, where two 1 MiB masks (n = 128) were handed
-    # back to the system and faulted in again, 512 page faults a chunk
-    masks = np.empty((1 if bounds[0] == bounds[1] else 2, n, rows),
-                     dtype=bool)
-    minus = masks[0]
-    flip = masks[1] if len(masks) == 2 else None
-    ties, tied = [], []   # offsets r*n + i of tied steps, and their lanes
-    block = max(1, _BLOCK_ELEMENTS // n)
-    for r0 in range(0, rows, block):
-        cols = slice(r0, r0 + block)
-        # compared in draw order, then only the mask bytes are transposed
-        draws = _decisions(bits, min(block, rows - r0), n, lam)
-        below = np.less(draws, cuts[0])
-        minus[:, cols] = below.T
-        if flip is not None:
-            flip[:, cols] = (np.less(draws, cuts[1]) ^ below).T
-        if lam:
-            near = np.equal(draws, cuts[0])
-            if flip is not None:
-                near |= np.equal(draws, cuts[1])
-            at = np.flatnonzero(near)
-            ties.append(at + r0 * n)
-            tied.append(draws[at // n, at % n])
-    if lam:
-        at = np.concatenate(ties)
-        u = _refined(_WordReader(bits, rows * _lane_words(n)), at)
-        v = np.concatenate(tied)
-        row, step = np.divmod(at, n)
-        minus[step, row] = u < bounds[0] - v
-        if flip is not None:
-            flip[step, row] = (u < bounds[1] - v) ^ minus[step, row]
+    minus, flip = _switch_masks(law, rng.bit_generator, rows, lam)
 
     steps = np.array([-s_minus, s_minus, -s_plus, s_plus])
     # k, the steps at s_plus, for every object; the up-steps in all and
@@ -675,7 +634,7 @@ def _variance_switch_chunk(law: _StepLaw, rng, lam: float, want: _Request,
     twice = np.empty(rows, dtype=np.uint8)
     code = np.empty(rows, dtype=np.intp)
     term = np.empty(rows)
-    for i in range(law.n):
+    for i in range(n):
         np.greater_equal(finals, 0.0, out=pos)  # sign(0) counts as positive
         if flip is None:
             up8 = minus8[i]
@@ -724,6 +683,19 @@ def _map_chunks(config: SimulationConfig, kernel):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(kernel, range(count), sizes))
     return [kernel(c, rows) for c, rows in zip(range(count), sizes)]
+
+
+class _Total:
+    """Chunk counts added into one total as each chunk finishes: integer
+    counts sum to the same total in any order, and no chunk's are kept."""
+
+    def __init__(self):
+        self.value = 0
+        self._lock = threading.Lock()
+
+    def add(self, part: np.ndarray) -> None:
+        with self._lock:
+            self.value += part
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +981,15 @@ def estimate_be_distance(config: SimulationConfig,
 
 def _cdf_counts(config: SimulationConfig, arr: np.ndarray) -> np.ndarray:
     """Sampled plain terminal sums at or below each threshold in arr."""
-    def kernel(chunk: int, rows: int) -> np.ndarray:
+    total = _Total()
+
+    def kernel(chunk: int, rows: int) -> None:
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC, chunk,
                                 rows, 0.0)
-        return _counts_at(batch.finals, arr)
+        total.add(_counts_at(batch.finals, arr))
 
-    return np.sum(_map_chunks(config, kernel), axis=0)
+    _map_chunks(config, kernel)
+    return total.value
 
 
 # ---------------------------------------------------------------------------
@@ -1141,14 +1116,17 @@ def conjugate_clt_check(config: SimulationConfig, x: float,
                                   0, tuple(grid.tolist()), config.seed)
 
     thr_u = xh * grid
+    total = _Total()
 
-    def kernel(chunk: int, rows: int):
+    def kernel(chunk: int, rows: int) -> None:
         batch = _simulate_chunk(config.model, config.seed, STREAM_MC_TILTED,
                                 chunk, rows, lam, _Request((lam,), b=True))
-        return (_counts_at(lam * (batch.finals - x), thr_u),
-                _counts_at(batch.finals - batch.b_drift[0], grid))
+        total.add(np.array([_counts_at(lam * (batch.finals - x), thr_u),
+                            _counts_at(batch.finals - batch.b_drift[0],
+                                       grid)]))
 
-    counts_u, counts_y = np.sum(_map_chunks(config, kernel), axis=0)
+    _map_chunks(config, kernel)
+    counts_u, counts_y = total.value
     sup_u = float(np.max(np.abs(counts_u / config.paths - phi)))
     sup_y = float(np.max(np.abs(counts_y / config.paths - phi)))
     return ConjugateCLTReport(float(x), lam, xh, sup_u, sup_y, False,
@@ -1169,7 +1147,8 @@ def run_verification_suite(config: SimulationConfig,
     at every lam = f/eps for tilt fractions f in [0, 1), where the change
     of measure and the lemma ceilings hold; any other f (nan too), or a
     negative domination level, raises DomainError before anything is
-    drawn.  The drift and log-MGF ceilings must hold on every path (with
+    drawn, and more than ``VERIFY_TILT_MAX`` fractions raise ConfigError.
+    The drift and log-MGF ceilings must hold on every path (with
     a 1e-12 rounding allowance), the mean of the change-of-measure weight
     Z must sit within 4 standard errors of 1 (the larger of the sample
     one, which collapses on long paths at high tilt, and sqrt(V/m) for m
@@ -1189,6 +1168,9 @@ def run_verification_suite(config: SimulationConfig,
     model = config.model
     params = model.bernstein_params()
     eps = params.epsilon
+    if len(lam_fractions) > VERIFY_TILT_MAX:
+        raise ConfigError(f"{len(lam_fractions)} tilt fractions, above the "
+                          f"cap of {VERIFY_TILT_MAX}")
     lam_values = tuple(f / eps for f in lam_fractions)
     for f, lam in zip(lam_fractions, lam_values):
         # (1/eps)*eps can round below 1, so the fraction is checked too
@@ -1221,6 +1203,7 @@ def run_verification_suite(config: SimulationConfig,
         raise DomainError("domination_levels values must be nonnegative")
     # counted on this draw unless the model is enumerated exactly
     count_levels = levels is not None and _use_enumeration(config) is None
+    level_counts = _Total()
 
     def kernel(chunk: int, rows: int):
         batch = _simulate_chunk(model, config.seed, STREAM_MC, chunk, rows,
@@ -1254,14 +1237,15 @@ def run_verification_suite(config: SimulationConfig,
                     bad.append((name, int(idx[0]), float(values[idx[0]]),
                                 ceiling))
             per_lam.append((bad, float(z.sum()), float(np.dot(z, z))))
-        counts = _counts_at(batch.finals, levels) if count_levels else None
-        return band, per_lam, counts
+        if count_levels:
+            level_counts.add(_counts_at(batch.finals, levels))
+        return band, per_lam
 
     results = _map_chunks(config, kernel)
-    violations.extend(band for band, _, _ in results if band is not None)
+    violations.extend(band for band, _ in results if band is not None)
     z_stats = []
     for k, lam in enumerate(lam_values):
-        for chunk, (_, per_lam, _) in enumerate(results):
+        for chunk, (_, per_lam) in enumerate(results):
             for name, row, value, ceiling in per_lam[k][0]:
                 violations.append(ViolationRecord(
                     name, f"lam={lam:.6g}: value {value!r} exceeds "
@@ -1282,8 +1266,7 @@ def run_verification_suite(config: SimulationConfig,
         checks.append("half-cosh-bound")
 
     if levels is not None:
-        ests = (_plain_estimates(config, levels,
-                                 np.sum([r[2] for r in results], axis=0))
+        ests = (_plain_estimates(config, levels, level_counts.value)
                 if count_levels else estimate_tail_plain_grid(config, levels))
         for est in ests:
             bound = tail_bound_sq(est.x, params).value

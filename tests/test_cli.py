@@ -364,6 +364,24 @@ class TestVerifyCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_too_many_tilt_fractions_is_config_error(self, capsys,
+                                                     monkeypatch):
+        # each tilt holds three rows-long arrays per chunk: a long
+        # --lam-fractions list is refused before any chunk is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", no_draws)
+        fractions = ",".join(["0.5"] * (montecarlo.VERIFY_TILT_MAX + 1))
+        assert main(["verify", "--model", "selfnorm", "--n", "64",
+                     "--a", "1", "--b", "2.5", "--paths", "300",
+                     "--lam-fractions", fractions]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {montecarlo.VERIFY_TILT_MAX + 1} tilt fractions, above "
+            f"the cap of {montecarlo.VERIFY_TILT_MAX}\n")
+
     def test_json_report_has_replay_coordinates(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.setattr(montecarlo, "verify_A2",

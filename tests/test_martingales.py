@@ -460,6 +460,18 @@ class TestWordReader:
             assert got.tolist() == stream[start + offsets].tolist()
         assert read(np.array([], dtype=np.int64)).size == 0
 
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_reader_reaches_far_offsets(self, start):
+        # words past 2^34 (counter steps past 2^32), against a fresh
+        # Philox advanced to each word's counter step
+        bits = generator_for(9, 3, 11).bit_generator
+        offsets = np.array([(1 << 34) + 5, 1 << 40, (1 << 34) + 2, 7])
+        got = _WordReader(bits, start)(offsets)
+        for at, word in zip((offsets + start).tolist(), got.tolist()):
+            fresh = np.random.Philox(key=bits.state["state"]["key"])
+            fresh.advance(at // 4)
+            assert word == int(fresh.random_raw(at % 4 + 1)[-1])
+
 
 class TestConjugateStats:
     def test_frozen_example(self):

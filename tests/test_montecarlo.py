@@ -1324,6 +1324,28 @@ class TestChunkMemory:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20
 
+    @pytest.mark.parametrize("estimate", [
+        estimate_be_distance,
+        lambda config, grid: conjugate_clt_check(config, 2.0, grid),
+    ], ids=["cdf-counts", "conjugate-clt"])
+    def test_chunk_counts_are_not_held_until_the_last_chunk(self, estimate):
+        # 10^4 counts per chunk: over 256 chunks, held at once, they take
+        # 20 MiB (40 for the two CLT statistics), far above what one
+        # 4096-row chunk of SN(16) holds while it draws
+        model = SelfNormalized(n=16, magnitude_low=1.0, magnitude_high=2.0)
+        grid = np.linspace(-4.0, 4.0, 10 ** 4)
+        peaks = []
+        for chunk_size in (4096, 64):
+            config = cfg(model, paths=1 << 14, chunk_size=chunk_size)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                estimate(config, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
 
 class TestTailIS:
     def test_enumeration_mode_is_tilt_invariant(self):
@@ -1740,6 +1762,21 @@ class TestVerificationSuite:
         with pytest.raises(DomainError, match="tilt"):
             run_verification_suite(cfg(model, paths=300),
                                    lam_fractions=(0.5, fraction))
+        assert calls == []
+
+    def test_tilt_count_is_capped_before_drawing(self, monkeypatch):
+        model = SelfNormalized(n=32, magnitude_low=1.0, magnitude_high=2.5)
+        most = montecarlo.VERIFY_TILT_MAX
+        report = run_verification_suite(cfg(model, paths=300),
+                                        lam_fractions=(0.5,) * most,
+                                        domination_levels=())
+        assert len(report.lam_values) == len(report.z_stats) == most
+        calls = []
+        monkeypatch.setattr(montecarlo, "generator_for",
+                            lambda *key: calls.append(key))
+        with pytest.raises(ConfigError, match="tilt fractions"):
+            run_verification_suite(cfg(model, paths=300),
+                                   lam_fractions=(0.5,) * (most + 1))
         assert calls == []
 
 

@@ -208,6 +208,14 @@ def test_samplers_draw_raw_words():
                                           "bolthausen_augment")}
 
 
+def test_variance_switch_decisions_have_one_home():
+    # the chunk walk and the per-path walk read the same masks, so the
+    # family's tilted tie rule is written once
+    assert sorted(call_sites("_switch_masks")) == [
+        ("martingales", "_variance_switch_walk"),
+        ("montecarlo", "_variance_switch_chunk")]
+
+
 def test_chunk_outputs_have_one_layout():
     # every chunk kernel fills the batch that _new_batch allocates
     assert call_sites("_Batch") == [("montecarlo", "_new_batch")]
