@@ -31,19 +31,19 @@ Randomness is counter-based: a Philox generator keyed by
 ``[seed, (stream << 56) | index]``.  Draw order inside one path is fixed
 and documented per family: magnitudes or covariates first, one raw
 64-bit word per step, then the draws that decide each step's sign or
-outcome.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
-numpy's ``Generator.random`` would return, and each comparison with u
-is made exactly (see ``_steps``).  At lambda = 0 each step
-reads one word and goes up when u < 1/2 (1/8 and 7/8 for three-point
-outcomes), read off the word's top bits.  At lambda > 0 each
-step reads a 16-bit lane v, four to a word, and goes up when
+outcome.  A magnitude word w stands for the uniform u = (w >> 11) * 2^-53
+that numpy's ``Generator.random`` would return (see ``_band_values``).
+Every step, at every tilt, reads a 16-bit lane v of the decision words,
+four to a word (``_decisions``).  At lambda = 0 the thresholds are
+dyadic: a step goes up when v < 2^15, and a three-point step goes up
+when v < 2^13 and down when v >= 7 * 2^13.  At lambda > 0 it goes up when
 (v + u') * 2^-16 is below its tilted up-probability expit(2*lambda*scale);
 u' is the uniform of the step's own refinement word, at a fixed offset
 past the lanes, read straight from its counter only when the lane
-equals the floor of the threshold (see ``_decisions``, ``_below`` and
-``_WordReader``).  Every tilted decision therefore has the exact
-probability, as with one word per step.  VarianceSwitch paths, one or a
-chunk of them, read their decisions from ``_switch_masks``.
+equals the floor of the threshold (see ``_below`` and ``_WordReader``).
+Every decision therefore has its exact probability, and no refinement
+word is read at lambda = 0.  VarianceSwitch paths, one or a chunk of
+them, read their decisions from ``_switch_masks``.
 """
 
 from __future__ import annotations
@@ -90,10 +90,13 @@ _INDEX_LIMIT = 1 << 56
 _WORD_SHIFT = 11
 _ULP = 2.0 ** -53
 _SIGN_BIT = 1 << 63
-# At lam > 0 a step reads a 16-bit lane v of a word, four lanes to a word,
-# and goes up iff v + u' < 2^16 p, u' the uniform of its refinement word
+# A step reads a 16-bit lane v of a word, four lanes to a word.  At lam = 0
+# it goes up iff v < 2^15 (2^13 and 7 * 2^13 bound the three-point
+# outcomes); at lam > 0 iff v + u' < 2^16 p, u' the uniform of its
+# refinement word
 _LANES = 4
 _LANE_UNIT = 2.0 ** 16
+_LANE_HALF = 1 << 15
 # numpy's exp and libm's differ by an ulp, which moves a threshold
 # 2^16 * expit(x) by at most 2^-36 (measured over 2e6 thresholds, x in
 # [0, 2)); lanes within this margin of a tie are decided by ``_expit``
@@ -580,16 +583,13 @@ def _lane_words(n: int) -> int:
     return -(-n // _LANES)
 
 
-def _decisions(bits, rows: int, n: int, lam: float) -> np.ndarray:
-    """The (rows, n) draws that decide rows' steps: the next words of
-    ``bits``, one per step at lam = 0.
+def _decisions(bits, rows: int, n: int) -> np.ndarray:
+    """The (rows, n) 16-bit lanes that decide rows' steps, at any tilt.
 
-    At lam > 0 a row takes ceil(n/4) words and reads a 16-bit lane per
+    A row takes the next ceil(n/4) words of ``bits`` and reads a lane per
     step: lane j of a row is (w >> 16*(j % 4)) & 0xFFFF of its word j // 4,
     which is the little-endian uint16 view of the words.
     """
-    if lam == 0.0:
-        return bits.random_raw((rows, n))
     words = bits.random_raw((rows, _lane_words(n)))
     return words.astype("<u8", copy=False).view("<u2")[:, :n]
 
@@ -652,9 +652,9 @@ def _two_point_steps(draws: np.ndarray, lam: float, c: np.ndarray,
                      shape: tuple, work: Optional[dict] = None, read=None):
     """(xi, e): steps +-c, up with probability p = expit(2*lam*c).
 
-    At lam = 0, p = 1/2: a step goes up when u < 1/2, that is when its
-    word's top bit is clear, so xi is c with that bit as its sign bit.  At
-    lam > 0 ``draws`` holds 16-bit lanes, step-major (n, k), and a step
+    ``draws`` holds 16-bit lanes v, step-major (n, k).  At lam = 0,
+    p = 1/2: a step goes down iff v >= 2^15, so xi is c with that mask as
+    its sign bit, and no refinement word is read.  At lam > 0 a step
     with lane v goes up iff v + u' < P = 2^16 p, with u' the uniform of its
     refinement word, which ``read`` returns at block offsets r*n + i.  The
     fast threshold is T = 2^16/(1 + e), with e = exp(-2*lam*c) from numpy's
@@ -668,7 +668,9 @@ def _two_point_steps(draws: np.ndarray, lam: float, c: np.ndarray,
     """
     xi = _lent(work, "xi", shape)
     if lam == 0.0:
-        signed = np.bitwise_and(draws, _SIGN_BIT, out=xi.view(np.uint64))
+        down = np.greater_equal(draws, _LANE_HALF)
+        signed = np.left_shift(down.view(np.uint8), 63,
+                               out=xi.view(np.uint64), dtype=np.uint64)
         signed |= c.view(np.uint64)
         return xi, None
     e = np.multiply(c, -2.0 * lam, out=_lent(work, "e", c.shape))
@@ -704,8 +706,8 @@ def _switch_masks(law: _StepLaw, bits, rows: int, lam: float):
 
     minus marks the steps that go up at s_minus, flip those that decide
     otherwise at s_plus, and flip is None where the two agree (lam = 0,
-    or delta = 0).  At lam = 0 a step goes up when its raw word is below
-    2^63 (u < 1/2); at lam > 0 when its lane v has v + u' < 2^16 p at its
+    or delta = 0).  At lam = 0 a step goes up when its lane v is below
+    2^15, read with no tie test; at lam > 0 when v + u' < 2^16 p at its
     scale, p = expit(2*lam*s) (``_below``).  A tie depends on the step's
     own draws, not on the path, so the masks are final before any walk.
     Row blocks of ``_BLOCK_ELEMENTS`` draws are compared in draw order
@@ -713,7 +715,7 @@ def _switch_masks(law: _StepLaw, bits, rows: int, lam: float):
     """
     n = law.n
     if lam == 0.0:
-        bounds = [_SIGN_BIT]
+        bounds = [_LANE_HALF]
     else:
         bounds = [_LANE_UNIT * _expit(2.0 * lam * s)
                   for s in law.switch[::-1]]
@@ -725,9 +727,9 @@ def _switch_masks(law: _StepLaw, bits, rows: int, lam: float):
     masks = np.empty((len(bounds), n, rows), dtype=bool)
     block = max(1, _BLOCK_ELEMENTS // n)
     for r0 in range(0, rows, block):
-        draws = _decisions(bits, min(block, rows - r0), n, lam)
+        draws = _decisions(bits, min(block, rows - r0), n)
         if lam == 0.0:
-            below = [np.less(draws, _SIGN_BIT)]
+            below = [np.less(draws, _LANE_HALF)]
         else:
             refine = lambda at, base=r0 * n: _refined(read, at + base)
             below = [_below(draws, b, math.floor(b), refine) for b in bounds]
@@ -761,21 +763,22 @@ def _three_point_outcomes(draws: np.ndarray, lam: float, support: np.ndarray,
                           read=None) -> np.ndarray:
     """Outcome in {+1, 0, -1} units for {-c, 0, +c} steps, P(+-) = 1/8.
 
-    Tilting scales the point masses by e^{+-lam c} on the extremes; the
-    thresholds (hi, mid) reduce to (1/8, 7/8) exactly at lam = 0, where
-    u < 1/8 and u >= 7/8 read the word's top three bits.  At lam > 0 the
-    draws are 16-bit lanes v, u = (v + u') 2^-16 with u' from the step's
-    refinement word (see ``_two_point_steps``), and both thresholds are
-    scaled by 2^16 (exactly: the total is scaled by 2^-16 before the
-    divisions).  A step goes up iff v + u' < hi and down iff not
-    v + u' < mid, each read by ``_below``.  The outcome is the int8 mask
-    difference (u < hi) - (u >= mid): hi < mid, so at most one is set.
-    At lam = 0 the masks keep the layout of ``draws`` and only the outcome
-    bytes are copied to C order.
+    The draws are 16-bit lanes v.  Tilting scales the point masses by
+    e^{+-lam c} on the extremes; the thresholds (hi, mid) reduce to
+    (1/8, 7/8) exactly at lam = 0, where a step goes up iff v < 2^13 and
+    down iff v >= 7 * 2^13, read with no refinement word.  At lam > 0,
+    u = (v + u') 2^-16 with u' from the step's refinement word (see
+    ``_two_point_steps``), and both thresholds are scaled by 2^16
+    (exactly: the total is scaled by 2^-16 before the divisions).  A step
+    goes up iff v + u' < hi and down iff not v + u' < mid, each read by
+    ``_below``.  The outcome is the int8 mask difference
+    (u < hi) - (u >= mid): hi < mid, so at most one is set.  At lam = 0
+    the masks keep the layout of ``draws`` and only the outcome bytes are
+    copied to C order.
     """
     if lam == 0.0:
-        up = np.less(draws, 1 << 61)
-        down = np.greater_equal(draws, 7 << 61)
+        up = np.less(draws, 1 << 13)
+        down = np.greater_equal(draws, 7 << 13)
     else:
         # in place: t becomes the down weight, then 0.75/total, then mid
         shape = support.shape
@@ -812,16 +815,14 @@ def _steps(law: _StepLaw, scales: np.ndarray, draws: np.ndarray, lam: float,
            work: Optional[dict] = None, read=None):
     """(c, xi, e): step sizes, steps and exp(-2*lam*c) for one block.
 
-    ``draws`` holds one draw per step, step-major (n, k): the (n, k)
-    transpose of a chunk block's ``_decisions``, or (n, 1) for one path.
-    At lam = 0 a draw is a raw word w, standing for the uniform
-    u = (w >> 11) * 2^-53 that numpy's ``Generator.random`` would return,
-    and each comparison with u reads the word's top bits.  At lam > 0 it
-    is a 16-bit lane v and the step's uniform is (v + u') 2^-16, where u'
-    is the uniform of the step's refinement word; ``read`` returns those
-    words at block offsets r*n + i, and is called only for the lanes that
-    tie a threshold.  Every comparison gives the same decision as on the
-    exact uniform; the tilted two-point threshold falls back to ``_expit``
+    ``draws`` holds one 16-bit lane v per step, step-major (n, k): the
+    (n, k) transpose of a chunk block's ``_decisions``, or (n, 1) for one
+    path.  At lam = 0 the thresholds are dyadic and v alone decides.  At
+    lam > 0 the step's uniform is (v + u') 2^-16, where u' is the uniform
+    of the step's refinement word; ``read`` returns those words at block
+    offsets r*n + i, and is called only for the lanes that tie a
+    threshold.  Every comparison gives the same decision as on the exact
+    uniform; the tilted two-point threshold falls back to ``_expit``
     within a margin (see ``_two_point_steps``).  c is the scale itself for
     two-point steps and the support 2*scale for three-point ones;
     xi = c * outcome, a C-contiguous array of the broadcast shape of
@@ -861,7 +862,7 @@ def _generate(model: MartingaleModel, lam: float, seed: int,
         read = (_WordReader(bits, lead + _lane_words(law.n)) if lam
                 else None)
         _, xi, _ = _steps(law, scales[:, None],
-                          _decisions(bits, 1, law.n, lam).T, lam, read=read)
+                          _decisions(bits, 1, law.n).T, lam, read=read)
         xi = xi[:, 0]
     sums = np.concatenate(([0.0], np.cumsum(xi)))
     qc = np.concatenate(([0.0], qc_tail))
@@ -893,8 +894,8 @@ def simulate_tilted_path(model: MartingaleModel, lam: float, seed: int, *,
     Magnitudes and covariates keep their untilted law (the change of
     measure integrates to one over each step's sign variable alone); only
     the per-step outcome probabilities move.  At lam = 0 it draws as
-    simulate_path does and reproduces it exactly; at lam > 0 each step
-    reads a 16-bit lane and, where the lane ties its threshold, its
+    simulate_path does and reproduces it exactly.  Each step reads a
+    16-bit lane and, at lam > 0 where the lane ties its threshold, its
     refinement word, as row 0 of a one-row chunk.
     """
     _require_model(model)

@@ -19,9 +19,10 @@ estimators read terminal sums alone, ``estimate_tail_is`` reads Psi_n at
 its tilt, ``conjugate_clt_check`` reads B_n at its tilt, and only
 ``run_verification_suite`` reads Psi_n, B_n, the product-route Z and
 <S>_n, at every one of its tilts.  At tilt zero the sign thresholds are
-the constant 1/2 (1/8 and 7/8 for three-point outcomes) and are compared
-as scalars.  The VarianceSwitch walk compares its draws with both
-thresholds once per chunk, into step-major (n, rows) masks that the
+the constant 1/2 (1/8 and 7/8 for three-point outcomes), the lane bounds
+2^15 (2^13 and 7 * 2^13), and are compared as scalars.  The
+VarianceSwitch walk compares its draws with both thresholds once per
+chunk, into step-major (n, rows) masks that the
 per-path walk also reads (``martingales._switch_masks``), and each step
 then only reads the sign of the running sum and looks its increment up
 in a table.  Every per-step-scale family draws in row blocks of 2^15
@@ -33,23 +34,23 @@ step-major (n, rows) order, so that its temporaries stay in the L2 cache
 and each sum over the steps is one reduce (``_fold``).
 
 The kernels read the stream as raw Philox words (``random_raw``), never
-as doubles.  A word w stands for the uniform u = (w >> 11) * 2^-53 that
-``Generator.random`` would return.  At tilt zero each step reads one
-word, and u < 1/2 (or 1/8, 7/8) is read off its top bits.  At a tilt
-lam > 0 each step reads a 16-bit lane v of ceil(n/4) words per path and
-goes up when (v + u') 2^-16 is below its tilted probability; u' comes from
-the step's refinement word, at a fixed offset past the lanes, which is
-read straight from its Philox counter only when v alone cannot decide,
-about once in 2^16 steps (``martingales._below``).  The
+as doubles.  A magnitude word w stands for the uniform
+u = (w >> 11) * 2^-53 that ``Generator.random`` would return.  At every
+tilt each step reads a 16-bit lane v of ceil(n/4) words per path.  At
+tilt zero v alone decides it against the dyadic bounds above.  At a tilt
+lam > 0 it goes up when (v + u') 2^-16 is below its tilted probability;
+u' comes from the step's refinement word, at a fixed offset past the
+lanes, which is read straight from its Philox counter only when v alone
+cannot decide, about once in 2^16 steps (``martingales._below``).  The
 tilted two-point threshold 2^16*expit(2*lam*c) comes from numpy's exp,
 which moves it by at most 2^-36 against libm's exp; lanes within a
 margin of a tie are decided on libm's exp by ``martingales._expit``.
 None of this changes a result: every object equals, bit for bit, its
-plain evaluation over whole-chunk draws (one ``Generator.random`` draw
-at tilt zero; the lane words and the whole refinement region at lam > 0)
-with np.where signs, per-step threshold selects and column folds, which
-the tests keep as the reference; VarianceSwitch forms its objects
-besides S_n from per-path step counts (see ``_variance_switch_chunk``).
+plain evaluation over whole-chunk draws (the lane words, and at lam > 0
+the whole refinement region) with np.where signs, per-step threshold
+selects and column folds, which the tests keep as the reference;
+VarianceSwitch forms its objects besides S_n from per-path step counts
+(see ``_variance_switch_chunk``).
 
 Two per-run decisions each live in one helper.  ``_use_enumeration``
 decides whether a run reads the exact law (it returns the leaf count) or
@@ -105,13 +106,15 @@ _WORK = ("scales", "c", "xi", "e", "a", "b", "d")
 # refusal caps on a config, far above the largest run in use (8192 x 128
 # entries per matrix, 123 chunks); draws stream through row blocks, but at
 # 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB.  A
-# tilted chunk reads a quarter word per step for its decisions, besides
-# any magnitude words, and the refinement words of its ties
+# chunk reads a quarter word per step for its decisions, besides any
+# magnitude words, and at a tilt the refinement words of its ties
 CHUNK_DRAW_MAX_ENTRIES = 1 << 26
 CHUNK_COUNT_MAX = 1 << 20
 # tilts per verification run: each holds three rows-long float arrays in
 # every chunk, about 200 KiB at 8192 rows, where 3 are in use
 VERIFY_TILT_MAX = 64
+# chunks per worker thread that one window of a threaded run submits
+_IN_FLIGHT = 4
 _UNIT_C = BoundConstant(1.0)
 
 
@@ -137,10 +140,10 @@ class SimulationConfig:
     anything is allocated; so is a model outside the built-in families.
     The matrices are drawn block by block (see ``_simulate_chunk``), so
     the cap bounds a chunk's stream and its VarianceSwitch masks, not one
-    allocation of float draws.  An entry of the step matrix is one word
-    at tilt zero; a tilted chunk draws a 16-bit lane per step, ceil(n/4)
-    words per path, and a refinement word for each step whose lane ties
-    its threshold, about one step in 2^16.
+    allocation of float draws.  An entry of the step matrix is a 16-bit
+    lane, ceil(n/4) words per path at every tilt; a tilted chunk also
+    draws a refinement word for each step whose lane ties its threshold,
+    about one step in 2^16.
     """
 
     model: MartingaleModel
@@ -460,9 +463,9 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     hard-assertion suite for Psi, B, Z and <S>_n at every
     one of its tilts on one draw of plain paths.  Its tilts need not equal
     the sampling tilt.  Z is the product of the per-step factors
-    e^{lam xi_i}/m_i (for VarianceSwitch, each step kind's factor to its
-    count), a float route independent of exp(lam S - Psi); the suite
-    compares the two.
+    e^{lam xi_i}/m_i (1 + sign(xi_i) tanh(lam c_i) for two-point steps;
+    for VarianceSwitch, each step kind's factor to its count), a float
+    route independent of exp(lam S - Psi); the suite compares the two.
 
     Every object keeps one arithmetic whatever else is requested: each sum
     runs in step order, and signs come from the documented thresholds, so
@@ -476,10 +479,10 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
     stay in the core's L2 cache, and each block draws its own rows.  The
     chunk's stream holds the (rows, n) magnitudes or covariates at draw
-    offset 0, then the step draws of ``martingales._decisions``: (rows, n)
-    words at tilt zero, or (rows, ceil(n/4)) words of 16-bit lanes at
-    lam > 0 followed by a (rows, n) region of refinement words, in which
-    step i of row r owns word r*n + i.  The kernel reads the step
+    offset 0, then the step draws of ``martingales._decisions``:
+    (rows, ceil(n/4)) words of 16-bit lanes at every tilt, followed at
+    lam > 0 by a (rows, n) region of refinement words, in which step i
+    of row r owns word r*n + i.  The kernel reads the step
     draws through a copy of the chunk's generator, placed by advancing the
     Philox counter (4 words per step) and drawing the remainder, and a
     refinement word only for a step whose lane ties its threshold, read
@@ -558,7 +561,7 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
                                                 out=work["a"])))
         refine = (None if read is None else
                   lambda at, base=r0 * n: read(at + base))
-        c, xi, e = _steps(law, scales, _decisions(draws, k, n, lam).T, lam,
+        c, xi, e = _steps(law, scales, _decisions(draws, k, n).T, lam,
                           work, refine)
         _accumulate(law, c, xi, want, batch, rows_in, lam, e, work)
     if want.qc:
@@ -575,10 +578,13 @@ def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
     c is (n, rows), or an (n, 1) column for fixed weights.  e is
     exp(-2*lam*c) from the sampling thresholds at tilt lam, or None; the
     first two-point log-MGF at that same tilt reads it (and overwrites
-    it) instead of a new exp.  The terms are formed in the arrays ``a``,
-    ``b`` and ``d`` of ``work`` (see ``martingales._lent``).
+    it) instead of a new exp.  A two-point step's Z factor
+    e^{cl xi}/cosh(cl c) equals 1 + sign(xi) tanh(cl c), so it reads the
+    tanh that B_n folds.  The terms are formed in the arrays ``a``, ``b``
+    and ``d`` of ``work`` (see ``martingales._lent``).
     """
     log_mgf, drift, mgf = law.mgf_terms
+    tanh_z = want.z and not law.three_point
     batch.finals[rows_in] = _fold(xi)
     for j, cl in enumerate(want.lams):
         t = np.multiply(c, cl, out=_lent(work, "a", c.shape))
@@ -588,11 +594,16 @@ def _accumulate(law: _StepLaw, c: np.ndarray, xi: np.ndarray,
             else:
                 terms = log_mgf(t, out=_lent(work, "b", c.shape))
             batch.psi[j][rows_in] = _fold(terms)
+        if want.b or tanh_z:
+            slope = drift(t, out=_lent(work, "b", c.shape))
+        if tanh_z:
+            terms = np.copysign(slope, xi, out=_lent(work, "d", xi.shape))
+            terms += 1.0
+            batch.z_prod[j][rows_in] = _fold(terms, np.multiply)
         if want.b:
-            terms = drift(t, out=_lent(work, "b", c.shape))
-            terms *= c
-            batch.b_drift[j][rows_in] = _fold(terms)
-        if want.z:
+            slope *= c
+            batch.b_drift[j][rows_in] = _fold(slope)
+        if want.z and law.three_point:
             den = mgf(t, out=_lent(work, "d", c.shape))
             terms = np.multiply(xi, cl, out=_lent(work, "b", xi.shape))
             np.exp(terms, out=terms)
@@ -676,13 +687,23 @@ def _chunk_layout(config: SimulationConfig):
 
 
 def _map_chunks(config: SimulationConfig, kernel):
-    """Apply kernel(chunk_index, rows) to every chunk, results in order."""
+    """Apply kernel(chunk_index, rows) to every chunk, results in order.
+
+    Threads take the chunks in windows of ``_IN_FLIGHT`` per worker, so a
+    run holds one window's futures, not one per chunk.
+    """
     count, sizes = _chunk_layout(config)
     workers = min(config.workers, count, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(kernel, range(count), sizes))
-    return [kernel(c, rows) for c, rows in zip(range(count), sizes)]
+    if workers == 1:
+        return [kernel(c, rows) for c, rows in zip(range(count), sizes)]
+    window = _IN_FLIGHT * workers
+    results = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, count, window):
+            stop = min(count, start + window)
+            results.extend(pool.map(kernel, range(start, stop),
+                                    sizes[start:stop]))
+    return results
 
 
 class _Total:

@@ -478,17 +478,17 @@ class TestCoverage:
 
     @pytest.mark.parametrize("model, level, replications, seed, covered", [
         (RegressionModel(-1.0, 2000, 1.0, 2.0, 0.5,
-                         NoiseFamily.TRUNCATED_SYMMETRIC), 0.95, 5000, 9, 4895),
+                         NoiseFamily.TRUNCATED_SYMMETRIC), 0.95, 5000, 9, 4897),
         (rademacher_model(n=300, theta=0.3, a=0.5, b=2.0, sigma=1.3),
-         0.9, 20000, 5, 19345),
+         0.9, 20000, 5, 19309),
         (RegressionModel(0.0, 100, 1.0, 1.0, 1.0,
-                         NoiseFamily.TRUNCATED_SYMMETRIC), 0.9, 20000, 5, 19328),
+                         NoiseFamily.TRUNCATED_SYMMETRIC), 0.9, 20000, 5, 19320),
     ], ids=["three-point-random-design", "rademacher-random-design",
             "three-point-constant-design"])
     def test_matrix_drawn_counts(self, model, level, replications, seed,
                                  covered):
         # each dataset is one path of the model: a uniform design matrix,
-        # then one uniform per step for the noise
+        # then one 16-bit lane per step for the noise
         for workers in (1, 2):
             res = regression_coverage(model, level, replications, seed,
                                       workers=workers)

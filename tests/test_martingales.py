@@ -295,11 +295,16 @@ class TestWordThresholds:
         assert got.tobytes() == (low + (high - low) * u).tobytes()
 
     def test_top_bit_sign_matches_the_half_threshold(self):
-        words, u = _words_and_uniforms(20_000, 2)
+        # at lam = 0 a lane goes up iff its top bit is clear: then
+        # (v + u') 2^-16 < 1/2 whatever u' in [0, 1) is, so none is read
+        v = _untilted_lanes(20_000, 2, (1 << 15) - 1, 1 << 15)
         c = np.random.default_rng(4).uniform(0.01, 0.3, 20_000)
-        xi, e = _two_point_steps(words, 0.0, c, c.shape)
+        xi, e = _two_point_steps(v, 0.0, c, c.shape)
         assert e is None
-        assert xi.tobytes() == ((2.0 * (u < 0.5) - 1.0) * c).tobytes()
+        for u in (0.0, 1.0 - 2.0 ** -53):
+            up = u < 0.5 * 2.0 ** 16 - v
+            assert xi.tobytes() == ((2.0 * up - 1.0) * c).tobytes()
+        assert np.sign(xi[-2:]).tolist() == [1.0, -1.0]
 
     def test_tilted_signs_match_expit(self):
         from scipy.special import expit
@@ -392,15 +397,16 @@ class TestWordThresholds:
             assert tied.sum() >= 1000
             assert sorted(read.offsets) == _block_offsets(tied)
             return
-        words, u = _words_and_uniforms(c.size, 4)
-        edges = np.array([(1 << 61) - 1, 1 << 61, (7 << 61) - 1, 7 << 61],
-                         dtype=np.uint64)
-        words[-4:] = edges
-        u[-4:] = (edges >> np.uint64(11)) * 2.0 ** -53
-        words, u = words.reshape(c.shape), u.reshape(c.shape)
-        want = np.subtract(u < hi, u >= mid, dtype=float)
-        got = _three_point_outcomes(words, lam, c)
-        assert np.array_equal(got, want)
+        # at lam = 0 both thresholds are integers on the lane scale,
+        # 2^13 and 7 * 2^13, so the lane alone decides
+        hi, mid = hi * 2.0 ** 16, mid * 2.0 ** 16
+        assert np.all(hi == 1 << 13) and np.all(mid == 7 << 13)
+        v = _untilted_lanes(c.size, 4, (1 << 13) - 1, 1 << 13,
+                            (7 << 13) - 1, 7 << 13).reshape(c.shape)
+        got = _three_point_outcomes(v, lam, c)
+        for u in (0.0, 1.0 - 2.0 ** -53):
+            want = np.subtract(u < hi - v, ~(u < mid - v), dtype=float)
+            assert np.array_equal(got, want)
         assert got.ravel()[-4:].tolist() == [1, 0, 0, -1]
 
 
@@ -421,6 +427,14 @@ def _block_offsets(mask) -> list:
     """Block offsets r*n + i of the set entries of a step-major mask."""
     step, row = np.nonzero(mask)
     return sorted((row * mask.shape[0] + step).tolist())
+
+
+def _untilted_lanes(size, index, *edges):
+    """Random 16-bit lanes, the last ones set to ``edges``."""
+    bits = generator_for(31, 0, index).bit_generator
+    lanes = (bits.random_raw(size) >> np.uint64(48)).astype(np.uint16)
+    lanes[size - len(edges):] = edges
+    return lanes
 
 
 def _lanes_and_refinements(shape, index, *bounds):

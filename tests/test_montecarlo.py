@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: enumeration oracles, estimator contracts,
 worker determinism, and the hard-assertion suite."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -21,7 +22,7 @@ from scipy.special import expit, ndtri
 from scipy.stats import beta, binom
 
 import martkit
-from martkit import montecarlo
+from martkit import martingales, montecarlo
 from martkit.bounds import lambda_bar
 from martkit.errors import ConfigError, DomainError, UnsupportedModelError
 from martkit.gaussian import std_normal_cdf
@@ -30,7 +31,7 @@ from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
                                  ScaledRademacher, SelfNormalized,
                                  VarianceSwitch, _z_variance_bound,
                                  conjugate_stats, generator_for,
-                                 simulate_tilted_path)
+                                 simulate_path, simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
                                 SimulationConfig, _BLOCK_ELEMENTS,
                                 _chunk_layout, _clopper_pearson_ends,
@@ -157,6 +158,20 @@ class TestSimulationConfig:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
         assert run(100, 8) == [(c, 10) for c in range(10)]
         assert pools == [3, 4, 2]
+
+    def test_threads_hold_a_few_chunks_at_a_time(self, monkeypatch):
+        # handing every chunk to the pool at once held one future per
+        # chunk: 100 MiB at 2^16 chunks, against 1 MiB inline
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        config = cfg(SR4, paths=1 << 16, chunk_size=1, workers=2)
+        tracemalloc.start()
+        try:
+            out = _map_chunks(config, lambda chunk, rows: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == [None] * (1 << 16)
+        assert peak < 8 << 20
 
     def test_accepts_numpy_integer_paths(self):
         c = SimulationConfig(SR4, paths=np.int64(100), seed=1)
@@ -757,29 +772,28 @@ def _lanes_ref(words, n):
 def _decision_draws_ref(rng, rows, n, lam):
     """(v, u) deciding (rows, n) steps, drawn next from ``rng``.
 
-    At lam = 0, v is None and u the uniforms of one word per step.  At
-    lam > 0, v holds the 16-bit lanes of ceil(n/4) words per row, and u the
-    uniforms u' of the (rows, n) refinement words after them, drawn in one
-    random_raw: step (r, i) owns word r*n + i.
+    v holds the 16-bit lanes of ceil(n/4) words per row.  At lam > 0, u
+    holds the uniforms u' of the (rows, n) refinement words after them,
+    drawn in one random_raw: step (r, i) owns word r*n + i.  At lam = 0
+    every threshold 2^16 p is an integer (2^15, or 2^13 and 7 * 2^13), so
+    v alone decides: no refinement word is drawn, and u is 0.
     """
-    if lam == 0.0:
-        return None, rng.random((rows, n))
     lanes = _lanes_ref(rng.bit_generator.random_raw((rows, -(-n // 4))), n)
+    if lam == 0.0:
+        return lanes, np.zeros((rows, n))
     refine = rng.bit_generator.random_raw((rows, n))
     return lanes, (refine >> np.uint64(11)) * 2.0 ** -53
 
 
 def _below_ref(v, u, p):
-    """u < p at lam = 0; (v + u') 2^-16 < p, that is u' < 2^16 p - v, at
-    lam > 0.  2^16 p is exact, and so is the difference wherever it lies
-    in (-1/2, 1]; elsewhere its rounding cannot change the comparison."""
-    return u < p if v is None else u < p * 65536.0 - v
+    """(v + u') 2^-16 < p, that is u' < 2^16 p - v.  2^16 p is exact, and
+    so is the difference wherever it lies in (-1/2, 1]; elsewhere its
+    rounding cannot change the comparison."""
+    return u < p * 65536.0 - v
 
 
 def _tied_ref(v, p):
     """Steps whose decision at p reads u': 0 < 2^16 p - v < 1."""
-    if v is None:
-        return 0
     rest = p * 65536.0 - v
     return int(np.count_nonzero((rest > 0.0) & (rest < 1.0)))
 
@@ -798,10 +812,9 @@ def _switch_walk_ref(model, rng, rows, lam, ties=None):
         pos = finals >= 0.0
         scale = np.where(pos, s_plus, s_minus)
         p = np.where(pos, p_plus, p_minus)
-        v_i = None if v is None else v[:, i]
-        up = _below_ref(v_i, u[:, i], p)
+        up = _below_ref(v[:, i], u[:, i], p)
         if ties is not None:
-            ties.append(_tied_ref(v_i, p))
+            ties.append(_tied_ref(v[:, i], p))
         yield pos, up, finals
         finals += np.where(up, scale, -scale)
 
@@ -837,9 +850,11 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams,
     whole refinement region.  np.where signs and outcomes, expit at every
     tilt, unblocked column loops and a per-step VarianceSwitch walk over
     strided columns, which tallies each path's step counts for the count
-    form of its objects.  Returns (finals, qc, psi, b, z) with one array
-    per tilt in the last three, and appends to ``ties``, when given, the
-    counts of decisions that read a refinement word.
+    form of its objects.  A two-point step's Z factor is
+    1 + sign(xi) tanh(lam c), which equals e^{lam xi}/cosh(lam c).
+    Returns (finals, qc, psi, b, z) with one array per tilt in the last
+    three, and appends to ``ties``, when given, the counts of decisions
+    that read a refinement word.
     """
     rng = generator_for(seed, stream, chunk)
 
@@ -911,12 +926,32 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams,
         xi = scales * np.where(_below_ref(v, u, p), 1.0, -1.0)
         tied = _tied_ref(v, p)
         terms = [(_log_cosh_ref(cl * scales), scales * np.tanh(cl * scales),
-                  np.exp(cl * xi) / np.cosh(cl * scales)) for cl in lams]
+                  1.0 + np.sign(xi) * np.tanh(cl * scales)) for cl in lams]
     if ties is not None:
         ties.append(tied)
     return (fold(xi), qc, [fold(p) for p, _, _ in terms],
             [fold(d) for _, d, _ in terms],
             [fold(r, np.multiply, 1.0) for _, _, r in terms])
+
+
+class _LoggedBits:
+    """A Philox bit generator that logs every word it draws; a deep copy
+    logs into the same list."""
+
+    def __init__(self, bits, log):
+        self._bits, self._log = bits, log
+
+    def random_raw(self, size=None):
+        out = self._bits.random_raw(size)
+        self._log.extend(np.ravel(out).tolist())
+        return out
+
+    def advance(self, delta):
+        self._bits.advance(delta)
+        return self
+
+    def __deepcopy__(self, memo):
+        return _LoggedBits(copy.deepcopy(self._bits, memo), self._log)
 
 
 REG_RAD24 = RegressionModel(theta=0.5, n=24, covariate_low=1.0,
@@ -1080,22 +1115,23 @@ class TestSamplingKernels:
 
     # sha256 of the finals of _simulate_chunk(VarianceSwitch(n, 0.5), 5,
     # STREAM_MC_TILTED, 2, rows, f / eps), recorded before the walk
-    # tallied step counts: the counts must not move S_n.  The tilted
-    # entries are those of the lane layout (16-bit lanes and refinement
-    # words), which moved every tilted path.
+    # tallied step counts: the counts must not move S_n.  Every entry is
+    # of the lane layout (16-bit lanes, and refinement words at a tilt):
+    # the tilted ones since tilted steps read lanes, the tilt-0 ones
+    # since untilted steps read them too, which moved every plain path.
     _SWITCH_FINALS_SHA256 = {
-        (64, 0.0, 1): "a762c6fcc53783804eded498a709060b"
-                      "85e59681b361bf072417681b60d106ce",
-        (64, 0.0, 8192): "50d20c6d13bf1ac1d8c6c824b4280504"
-                         "71025961a3f5b91e39d057357b7ea9c6",
+        (64, 0.0, 1): "5ae80c33decf16378195f6c5580573b3"
+                      "0b000d2a37f2ae6ba9b3971df300a325",
+        (64, 0.0, 8192): "5ea383028bd4595716cf9b99fdc6c414"
+                         "aaba6d2db6d45dba3a8fc4409306f22a",
         (64, 0.5, 1): "f610fe6e1f0b99753af82b3fadf7b6d4"
                       "4cd44ed31ad5abcf82c44793afea3350",
         (64, 0.5, 8192): "330c692d5f631729914a373f737731ad"
                          "4d87ccfe5610617c9616a8afb1308b18",
-        (128, 0.0, 1): "09a98f70bdbe1b6c713080148a7ffd43"
-                       "cdb4c2f5875a16ae9b65b7bf91fd755b",
-        (128, 0.0, 8192): "88ae96c413e5d7724e8009426e1aec89"
-                          "ad455738032e8f36a5b7f450fcefbe6e",
+        (128, 0.0, 1): "9131a5f4bd3e5d5e483e9c8798facead"
+                       "fabf625a0b002a9090b70f16e55a0f0b",
+        (128, 0.0, 8192): "61de4017911d18c68555c070493e9dd4"
+                          "89ff58c67c9ca328beefafe7ea8d1686",
         (128, 0.5, 1): "9706716d92eb79d51fc330b7b3076ec6"
                        "101e4b40331a524738d018b0a97eb419",
         (128, 0.5, 8192): "38973706a6d918d44ac549d1218b1c5c"
@@ -1170,6 +1206,40 @@ class TestSamplingKernels:
         for got, want in zip((batch.psi, batch.b_drift, batch.z_prod),
                              (psi, b, z)):
             assert _same_bytes(got[0], want[0])
+
+    @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
+    def test_untilted_draws_read_only_lanes(self, model, monkeypatch):
+        # at tilt zero a chunk and a path read their magnitude or
+        # covariate words, if any, and ceil(n/4) lane words per path: the
+        # first words of their streams, each of them, and no other;
+        # no refinement reader is built
+        logs = []
+
+        def keyed(seed, stream, index):
+            logs.append((stream, index, []))
+            bits = generator_for(seed, stream, index).bit_generator
+            return SimpleNamespace(bit_generator=_LoggedBits(bits,
+                                                             logs[-1][2]))
+
+        def no_reader(*args):
+            raise AssertionError("a refinement reader at tilt zero")
+
+        for module in (montecarlo, martingales):
+            monkeypatch.setattr(module, "generator_for", keyed)
+            monkeypatch.setattr(module, "_WordReader", no_reader)
+        rows = 777
+        _simulate_chunk(model, 21, STREAM_MC, 3, rows, 0.0,
+                        _Request((0.5,), **_FULL))
+        simulate_path(model, 21, path_index=5)
+        lead = model.n if model._law().band is not None else 0
+        per_path = lead + -(-model.n // 4)
+        assert [key for *key, _ in logs] == [[STREAM_MC, 3], [STREAM_PATH, 5]]
+        for (stream, index, log), paths in zip(logs, (rows, 1)):
+            budget = paths * per_path
+            stream_words = generator_for(21, stream, index).bit_generator
+            first = stream_words.random_raw(budget).tolist()
+            assert len(set(first)) == budget
+            assert set(log) == set(first)
 
     @pytest.mark.parametrize("model", KERNEL_FAMILIES, ids=_FAMILY_IDS)
     def test_one_row_chunk_replays_the_per_path_api(self, model):

@@ -9,7 +9,8 @@ dependency that ``pyproject.toml`` lists), only ``martingales`` and
 ``montecarlo`` key Philox generators, the samplers read raw Philox words
 (``Generator.random`` is called only by
 ``martingales.bolthausen_augment``, which draws no family steps), only
-``montecarlo._new_batch`` builds a chunk's outputs, every Philox
+``montecarlo._new_batch`` builds a chunk's outputs, ``martingales._decisions``
+takes no tilt, every Philox
 stream key is assigned in ``martingales`` alone, each to its own value,
 and every ``module.name`` that README.md quotes resolves.
 """
@@ -214,6 +215,20 @@ def test_variance_switch_decisions_have_one_home():
     assert sorted(call_sites("_switch_masks")) == [
         ("martingales", "_variance_switch_walk"),
         ("montecarlo", "_variance_switch_chunk")]
+
+
+def test_step_draws_have_one_layout():
+    # _decisions takes no tilt, so every tilt reads the same 16-bit
+    # lanes and no second, untilted layout can come back unseen
+    path = Path(martkit.__file__).resolve().parent / "martingales.py"
+    defs = [node for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_decisions"]
+    assert len(defs) == 1
+    args = defs[0].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+        == ["bits", "rows", "n"]
+    assert args.vararg is args.kwarg is None
 
 
 def test_chunk_outputs_have_one_layout():
