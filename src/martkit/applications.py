@@ -26,10 +26,9 @@ from .bounds import (BoundConstant, RegressionEnvelopes, SelfNormEnvelopes,
                      _require_absolute, breve_x, eps_log_eps,
                      regression_envelope, self_norm_envelope,
                      wang_jing_bound)
-from .errors import ConfigError, DomainError, UnsupportedModelError
+from .errors import ConfigError, DomainError
 from .gaussian import std_normal_sf
 from .martingales import (STREAM_COVERAGE, NoiseFamily, RegressionModel,
-                          ScaledRademacher, SelfNormalized,
                           noise_bernstein_constant)
 from .montecarlo import SimulationConfig, _map_chunks, _simulate_chunk
 
@@ -41,7 +40,6 @@ __all__ = [
     "regression_epsilons", "regression_envelope", "regression_ci",
     "regression_report", "regression_coverage", "self_norm_statistic",
     "self_norm_envelope", "self_norm_report", "wang_jing_bound",
-    "wang_jing_inputs",
 ]
 
 _DEFAULT_C = BoundConstant()
@@ -395,55 +393,6 @@ def self_norm_report(sample: Sequence[float], *,
     return SelfNormReport(statistic=stat, n=len(vals), eps=eps,
                           eps_valid=0.0 < eps <= 0.5,
                           envelope_at=env, band_at=band)
-
-
-# ---------------------------------------------------------------------------
-# third-moment comparison bound
-
-
-def wang_jing_inputs(model, x: float) -> Tuple[float, float]:
-    """(l3n, tail_prob_sum) computed exactly for independent-sum models.
-
-    l3n = sum E|xi|^3 / (E S_n^2)^(3/2); the tail sum adds
-    P(|xi_i| >= B_n / (6|x|)) over steps.  Only models whose raw steps
-    are independent with known marginals qualify: deterministic-scale
-    sign sums and uniform-magnitude symmetric sums.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if isinstance(model, ScaledRademacher):
-        w = np.abs(np.asarray(model.weights, dtype=float))
-        bn = math.sqrt(float(np.sum(w * w)))
-        l3n = float(np.sum(w ** 3)) / bn ** 3
-        if x == 0.0:
-            tail = 0.0   # threshold B_n/(6|x|) is +inf: no step reaches it
-        else:
-            tail = float(np.sum(w >= bn / (6.0 * abs(x))))
-        return l3n, tail
-    if isinstance(model, SelfNormalized):
-        a, b = model.magnitude_low, model.magnitude_high
-        n = model.n
-        if a == b:
-            m2, m3 = a * a, a ** 3
-        else:
-            # |xi| uniform on [a, b]
-            m2 = (b ** 3 - a ** 3) / (3.0 * (b - a))
-            m3 = (b ** 4 - a ** 4) / (4.0 * (b - a))
-        bn = math.sqrt(n * m2)
-        l3n = n * m3 / bn ** 3
-        if x == 0.0:
-            return l3n, 0.0
-        t = bn / (6.0 * abs(x))
-        if t <= a:
-            p_one = 1.0
-        elif t >= b:
-            p_one = 0.0
-        else:
-            p_one = (b - t) / (b - a)
-        return l3n, n * p_one
-    raise UnsupportedModelError(
-        f"third-moment inputs need independent raw steps with known "
-        f"marginals; {type(model).__name__} does not qualify")
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,9 @@ class EnvelopeSource(str, Enum):
     """Which bound produced a TailEnvelope, named by what it computes."""
 
     BENNETT = "bennett"
-    BENNETT_AS_PRINTED = "bennett_as_printed"
     BERNSTEIN = "bernstein"
     TAIL_SQ = "tail_sq"
     STRENGTHENED = "strengthened"
-    STRENGTHENED_PREFACTOR = "strengthened_prefactor"
     NONUNIFORM_BE = "nonuniform_be"
     STOPPED_BE = "stopped_be"
     REGRESSION = "regression"
@@ -233,16 +231,14 @@ def lambda_bar(x: float, params: BernsteinParams) -> float:
     return (2.0 * x / v) / (1.0 + u + s)
 
 
-def de_la_pena_bennett(x: float, v: float, epsilon: float, *,
-                       as_printed: bool = False) -> TailEnvelope:
+def de_la_pena_bennett(x: float, v: float, epsilon: float) -> TailEnvelope:
     """Bennett-type tail bound exp{-x^2/(v^2 + v^2 sqrt(1+2x eps/v^2) + x eps)}.
 
     Here v^2 plays the role of the (bound on the) quadratic characteristic.
     At v^2 = 1 + delta^2 the exponent equals -xhat^2/2 exactly.  The
-    historical misprint of the denominator, v^2 + sqrt(1+2x eps/v^2) + x eps
-    (middle term lacking the v^2 factor), is available behind
-    ``as_printed=True`` for comparison; it is dimensionally inconsistent
-    and is never used by the rest of the toolkit.
+    historical misprint of the denominator, v^2 + sqrt(1+2x eps/v^2) + x eps,
+    drops the v^2 factor of the middle term, so it is dimensionally
+    inconsistent and agrees with this bound only at v = 1.
     """
     x = _require_nonneg(x)
     epsilon = _require_nonneg(epsilon, "epsilon")
@@ -251,19 +247,13 @@ def de_la_pena_bennett(x: float, v: float, epsilon: float, *,
         raise DomainError(f"v must be > 0, got {v}")
     v2 = v * v
     root = math.sqrt(1.0 + 2.0 * x * epsilon / v2)
-    if as_printed:
-        denom = v2 + root + x * epsilon
-        source = EnvelopeSource.BENNETT_AS_PRINTED
-    else:
-        # v2*root = v2 + 2a/(1+root) with a = x*eps; summing in this order
-        # avoids the rounding in v2*root, so the float result never exceeds
-        # Bernstein's 2*(v2 + a) (2/(1+root) <= 1).
-        a = x * epsilon
-        denom = 2.0 * v2 + (a + 2.0 * a / (1.0 + root))
-        source = EnvelopeSource.BENNETT
-    log_value = -(x * x) / denom
+    # v2*root = v2 + 2a/(1+root) with a = x*eps; summing in this order
+    # avoids the rounding in v2*root, so the float result never exceeds
+    # Bernstein's 2*(v2 + a) (2/(1+root) <= 1).
+    a = x * epsilon
+    log_value = -(x * x) / (2.0 * v2 + (a + 2.0 * a / (1.0 + root)))
     return TailEnvelope(x=x, value=math.exp(log_value), log_value=log_value,
-                        source=source, constant_used=_DEFAULT_C)
+                        source=EnvelopeSource.BENNETT, constant_used=_DEFAULT_C)
 
 
 def de_la_pena_bernstein(x: float, v: float, epsilon: float) -> TailEnvelope:
@@ -289,14 +279,11 @@ def tail_bound_sq(x: float, params: BernsteinParams) -> TailEnvelope:
 
 
 def strengthened_tail_envelope(x: float, params: BernsteinParams,
-                               c: BoundConstant = _DEFAULT_C, *,
-                               form: str = "ratio") -> TailEnvelope:
+                               c: BoundConstant = _DEFAULT_C) -> TailEnvelope:
     """Gaussian survival at xhat times a 1 + C(...) correction factor.
 
-    ``form="ratio"`` gives (1 - Phi(xhat)) [1 + C (1+xhat) r] with
+    The envelope is (1 - Phi(xhat)) [1 + C (1+xhat) r] with
     r = lambda_bar^2 eps + lambda_bar delta^2 + eps|log eps| + delta.
-    ``form="prefactor"`` gives the looser closed form
-    F(x) exp(-xhat^2/2) with F = C (1/(1+xhat) + r).
     """
     x = _require_nonneg(x)
     _require_absolute(c, "strengthened_tail_envelope")
@@ -304,17 +291,10 @@ def strengthened_tail_envelope(x: float, params: BernsteinParams,
     lb = lambda_bar(x, params)
     eps, delta = params.epsilon, params.delta
     rate = lb * lb * eps + lb * delta * delta + eps_log_eps(eps) + delta
-    if form == "ratio":
-        log_value = std_normal_log_sf(xh) + math.log1p(c.c * (1.0 + xh) * rate)
-        source = EnvelopeSource.STRENGTHENED
-    elif form == "prefactor":
-        factor = c.c * (1.0 / (1.0 + xh) + rate)
-        log_value = _log_or_neg_inf(factor) - 0.5 * xh * xh
-        source = EnvelopeSource.STRENGTHENED_PREFACTOR
-    else:
-        raise DomainError(f"form must be 'ratio' or 'prefactor', got {form!r}")
+    log_value = std_normal_log_sf(xh) + math.log1p(c.c * (1.0 + xh) * rate)
     return TailEnvelope(x=x, value=math.exp(log_value), log_value=log_value,
-                        source=source, constant_used=c, xhat=xh, lambda_bar=lb)
+                        source=EnvelopeSource.STRENGTHENED, constant_used=c,
+                        xhat=xh, lambda_bar=lb)
 
 
 def nonuniform_be_envelope(x: float, params: BernsteinParams,

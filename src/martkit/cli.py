@@ -5,8 +5,9 @@ Subcommands: ``bound`` (closed-form envelopes over an x-grid),
 ``calibrate`` (smallest working constant), ``regress`` and ``selfnorm``
 (the two applications).  Output is CSV (comma separator, ``.`` decimal
 point, LF endings, UTF-8, mandatory header, floats at 17 significant
-digits) or JSON with the run manifest inline; CSV runs place the
-manifest in ``<out>.manifest.json``.
+digits) or strict JSON with the run manifest inline, a non-finite
+float written as its CSV cell text; CSV runs place the manifest in
+``<out>.manifest.json``.
 
 Exit codes: 0 success, 2 flag/usage errors, 3 mathematically invalid
 inputs, 4 verification-suite violations.  The default seed is 0,
@@ -94,6 +95,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _strict(value):
+    """``value`` with each non-finite float replaced by its CSV cell text
+    ("inf", "-inf" or "nan"), for which JSON has no number."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _fmt(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _write_csv(out: str, header: Sequence[str], rows, manifest: RunManifest):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
@@ -108,7 +121,7 @@ def _write_csv(out: str, header: Sequence[str], rows, manifest: RunManifest):
     side = out + ".manifest.json"
     manifest.outputs.append(side)
     with open(side, "w", encoding="utf-8", newline="") as f:
-        json.dump(manifest.to_dict(), f, indent=2)
+        json.dump(_strict(manifest.to_dict()), f, indent=2, allow_nan=False)
         f.write("\n")
 
 
@@ -118,7 +131,7 @@ def _write_json(out: str, payload: dict, manifest: RunManifest):
     manifest.finished_at = _now()
     blob = {"manifest": manifest.to_dict()}
     blob.update(payload)
-    text = json.dumps(blob, indent=2) + "\n"
+    text = json.dumps(_strict(blob), indent=2, allow_nan=False) + "\n"
     if out == "-":
         sys.stdout.write(text)
         return

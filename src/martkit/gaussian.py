@@ -30,7 +30,6 @@ the bound suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -43,20 +42,6 @@ _CF_DEPTH = 100
 
 # Crossover between log(erfc-route) and the continued fraction.
 _CF_CUTOFF = 8.0
-
-
-@dataclass(frozen=True)
-class NormalEval:
-    """Phi, its survival function, and the log survival at one point.
-
-    cdf + sf = 1 to within one ulp for |x| <= 8, and log_sf stays finite
-    out to x = 40 and beyond even after sf underflows.
-    """
-
-    x: float
-    cdf: float
-    sf: float
-    log_sf: float
 
 
 def _require_finite(x: float, name: str = "x") -> float:
@@ -100,13 +85,6 @@ def std_normal_log_sf(x: float) -> float:
         # sf(x) >= sf(8) ~ 6.2e-16; no underflow, log is exact to ~1 ulp.
         return math.log(std_normal_sf(x))
     return -0.5 * x * x - LOG_SQRT_2PI + math.log(_mills_ratio_cf(x))
-
-
-def evaluate(x: float) -> NormalEval:
-    """Phi, survival, and log-survival at x as one consistent record."""
-    x = _require_finite(x)
-    return NormalEval(x=x, cdf=std_normal_cdf(x), sf=std_normal_sf(x),
-                      log_sf=std_normal_log_sf(x))
 
 
 def mills_sandwich(x: float) -> tuple[float, float]:

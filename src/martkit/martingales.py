@@ -59,7 +59,7 @@ from typing import IO, Optional, Union
 import numpy as np
 
 from .bounds import BernsteinParams
-from .errors import ConfigError, DomainError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 
 __all__ = [
     "NoiseFamily", "ScaledRademacher", "VarianceSwitch", "RegressionModel",
@@ -67,8 +67,7 @@ __all__ = [
     "A1Report", "LemmaReport", "simulate_path", "simulate_tilted_path",
     "conjugate_stats", "verify_A1", "verify_A2", "lemma_checks",
     "bolthausen_augment", "noise_bernstein_constant", "model_id",
-    "model_to_dict", "model_from_dict", "model_to_json", "model_from_json",
-    "path_to_csv", "generator_for",
+    "model_to_dict", "path_to_csv", "generator_for",
     "STREAM_PATH", "STREAM_AUGMENT", "STREAM_MC", "STREAM_MC_TILTED",
     "STREAM_COVERAGE",
 ]
@@ -414,13 +413,12 @@ class RegressionModel:
 MartingaleModel = Union[ScaledRademacher, VarianceSwitch, RegressionModel,
                         SelfNormalized]
 
-_MODEL_CLASSES = {cls.kind: cls for cls in
-                  (ScaledRademacher, VarianceSwitch, RegressionModel,
-                   SelfNormalized)}
+_MODEL_CLASSES = (ScaledRademacher, VarianceSwitch, RegressionModel,
+                  SelfNormalized)
 
 
 def _require_model(model) -> None:
-    if not isinstance(model, tuple(_MODEL_CLASSES.values())):
+    if not isinstance(model, _MODEL_CLASSES):
         raise UnsupportedModelError(
             f"not a built-in martingale family: {type(model).__name__}")
 
@@ -436,37 +434,6 @@ def model_to_dict(model: MartingaleModel) -> dict:
     _require_model(model)
     return {"kind": model.kind, **{f.name: _json_value(getattr(model, f.name))
                                    for f in fields(model)}}
-
-
-def model_from_dict(data: dict) -> MartingaleModel:
-    try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("model document lacks a 'kind' field") from None
-    try:
-        cls = _MODEL_CLASSES[kind]
-    except KeyError:
-        raise ConfigError(f"unknown model kind {kind!r}") from None
-    values = {k: v for k, v in data.items() if k != "kind"}
-    for f in fields(cls):
-        if f.type == "tuple" and f.name in values:
-            values[f.name] = tuple(values[f.name])
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad fields for model kind {kind!r}: {exc}") from None
-
-
-def model_to_json(model: MartingaleModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True)
-
-
-def model_from_json(text: str) -> MartingaleModel:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model document is not valid JSON: {exc}") from None
-    return model_from_dict(data)
 
 
 def model_id(model: MartingaleModel) -> str:
@@ -1012,25 +979,26 @@ class A1Report:
     passed: bool
 
 
-def verify_A1(model: MartingaleModel, max_order: int = 12,
-              tol: float = 1e-9) -> A1Report:
+_A1_MAX_ORDER = 12   # highest even moment order verify_A1 checks
+_A1_TOL = 1e-9       # rounding allowance on the worst A1 margin
+
+
+def verify_A1(model: MartingaleModel) -> A1Report:
     """Check the moment-growth condition from exact conditional moments.
 
     All families have conditionally symmetric steps, so odd conditional
-    moments vanish and only even orders 2..max_order carry content.  Each
+    moments vanish and only even orders 2..12 carry content.  Each
     even order compares |E[xi^l | past]| / E[xi^2 | past] against
     (l!/2) eps^(l-2) at the declared eps, using worst-case step scales for
     the families whose scales are random.
     """
     _require_model(model)
-    if max_order < 2:
-        raise DomainError(f"max_order must be at least 2, got {max_order}")
     eps = model.bernstein_params().epsilon
     # a step of size c has moment ratio c^(l-2) at even order l, for both
     # the two-point law and the {-c, 0, +c} law
     bases = model._law().worst_scales
 
-    orders = tuple(range(2, max_order + 1, 2))
+    orders = tuple(range(2, _A1_MAX_ORDER + 1, 2))
     margins = np.empty((len(bases), len(orders)))
     for i, base in enumerate(bases):
         for j, order in enumerate(orders):
@@ -1048,7 +1016,7 @@ def verify_A1(model: MartingaleModel, max_order: int = 12,
             binding = max(binding, need)
     return A1Report(declared_eps=eps, binding_eps=binding, orders=orders,
                     margins=margins, worst_margin=worst,
-                    passed=worst >= -tol)
+                    passed=worst >= -_A1_TOL)
 
 
 def verify_A2(model: MartingaleModel):
@@ -1157,6 +1125,9 @@ def lemma_checks(stats: ConjugatePathStats,
         violations=tuple(violations))
 
 
+_AUGMENT_EPS_MIN = 2.0 ** -10   # padding of at most 2^20 + 1 steps
+
+
 def bolthausen_augment(path: PathSample, epsilon: float, seed: int, *,
                        path_index: int = 0) -> PathSample:
     """Stop at the last time <S> <= 1 and pad the variance up to exactly 1.
@@ -1165,10 +1136,19 @@ def bolthausen_augment(path: PathSample, epsilon: float, seed: int, *,
     steps, one Rademacher-signed step whose squared size is the leftover
     variance, then zero steps to the fixed length n + floor(1/eps^2) + 1.
     The closing subtraction 1 - <S> happens above 3/4, where it is exact,
-    so the augmented characteristic ends within a few ulp of 1.
+    so the augmented characteristic ends within a few ulp of 1.  eps must
+    be at least 2^-10, so the padding holds at most 2^20 + 1 steps; at
+    that cap a path with no variance of its own (the worst case) raised
+    the process's peak RSS by about 90 MB, for the padding's float arrays
+    and the float list summed for sq_bracket.  A smaller eps raises
+    DomainError before anything is allocated.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if epsilon < _AUGMENT_EPS_MIN:
+        raise DomainError(
+            f"epsilon = {epsilon:.6g} would pad the path with "
+            f"floor(1/eps^2) > 2^20 steps; it must be at least 2^-10")
     e2 = epsilon * epsilon
     tail_capacity = math.floor(1.0 / e2)
     n = path.n

@@ -15,16 +15,15 @@ from martkit.applications import (ConfidenceInterval, RegressionData,
                                   regression_reduction_check,
                                   regression_report, self_norm_envelope,
                                   self_norm_report, self_norm_statistic,
-                                  standardized_error, wang_jing_bound,
-                                  wang_jing_inputs)
+                                  standardized_error, wang_jing_bound)
 from martkit.bounds import (BernsteinParams, BoundConstant, ConstantKind,
                             breve_x, cramer_ratio_band, eps_log_eps,
                             nonuniform_be_envelope)
-from martkit.errors import ConfigError, DomainError, UnsupportedModelError
+from martkit.errors import ConfigError, DomainError
 from martkit.gaussian import std_normal_sf
 from martkit.martingales import (NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
-                                 VarianceSwitch, noise_bernstein_constant)
+                                 noise_bernstein_constant)
 from martkit import montecarlo
 from martkit.montecarlo import SimulationConfig, calibrate_constant
 
@@ -419,37 +418,6 @@ class TestWangJing:
             wang_jing_bound(1.0, -0.1, 0.0)
         with pytest.raises(DomainError):
             wang_jing_bound(1.0, 0.1, -0.2)
-
-    def test_inputs_for_sign_sums(self):
-        m = ScaledRademacher.equal_weights(100)
-        l3n, tail = wang_jing_inputs(m, 1.0)
-        assert l3n == pytest.approx(0.1, rel=1e-12)
-        assert tail == 0.0          # threshold 1/6 exceeds every |w| = 0.1
-        _, tail_far = wang_jing_inputs(m, 10.0)
-        assert tail_far == 100.0    # threshold 1/60 is below every weight
-        assert wang_jing_inputs(m, 0.0)[1] == 0.0
-
-    def test_inputs_for_uniform_magnitudes(self):
-        m = SelfNormalized(n=25, magnitude_low=2.0, magnitude_high=2.0)
-        l3n, tail = wang_jing_inputs(m, 1.0)
-        assert l3n == pytest.approx(25.0 * 8.0 / 1000.0, rel=1e-12)
-        assert tail == 25.0         # threshold 10/6 is below |xi| = 2
-        assert wang_jing_inputs(m, 0.5)[1] == 0.0
-
-        mixed = SelfNormalized(n=36, magnitude_low=1.0, magnitude_high=2.0)
-        m2 = (2.0 ** 3 - 1.0) / 3.0
-        m3 = (2.0 ** 4 - 1.0) / 4.0
-        bn = math.sqrt(36.0 * m2)
-        l3n, tail = wang_jing_inputs(mixed, 1.0)
-        assert l3n == pytest.approx(36.0 * m3 / bn ** 3, rel=1e-12)
-        t = bn / 6.0
-        assert tail == pytest.approx(36.0 * (2.0 - t) / 1.0, rel=1e-12)
-
-    def test_unsupported_models(self):
-        with pytest.raises(UnsupportedModelError):
-            wang_jing_inputs(VarianceSwitch(n=8, delta=0.5), 1.0)
-        with pytest.raises(UnsupportedModelError):
-            wang_jing_inputs(rademacher_model(), 1.0)
 
 
 class TestCoverage:

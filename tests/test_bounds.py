@@ -160,16 +160,6 @@ class TestExponentialBounds:
         assert env.value == pytest.approx(0.6347364189402819, rel=1e-14)
         assert de_la_pena_bernstein(0.0, 1.0, 0.1).value == 1.0
 
-    def test_as_printed_differs_for_v_not_one(self):
-        a = de_la_pena_bennett(1.0, 2.0, 0.1)
-        b = de_la_pena_bennett(1.0, 2.0, 0.1, as_printed=True)
-        assert a.source is EnvelopeSource.BENNETT
-        assert b.source is EnvelopeSource.BENNETT_AS_PRINTED
-        assert a.value != b.value
-        # at v = 1 the misprint happens to coincide
-        assert de_la_pena_bennett(1.0, 1.0, 0.1, as_printed=True).value == \
-            de_la_pena_bennett(1.0, 1.0, 0.1).value
-
     @given(st.floats(0.0, 60.0), st.floats(0.1, 3.0), st.floats(0.0, 0.5))
     @example(x=3.375, v=1.0, eps=2**-52)
     def test_ordering(self, x, v, eps):
@@ -226,19 +216,8 @@ class TestStrengthenedEnvelope:
         env = strengthened_tail_envelope(1.7, free, BoundConstant(42.0))
         assert env.value == pytest.approx(std_normal_sf(1.7), rel=1e-14)
 
-    def test_prefactor_form(self):
-        p = BernsteinParams(0.1, 0.2)
-        env = strengthened_tail_envelope(1.0, p, form="prefactor")
-        xh, lb = env.xhat, env.lambda_bar
-        rate = lb * lb * 0.1 + lb * 0.04 + eps_log_eps(0.1) + 0.2
-        expect = (1.0 / (1.0 + xh) + rate) * math.exp(-0.5 * xh * xh)
-        assert env.value == pytest.approx(expect, rel=1e-13)
-        assert env.source is EnvelopeSource.STRENGTHENED_PREFACTOR
-
-    def test_bad_form_and_kind(self):
+    def test_bad_kind(self):
         p = BernsteinParams(0.1)
-        with pytest.raises(DomainError):
-            strengthened_tail_envelope(1.0, p, form="other")
         with pytest.raises(DomainError):
             strengthened_tail_envelope(
                 1.0, p, BoundConstant(1.0, ConstantKind.C_P, 2.0))

@@ -613,6 +613,34 @@ class TestOutputHygiene:
         got = capsys.readouterr().out
         assert got.startswith("x,xhat,lambda_bar,value,log_value\n")
 
+    def test_json_is_strict_with_non_finite_floats_as_cell_text(
+            self, tmp_path):
+        # log 0 is -inf, and the unread --l3n flag records inf in the
+        # manifest; strict JSON has no number for either, so both are
+        # written as their CSV cell text, in the JSON output and in the
+        # CSV sidecar manifest alike
+        def strict(text):
+            def refuse(name):
+                raise ValueError(f"non-standard JSON constant {name}")
+            return json.loads(text, parse_constant=refuse)
+
+        argv = ["bound", "--envelope", "classical", "--x-from", "0",
+                "--x-to", "0", "--l3n", "inf"]
+        out = tmp_path / "c.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        blob = strict(out.read_text(encoding="utf-8"))
+        assert [row["log_value"] for row in blob["rows"]] == ["-inf"] * 3
+        assert [row["value"] for row in blob["rows"]] == [0.0] * 3
+        assert blob["manifest"]["parameters"]["l3n"] == "inf"
+        rc, header, rows = run_csv(tmp_path, argv, "c.csv")
+        assert rc == 0
+        assert [cell(r, header, "log_value") for r in rows] == ["-inf"] * 3
+        man = strict((tmp_path / "c.csv.manifest.json")
+                     .read_text(encoding="utf-8"))
+        assert man["parameters"]["l3n"] == "inf"
+        assert cli._strict([math.nan, (1.5, -math.inf)]) == \
+            ["nan", [1.5, "-inf"]]
+
 
 class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):

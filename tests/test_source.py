@@ -12,7 +12,9 @@ dependency that ``pyproject.toml`` lists), only ``martingales`` and
 ``montecarlo._new_batch`` builds a chunk's outputs, ``martingales._decisions``
 takes no tilt, every Philox
 stream key is assigned in ``martingales`` alone, each to its own value,
-and every ``module.name`` that README.md quotes resolves.
+every ``module.name`` that README.md quotes resolves, and every public
+module-level name has a reader: the package loads it, README quotes it as
+``module.name``, or the acceptance suite imports it.
 """
 
 import ast
@@ -277,3 +279,95 @@ def test_readme_quotes_only_names_that_exist():
                if not hasattr(importlib.import_module(f"martkit.{module}"),
                               name)]
     assert missing == []
+
+
+
+
+def public_names(tree: ast.Module) -> dict:
+    """Public module-level function, class and constant names of
+    ``tree``, each mapped to its defining statement; an ``__all__`` entry
+    the module does not define maps to None."""
+    names, exported = {}, []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if targets == ["__all__"]:
+                exported = ast.literal_eval(node.value)
+                continue
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        names.update((name, node) for name in targets
+                     if not name.startswith("_"))
+    for name in exported:
+        names.setdefault(name, None)
+    return names
+
+
+def unread_public_names(sources: dict, readers: set) -> list:
+    """(module, name) of every public name of ``sources`` (module name ->
+    source) that is not in ``readers`` (a set of (module, name)) and that
+    no module loads, by bare or dotted name, outside the top-level
+    statement defining it."""
+    defined, loaded_in = [], {}   # name -> statements that load it
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, name, node) for name, node
+                    in public_names(tree).items()]
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                loaded_in.setdefault(name, []).append(statement)
+    return sorted((module, name) for module, name, home in defined
+                  if (module, name) not in readers
+                  and all(s is home for s in loaded_in.get(name, [])))
+
+
+def test_public_name_scan_flags_only_unread_names():
+    sources = {"a": ("__all__ = ['f', 'Quoted', 'gone']\n"
+                     "K = 1\n"
+                     "def f(x=K):\n"
+                     "    return f(x)\n"
+                     "class Quoted:\n"
+                     "    pass\n"
+                     "def g():\n"
+                     "    return g()\n"
+                     "def _h():\n"
+                     "    return 0\n"),
+               "b": ("from .a import f\n"
+                     "def used():\n"
+                     "    return f()\n"
+                     "def main():\n"
+                     "    return used()\n")}
+    assert unread_public_names(sources, {("a", "Quoted")}) == [
+        ("a", "g"), ("a", "gone"), ("b", "main")]
+
+
+def test_public_names_have_a_reader():
+    # a public name must serve someone: the package reads it, README
+    # states it beside the paper statement or caller it serves, or the
+    # acceptance suite imports it; a name nothing reads is deleted
+    here = Path(__file__).resolve().parent
+    readme = (here.parent / "README.md").read_text("utf-8")
+    readers = set(quoted_names(readme))
+    for node in ast.walk(ast.parse(
+            (here / "test_acceptance.py").read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("martkit."):
+            readers.update((node.module.partition(".")[2], alias.name)
+                           for alias in node.names)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert [f"{module}.{name}" for module, name
+            in unread_public_names(sources, readers)] == []
