@@ -160,6 +160,29 @@ class TestExponentialBounds:
         assert env.value == pytest.approx(0.6347364189402819, rel=1e-14)
         assert de_la_pena_bernstein(0.0, 1.0, 0.1).value == 1.0
 
+    def test_as_printed_differs_for_v_not_one(self):
+        # the printed denominator v^2 + sqrt(1 + 2x eps/v^2) + x eps drops
+        # the v^2 of the middle term; the bound keeps it, so the two part
+        # at v != 1, where the printed form claims a smaller tail, and
+        # coincide at v = 1
+        def bennett(x, v, eps, middle):
+            v2 = v * v
+            root = math.sqrt(1.0 + 2.0 * x * eps / v2)
+            return math.exp(-x * x / (v2 + middle(v2) * root + x * eps))
+
+        def full(v2):
+            return v2
+
+        def printed(v2):
+            return 1.0
+
+        env = de_la_pena_bennett(1.0, 2.0, 0.1)
+        assert env.value == pytest.approx(bennett(1.0, 2.0, 0.1, full),
+                                          rel=1e-14)
+        assert env.value > bennett(1.0, 2.0, 0.1, printed) * (1.0 + 1e-2)
+        assert de_la_pena_bennett(1.0, 1.0, 0.1).value == \
+            pytest.approx(bennett(1.0, 1.0, 0.1, printed), rel=1e-14)
+
     @given(st.floats(0.0, 60.0), st.floats(0.1, 3.0), st.floats(0.0, 0.5))
     @example(x=3.375, v=1.0, eps=2**-52)
     def test_ordering(self, x, v, eps):

@@ -641,6 +641,34 @@ class TestOutputHygiene:
         assert cli._strict([math.nan, (1.5, -math.inf)]) == \
             ["nan", [1.5, "-inf"]]
 
+    def test_wang_jing_far_tail_is_strict_json(self, tmp_path):
+        # the bound carries the Gaussian factor exp(-x^2/2), so it
+        # underflows to 0 past x = 38.6: its log is written as "-inf", and
+        # the finite rows keep the library's doubles
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        out = tmp_path / "w.json"
+        assert main(["bound", "--envelope", "wang-jing", "--l3n", "0.02",
+                     "--tail-sum", "0.001", "--x-from", "38", "--x-to", "40",
+                     "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text(encoding="utf-8"),
+                          parse_constant=refuse)["rows"]
+        c = BoundConstant(1.0)
+        values = [wang_jing_bound(r["x"], 0.02, 0.001, c) for r in rows]
+        assert [r["value"] for r in rows] == values
+        assert values[0] > 0.0 and values[-1] == 0.0
+        assert [r["log_value"] for r in rows] == \
+            [math.log(v) if v > 0.0 else "-inf" for v in values]
+
+    def test_finite_floats_keep_their_json_text(self):
+        # strict output replaces only non-finite floats, so every finite
+        # number, subnormal and signed zero included, prints as before
+        payload = {"a": [0.1, 5e-324, 1.7976931348623157e308, -0.0, 3],
+                   "b": (2.5, "x", None, True), "c": {"d": 1e-300}}
+        assert json.dumps(cli._strict(payload), indent=2, allow_nan=False) \
+            == json.dumps(payload, indent=2)
+
 
 class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):

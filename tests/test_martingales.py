@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -738,6 +739,22 @@ class TestBolthausen:
         assert peak < 1 << 16
 
 
+    def test_cap_sits_at_two_to_the_minus_ten(self):
+        # the cap is on eps itself: the first double below 2^-10 is
+        # refused, while 2^-8 pads a path with no variance of its own,
+        # the worst case, with all floor(1/eps^2) = 2^16 steps of size eps
+        path = PathSample(np.array([0.0]), np.array([0.0, 0.0]),
+                          np.array([0.0, 0.0]), 0.0, 0, "handmade")
+        with pytest.raises(DomainError, match="2\\^-10"):
+            bolthausen_augment(path, math.nextafter(2.0 ** -10, 0.0), 1)
+        eps = 2.0 ** -8
+        aug = bolthausen_augment(path, eps, 1)
+        assert aug.n == 1 + 2 ** 16 + 1
+        assert np.all(np.abs(aug.differences[1:2 ** 16 + 1]) == eps)
+        assert aug.differences[-1] == 0.0
+        assert abs(aug.qc[-1] - 1.0) <= 1e-12
+
+
 class TestZMartingale:
     def test_mean_one_within_4se(self):
         m = SR4
@@ -749,7 +766,30 @@ class TestZMartingale:
         assert abs(zs.mean() - 1.0) <= 4.0 * se
 
 
+def _model_from_document(doc):
+    """The model a ``model_to_dict`` document describes: JSON lists back
+    to tuples; the regression model takes its noise family by value."""
+    cls = {c.kind: c for c in (ScaledRademacher, VarianceSwitch,
+                               SelfNormalized, RegressionModel)}[doc["kind"]]
+    values = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in doc.items() if k != "kind"}
+    return cls(**values)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("model", ALL_MODELS,
+                             ids=lambda m: model_id(m)[:24])
+    def test_round_trip(self, model):
+        # model_id digests the canonical document, so the document must
+        # hold every field: the model rebuilt from it, after a strict JSON
+        # round trip, is the same model under the same id
+        text = json.dumps(model_to_dict(model), allow_nan=False)
+        back = _model_from_document(json.loads(text))
+        assert back == model
+        assert model_id(back) == model_id(model)
+        assert list(model_to_dict(model)) == \
+            ["kind"] + [f.name for f in fields(model)]
+
     def test_identities_pinned(self):
         # model_id is carried by every PathSample and VerificationReport
         pinned = [
