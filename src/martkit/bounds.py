@@ -453,14 +453,13 @@ def regression_envelope(x: float, eps: float,
     x <= eps^(-1/3).  Out-of-range eps evaluates the formulas but clears
     ``eps_valid``.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
+    x = _require_finite(x)
     _require_absolute(c, "regression_envelope")
     xb = breve_x(x, eps)
     rate = eps_log_eps(eps)
     log_value = _log_or_neg_inf(c.c * (1.0 + x * x) * rate) - 0.5 * xb * xb
     nonuniform = TailEnvelope(
-        x=float(x), value=math.exp(log_value), log_value=log_value,
+        x=x, value=math.exp(log_value), log_value=log_value,
         source=EnvelopeSource.REGRESSION, constant_used=c, xhat=xb)
     return RegressionEnvelopes(
         nonuniform=nonuniform, uniform=c.c * rate,
@@ -486,13 +485,12 @@ def self_norm_envelope(x: float, eps: float,
     scale deformation, so the exponent never degrades.  Even in x by
     construction.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
+    x = _require_finite(x)
     _require_absolute(c, "self_norm_envelope")
     rate = eps_log_eps(eps)
     log_value = _log_or_neg_inf(c.c * (1.0 + x * x) * rate) - 0.5 * x * x
     envelope = TailEnvelope(
-        x=float(x), value=math.exp(log_value), log_value=log_value,
+        x=x, value=math.exp(log_value), log_value=log_value,
         source=EnvelopeSource.SELF_NORMALIZED, constant_used=c, xhat=abs(x))
     return SelfNormEnvelopes(envelope=envelope,
                              band=_delta_free_band(x, eps, c),
@@ -510,15 +508,9 @@ def wang_jing_bound(x: float, l3n: float, tail_prob_sum: float,
     branches do not meet continuously; that is a property of the bound,
     not a defect.  l3n = 0 degenerates to the inside branch everywhere.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if not (isinstance(l3n, (int, float)) and math.isfinite(l3n)
-            and l3n >= 0.0):
-        raise DomainError(f"l3n must be finite and >= 0, got {l3n!r}")
-    if not (isinstance(tail_prob_sum, (int, float))
-            and math.isfinite(tail_prob_sum) and tail_prob_sum >= 0.0):
-        raise DomainError(
-            f"tail_prob_sum must be finite and >= 0, got {tail_prob_sum!r}")
+    x = _require_finite(x)
+    l3n = _require_nonneg(l3n, "l3n")
+    tail_prob_sum = _require_nonneg(tail_prob_sum, "tail_prob_sum")
     _require_absolute(c, "wang_jing_bound")
     gauss = math.exp(-0.5 * x * x)
     if l3n == 0.0 or abs(x) <= 1.0 / (5.0 * l3n ** (1.0 / 3.0)):

@@ -28,22 +28,21 @@ its per-step conditional law.  Sampling (per path here, per chunk in
 checks read that description, never the family's class.
 
 Randomness is counter-based: a Philox generator keyed by
-``[seed, (stream << 56) | index]``.  Draw order inside one path is fixed
-and documented per family: magnitudes or covariates first, one raw
-64-bit word per step, then the draws that decide each step's sign or
-outcome.  A magnitude word w stands for the uniform u = (w >> 11) * 2^-53
-that numpy's ``Generator.random`` would return (see ``_band_values``).
-Every step, at every tilt, reads a 16-bit lane v of the decision words,
-four to a word (``_decisions``).  At lambda = 0 the thresholds are
-dyadic: a step goes up when v < 2^15, and a three-point step goes up
-when v < 2^13 and down when v >= 7 * 2^13.  At lambda > 0 it goes up when
-(v + u') * 2^-16 is below its tilted up-probability expit(2*lambda*scale);
-u' is the uniform of the step's own refinement word, at a fixed offset
-past the lanes, read straight from its counter only when the lane
-equals the floor of the threshold (see ``_below`` and ``_WordReader``).
-Every decision therefore has its exact probability, and no refinement
-word is read at lambda = 0.  VarianceSwitch paths, one or a chunk of
-them, read their decisions from ``_switch_masks``.
+``[seed, (stream << 56) | index]``.  ``_row_blocks`` lays out every
+sampler's stream, and one path draws as a one-row chunk: magnitudes or
+covariates first, one raw 64-bit word per step, then a 16-bit decision
+lane per step, then at lambda > 0 the refinement words.  A magnitude
+word w stands for the uniform u = (w >> 11) * 2^-53 that numpy's
+``Generator.random`` would return (see ``_band_values``).  At lambda = 0
+the thresholds are dyadic: a step goes up when its lane v < 2^15, and a
+three-point step goes up when v < 2^13 and down when v >= 7 * 2^13.  At
+lambda > 0 it goes up when (v + u') * 2^-16 is below its tilted
+up-probability expit(2*lambda*scale); u' is the uniform of the step's
+own refinement word, read only when the lane equals the floor of the
+threshold (see ``_below``).  Every decision therefore has its exact
+probability, and no refinement word is read at lambda = 0.
+VarianceSwitch paths, one or a chunk of them, read their decisions from
+``_switch_masks``.
 """
 
 from __future__ import annotations
@@ -599,6 +598,42 @@ def _refined(read, offsets) -> np.ndarray:
     return np.right_shift(read(offsets), _WORD_SHIFT) * _ULP
 
 
+def _row_blocks(law: _StepLaw, bits, rows: int, lam: float):
+    """The draws of ``rows`` paths from ``bits``, a row block at a time:
+    the one home of the draw layout (README "Draw layout").
+
+    Yields (r0, k, words, lanes, read) for the k rows from row r0, at
+    most ``_BLOCK_ELEMENTS`` // n of them.  A stream holds, from its
+    first word: for a ``band`` law, the (rows, n) magnitude or covariate
+    words, of which ``words`` is the block's (k, n) part (None for other
+    laws); then ceil(n/4) lane words per path, which the block reads as
+    its (k, n) 16-bit ``lanes`` (``_decisions``); then, at lam > 0, a
+    (rows, n) region of refinement words, in which step i of row r owns
+    word r*n + i.  ``read`` returns the block's refinement words at
+    offsets (r - r0)*n + i straight from their counters
+    (``_WordReader``), and is None at lam = 0, where none is read.  The
+    lanes of a band law come through a copy of ``bits`` whose counter is
+    set past the magnitudes, as ``_WordReader`` seeks.
+    """
+    n = law.n
+    lead = rows * n if law.band is not None else 0
+    lane_bits = bits
+    if lead:
+        lane_bits = np.random.Philox(key=bits.state["state"]["key"])
+        state = lane_bits.state   # counter 0, no block buffered
+        state["state"]["counter"][0] = lead // 4
+        lane_bits.state = state
+        lane_bits.random_raw(lead % 4)
+    reader = _WordReader(bits, lead + rows * _lane_words(n)) if lam else None
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for r0 in range(0, rows, block):
+        k = min(block, rows - r0)
+        words = bits.random_raw((k, n)) if lead else None
+        read = (None if reader is None else
+                lambda at, base=r0 * n: reader(at + base))
+        yield r0, k, words, _decisions(lane_bits, k, n), read
+
+
 def _below(lanes: np.ndarray, bound, cut, refine) -> np.ndarray:
     """The mask lanes + u' < bound of 16-bit lanes, u' in [0, 1).
 
@@ -677,33 +712,29 @@ def _switch_masks(law: _StepLaw, bits, rows: int, lam: float):
     2^15, read with no tie test; at lam > 0 when v + u' < 2^16 p at its
     scale, p = expit(2*lam*s) (``_below``).  A tie depends on the step's
     own draws, not on the path, so the masks are final before any walk.
-    Row blocks of ``_BLOCK_ELEMENTS`` draws are compared in draw order
-    and only the mask bytes are transposed.
+    The row blocks of ``_row_blocks`` are compared in draw order and only
+    the mask bytes are transposed.
     """
-    n = law.n
     if lam == 0.0:
         bounds = [_LANE_HALF]
     else:
         bounds = [_LANE_UNIT * _expit(2.0 * lam * s)
                   for s in law.switch[::-1]]
-        read = _WordReader(bits, rows * _lane_words(n))
     bounds = bounds[:1] if bounds[0] == bounds[-1] else bounds
     # both masks in one allocation: glibc's malloc then keeps that much
     # heap for the next chunk, where two 1 MiB masks (n = 128) were handed
     # back to the system and faulted in again, 512 page faults a chunk
-    masks = np.empty((len(bounds), n, rows), dtype=bool)
-    block = max(1, _BLOCK_ELEMENTS // n)
-    for r0 in range(0, rows, block):
-        draws = _decisions(bits, min(block, rows - r0), n)
+    masks = np.empty((len(bounds), law.n, rows), dtype=bool)
+    for r0, k, _, lanes, read in _row_blocks(law, bits, rows, lam):
         if lam == 0.0:
-            below = [np.less(draws, _LANE_HALF)]
+            below = [np.less(lanes, _LANE_HALF)]
         else:
-            refine = lambda at, base=r0 * n: _refined(read, at + base)
-            below = [_below(draws, b, math.floor(b), refine) for b in bounds]
+            below = [_below(lanes, b, math.floor(b),
+                            lambda at: _refined(read, at)) for b in bounds]
         if len(below) == 2:
             below[1] ^= below[0]
         for mask, b in zip(masks, below):
-            mask[:, r0:r0 + block] = b.T
+            mask[:, r0:r0 + k] = b.T
     return masks[0], (masks[1] if len(masks) == 2 else None)
 
 
@@ -783,8 +814,8 @@ def _steps(law: _StepLaw, scales: np.ndarray, draws: np.ndarray, lam: float,
     """(c, xi, e): step sizes, steps and exp(-2*lam*c) for one block.
 
     ``draws`` holds one 16-bit lane v per step, step-major (n, k): the
-    (n, k) transpose of a chunk block's ``_decisions``, or (n, 1) for one
-    path.  At lam = 0 the thresholds are dyadic and v alone decides.  At
+    transpose of a block's lanes from ``_row_blocks`` (k = 1 for one
+    path).  At lam = 0 the thresholds are dyadic and v alone decides.  At
     lam > 0 the step's uniform is (v + u') 2^-16, where u' is the uniform
     of the step's refinement word; ``read`` returns those words at block
     offsets r*n + i, and is called only for the lanes that tie a
@@ -814,22 +845,17 @@ def _generate(model: MartingaleModel, lam: float, seed: int,
     if law.switch is not None:
         xi, qc_tail = _variance_switch_walk(law, bits, lam)
     else:
-        lead = 0
-        if law.weights is not None:
+        # the draws of a one-row chunk
+        (_, _, words, lanes, read), = _row_blocks(law, bits, 1, lam)
+        if words is None:
             scales = np.asarray(law.weights)
             qc_tail = np.cumsum(scales * scales)
         else:
-            # magnitudes or covariates first, one word per step
-            lead = law.n
-            m = _band_values(law.band, bits.random_raw(law.n))
+            m = _band_values(law.band, words[0])
             csum = np.cumsum(m * m)
             scales = m / math.sqrt(csum[-1])
             qc_tail = csum / csum[-1]
-        # then the step draws, as one row of a chunk
-        read = (_WordReader(bits, lead + _lane_words(law.n)) if lam
-                else None)
-        _, xi, _ = _steps(law, scales[:, None],
-                          _decisions(bits, 1, law.n).T, lam, read=read)
+        _, xi, _ = _steps(law, scales[:, None], lanes.T, lam, read=read)
         xi = xi[:, 0]
     sums = np.concatenate(([0.0], np.cumsum(xi)))
     qc = np.concatenate(([0.0], qc_tail))
@@ -1126,6 +1152,7 @@ def lemma_checks(stats: ConjugatePathStats,
 
 
 _AUGMENT_EPS_MIN = 2.0 ** -10   # padding of at most 2^20 + 1 steps
+_AUGMENT_SLICE = 1 << 16        # squares per fsum slice of sq_bracket
 
 
 def bolthausen_augment(path: PathSample, epsilon: float, seed: int, *,
@@ -1138,10 +1165,11 @@ def bolthausen_augment(path: PathSample, epsilon: float, seed: int, *,
     The closing subtraction 1 - <S> happens above 3/4, where it is exact,
     so the augmented characteristic ends within a few ulp of 1.  eps must
     be at least 2^-10, so the padding holds at most 2^20 + 1 steps; at
-    that cap a path with no variance of its own (the worst case) raised
-    the process's peak RSS by about 90 MB, for the padding's float arrays
-    and the float list summed for sq_bracket.  A smaller eps raises
-    DomainError before anything is allocated.
+    that cap a path with no variance of its own (the worst case) peaks at
+    about 40 MiB of allocations, 24 MiB of which the returned path keeps.
+    sq_bracket sums the squares a slice at a time, so no float list of
+    the whole padding is built.  A smaller eps raises DomainError before
+    anything is allocated.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -1179,7 +1207,9 @@ def bolthausen_augment(path: PathSample, epsilon: float, seed: int, *,
          qc_tau + e2 * np.arange(1, r + 1), [final_qc],
          np.full(pad, final_qc)))
     sums = np.concatenate(([0.0], np.cumsum(diffs)))
-    sq = math.fsum(v * v for v in diffs.tolist())
+    # fsum is exact, so slicing keeps its bytes
+    sq = math.fsum(v for at in range(0, diffs.size, _AUGMENT_SLICE)
+                   for v in np.square(diffs[at:at + _AUGMENT_SLICE]).tolist())
     return PathSample(diffs, sums, qc, sq, int(seed),
                       path.model_id + "#aug", int(path_index))
 

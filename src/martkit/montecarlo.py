@@ -9,10 +9,10 @@ enumerated exactly, which supplies the oracle side of the test suite.
 
 Draw order inside a chunk, per family: models with one constant step scale
 draw a single up-step count per path (binomial; the terminal sum and the
-tilting weight are deterministic functions of it); models with per-step
-scales draw their magnitude/covariate matrix first, then the draws that
-decide each step (``martingales._decisions``), and accumulate terminal
-sums in step order.
+tilting weight are deterministic functions of it); every other family
+reads the chunk's stream a row block at a time through
+``martingales._row_blocks``, the one home of the draw layout, and
+accumulates terminal sums in step order.
 
 A chunk computes only the per-path objects its caller reads: the plain
 estimators read terminal sums alone, ``estimate_tail_is`` reads Psi_n at
@@ -25,26 +25,15 @@ VarianceSwitch walk compares its draws with both thresholds once per
 chunk, into step-major (n, rows) masks that the
 per-path walk also reads (``martingales._switch_masks``), and each step
 then only reads the sign of the running sum and looks its increment up
-in a table.  Every per-step-scale family draws in row blocks of 2^15
-entries (256 KiB per array): a block reads its own rows of each (rows, n)
-matrix from the chunk's stream, so a chunk holds O(block) floats besides
-its per-path outputs (and, for VarianceSwitch, its two bool masks), not
-a (rows, n) draw.  The other families transpose each block once to
-step-major (n, rows) order, so that its temporaries stay in the L2 cache
-and each sum over the steps is one reduce (``_fold``).
+in a table.  A row block holds 2^15 entries (256 KiB per array), so a
+chunk holds O(block) floats besides its per-path outputs (and, for
+VarianceSwitch, its two bool masks), not a (rows, n) draw.  The other
+families transpose each block once to step-major (n, rows) order, so
+that its temporaries stay in the L2 cache and each sum over the steps is
+one reduce (``_fold``).
 
-The kernels read the stream as raw Philox words (``random_raw``), never
-as doubles.  A magnitude word w stands for the uniform
-u = (w >> 11) * 2^-53 that ``Generator.random`` would return.  At every
-tilt each step reads a 16-bit lane v of ceil(n/4) words per path.  At
-tilt zero v alone decides it against the dyadic bounds above.  At a tilt
-lam > 0 it goes up when (v + u') 2^-16 is below its tilted probability;
-u' comes from the step's refinement word, at a fixed offset past the
-lanes, which is read straight from its Philox counter only when v alone
-cannot decide, about once in 2^16 steps (``martingales._below``).  The
-tilted two-point threshold 2^16*expit(2*lam*c) comes from numpy's exp,
-which moves it by at most 2^-36 against libm's exp; lanes within a
-margin of a tie are decided on libm's exp by ``martingales._expit``.
+The kernels read the stream as raw Philox words, never as doubles, and
+decide every step with its exact probability (``martingales._steps``).
 None of this changes a result: every object equals, bit for bit, its
 plain evaluation over whole-chunk draws (the lane words, and at lam > 0
 the whole refinement region) with np.where signs, per-step threshold
@@ -64,7 +53,6 @@ count is paths minus the count.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import os
@@ -83,11 +71,10 @@ from .errors import ConfigError, DomainError, UnsupportedModelError
 from .gaussian import std_normal_cdf, std_normal_sf
 from .martingales import (STREAM_MC, STREAM_MC_TILTED, MartingaleModel,
                           generator_for, model_id, verify_A1, verify_A2)
-from .martingales import (_BLOCK_ELEMENTS, _band_values, _check_tilt,
-                          _decisions, _expit, _lane_words, _lemma_ceilings,
-                          _lent, _log_cosh, _require_model, _steps,
-                          _StepLaw, _switch_masks, _switch_terms,
-                          _switch_total, _switch_z, _WordReader,
+from .martingales import (_band_values, _check_tilt, _expit,
+                          _lemma_ceilings, _lent, _log_cosh, _require_model,
+                          _row_blocks, _steps, _StepLaw, _switch_masks,
+                          _switch_terms, _switch_total, _switch_z,
                           _z_variance_bound)
 
 __all__ = [
@@ -105,9 +92,7 @@ _LEAF_CAP = 1 << 20
 _WORK = ("scales", "c", "xi", "e", "a", "b", "d")
 # refusal caps on a config, far above the largest run in use (8192 x 128
 # entries per matrix, 123 chunks); draws stream through row blocks, but at
-# 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB.  A
-# chunk reads a quarter word per step for its decisions, besides any
-# magnitude words, and at a tilt the refinement words of its ties
+# 2^26 entries a VarianceSwitch chunk's two bool masks hold 128 MiB
 CHUNK_DRAW_MAX_ENTRIES = 1 << 26
 CHUNK_COUNT_MAX = 1 << 20
 # tilts per verification run: each holds three rows-long float arrays in
@@ -138,12 +123,9 @@ class SimulationConfig:
     the per-step-scale families, rows for the binomial shortcut), or that
     split into more than ``CHUNK_COUNT_MAX`` chunks, are refused before
     anything is allocated; so is a model outside the built-in families.
-    The matrices are drawn block by block (see ``_simulate_chunk``), so
-    the cap bounds a chunk's stream and its VarianceSwitch masks, not one
-    allocation of float draws.  An entry of the step matrix is a 16-bit
-    lane, ceil(n/4) words per path at every tilt; a tilted chunk also
-    draws a refinement word for each step whose lane ties its threshold,
-    about one step in 2^16.
+    The matrices are drawn block by block (``martingales._row_blocks``),
+    so the cap bounds a chunk's stream and its VarianceSwitch masks, not
+    one allocation of float draws.
     """
 
     model: MartingaleModel
@@ -475,35 +457,26 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     results as a per-step threshold select.
 
     The per-step-scale families (SelfNormalized, RegressionModel, and
-    ScaledRademacher with unequal weights) run over row blocks of
-    ``_BLOCK_ELEMENTS`` entries, so that a block's dozen or so temporaries
-    stay in the core's L2 cache, and each block draws its own rows.  The
-    chunk's stream holds the (rows, n) magnitudes or covariates at draw
-    offset 0, then the step draws of ``martingales._decisions``:
-    (rows, ceil(n/4)) words of 16-bit lanes at every tilt, followed at
-    lam > 0 by a (rows, n) region of refinement words, in which step i
-    of row r owns word r*n + i.  The kernel reads the step
-    draws through a copy of the chunk's generator, placed by advancing the
-    Philox counter (4 words per step) and drawing the remainder, and a
-    refinement word only for a step whose lane ties its threshold, read
-    by ``martingales._WordReader`` straight from its counter.  A
-    chunk therefore holds O(block) floats besides its outputs, whatever n
-    is.  Each block's draws decide its steps exactly, with
-    ``martingales._expit`` deciding the lanes within a margin of a tilted
-    two-point threshold (see ``martingales._steps``); the first stage on
-    each writes a C-contiguous step-major (n, rows) array, and every
-    later stage is elementwise or one ``_fold`` per object, in step order.
-    The stages write into the ``_WORK`` arrays, rows of one allocation per
-    chunk lent to every block, so a block allocates little besides its
-    draws.  Fixed weights enter as an (n, 1) column, and Psi_n and B_n
-    fold once on that column per block rather than once per row.  Each
-    block folds into its own row slice of the outputs (``_new_batch``),
-    the same bytes as one pass over whole-chunk draws.
+    ScaledRademacher with unequal weights) run over the row blocks of
+    ``martingales._row_blocks``, which lays out the chunk's stream, so
+    that a block's dozen or so temporaries stay in the core's L2 cache
+    and a chunk holds O(block) floats besides its outputs, whatever n is.
+    Each block's draws decide its steps exactly (``martingales._steps``);
+    the first stage on each writes a C-contiguous step-major (n, rows)
+    array, and every later stage is elementwise or one ``_fold`` per
+    object, in step order.  The stages write into the ``_WORK`` arrays,
+    rows of one allocation per chunk lent to every block, so a block
+    allocates little besides its draws.  Fixed weights enter as an (n, 1)
+    column, and Psi_n and B_n fold once on that column per block rather
+    than once per row.  Each block folds into its own row slice of the
+    outputs (``_new_batch``), the same bytes as one pass over whole-chunk
+    draws.
 
     The family enters only through its ``_StepLaw``, built once per chunk.
     Steps come from ``martingales._steps``, and VarianceSwitch decisions
     from ``martingales._switch_masks``, which the per-path sampler
-    ``_generate`` also reads; those are the package's only samplers.
+    ``_generate`` also reads as a one-row chunk; those are the package's
+    only samplers.
     """
     rng = generator_for(seed, stream, chunk)
     law = model._law()
@@ -529,41 +502,24 @@ def _simulate_chunk(model: MartingaleModel, seed: int, stream: int,
     if law.switch is not None:
         return _variance_switch_chunk(law, rng, lam, want, batch)
 
-    # the stream holds the (rows, n) magnitude (or covariate) words first,
-    # then the step draws (see ``martingales._decisions``), then at lam > 0
-    # the (rows, n) refinement words; each block reads its rows of the
-    # first two, the draws through a copy of the generator placed past the
-    # magnitudes, and a tied step's refinement word through ``read``
     n = law.n
-    bits = draws = rng.bit_generator
-    lead = rows * n if law.band is not None else 0
-    if lead:
-        draws = copy.deepcopy(bits)
-        # one Philox counter step yields 4 words; draw the remainder by hand
-        draws.advance(lead // 4)
-        draws.random_raw(lead % 4)
-    read = _WordReader(bits, lead + rows * _lane_words(n)) if lam else None
-    block = max(1, _BLOCK_ELEMENTS // n)
-    # every (n, k) stage of every block writes into rows of this one
-    # allocation, which the allocator keeps from chunk to chunk
-    slab = np.empty((len(_WORK), n * min(block, rows)))
-    for r0 in range(0, rows, block):
-        rows_in = slice(r0, r0 + block)
-        k = min(block, rows - r0)
+    slab = None
+    for r0, k, words, lanes, read in _row_blocks(law, rng.bit_generator,
+                                                 rows, lam):
+        if slab is None:
+            # every (n, k) stage of every block writes into rows of this
+            # one allocation, which the allocator keeps from chunk to chunk
+            slab = np.empty((len(_WORK), n * k))
         work = {name: row[:n * k].reshape(n, k)
                 for name, row in zip(_WORK, slab)}
-        if law.band is None:
+        if words is None:
             scales = np.asarray(law.weights)[:, None]
         else:
-            scales = _band_values(law.band, bits.random_raw((k, n)).T,
-                                  work["scales"])
+            scales = _band_values(law.band, words.T, work["scales"])
             scales /= np.sqrt(_fold(np.multiply(scales, scales,
                                                 out=work["a"])))
-        refine = (None if read is None else
-                  lambda at, base=r0 * n: read(at + base))
-        c, xi, e = _steps(law, scales, _decisions(draws, k, n).T, lam,
-                          work, refine)
-        _accumulate(law, c, xi, want, batch, rows_in, lam, e, work)
+        c, xi, e = _steps(law, scales, lanes.T, lam, work, read)
+        _accumulate(law, c, xi, want, batch, slice(r0, r0 + k), lam, e, work)
     if want.qc:
         batch.qc_final.fill(1.0 if law.band is not None else
                             math.fsum(v * v for v in law.weights))

@@ -9,6 +9,7 @@ from scipy.special import ndtri
 from scipy.stats import binom
 
 from martkit.applications import (ConfidenceInterval, RegressionData,
+                                  _first_crossing,
                                   least_squares, regression_ci,
                                   regression_coverage, regression_envelope,
                                   regression_epsilons,
@@ -212,6 +213,32 @@ class TestEnvelopes:
         with pytest.raises(DomainError):
             regression_envelope(1.0, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_refused(self, bad):
+        for call in (lambda: regression_envelope(bad, 0.1),
+                     lambda: self_norm_envelope(bad, 0.1),
+                     lambda: wang_jing_bound(bad, 0.1, 0.0)):
+            with pytest.raises(DomainError, match="x must be finite"):
+                call()
+        with pytest.raises(DomainError, match="l3n must be finite"):
+            wang_jing_bound(1.0, bad, 0.0)
+        with pytest.raises(DomainError, match="tail_prob_sum must be finite"):
+            wang_jing_bound(1.0, 0.1, bad)
+
+    def test_negative_wang_jing_inputs_are_refused(self):
+        with pytest.raises(DomainError, match="l3n must be >= 0"):
+            wang_jing_bound(1.0, -0.1, 0.0)
+        with pytest.raises(DomainError, match="tail_prob_sum must be >= 0"):
+            wang_jing_bound(1.0, 0.1, -0.1)
+
+    def test_float32_inputs_are_numbers_like_any_other(self):
+        # 1.5, 0.125 and 0.25 are exact in float32
+        x, l3n, tail = np.float32(1.5), np.float32(0.125), np.float32(0.25)
+        assert regression_envelope(x, 0.1) == regression_envelope(1.5, 0.1)
+        assert self_norm_envelope(x, 0.1) == self_norm_envelope(1.5, 0.1)
+        assert wang_jing_bound(x, l3n, tail) == wang_jing_bound(1.5, 0.125,
+                                                                0.25)
+
     def test_constant_kind_guard(self):
         cd = BoundConstant(1.0, ConstantKind.C_DELTA)
         with pytest.raises(DomainError):
@@ -261,6 +288,17 @@ class TestConfidenceInterval:
         # useful quantile
         ci = regression_ci(self.D, 0.4, 0.95)
         assert not ci.valid and ci.x_star > 0.4 ** (-1.0 / 3.0)
+
+    def test_no_crossing_returns_the_cap_flagged(self):
+        # a constant of 1e12 keeps the envelope route above 1 - level on
+        # the whole scan [0, 20] at eps = 1/2, so x* falls back to the cap
+        ci = regression_ci(self.D, 0.5, 0.95, BoundConstant(1e12),
+                           use_envelope=True)
+        assert ci.x_star == 20.0 and not ci.valid
+        half = 20.0 * self.D.sigma / math.sqrt(self.D.covariate_energy)
+        assert (ci.lo, ci.hi) == (least_squares(self.D) - half,
+                                  least_squares(self.D) + half)
+        assert _first_crossing(lambda x: 1.0, 0.05, 3.0) is None
 
     def test_input_validation(self):
         for bad_level in (0.0, 1.0, -0.5):

@@ -19,13 +19,16 @@ import pytest
 
 import martkit
 from martkit.applications import (least_squares, RegressionData,
-                                  self_norm_envelope, wang_jing_bound)
-from martkit.bounds import (BernsteinParams, BoundConstant, lambda_bar,
+                                  regression_envelope, self_norm_envelope,
+                                  wang_jing_bound)
+from martkit.bounds import (BernsteinParams, BoundConstant,
+                            corollary_envelope, lambda_bar,
                             nonuniform_be_envelope)
 from martkit import cli, montecarlo
 from martkit.cli import main
-from martkit.martingales import ScaledRademacher
-from martkit.montecarlo import SimulationConfig, calibrate_constant
+from martkit.martingales import RegressionModel, ScaledRademacher
+from martkit.montecarlo import (SimulationConfig, calibrate_constant,
+                                estimate_tail_plain_grid)
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -233,6 +236,37 @@ class TestBoundCommand:
         want = self_norm_envelope(0.5, 0.05).envelope
         assert float(cell(rows[0], header, "value")) == want.value
 
+    def test_cor21_matches_library_at_17_digits(self, tmp_path):
+        rc, header, rows = run_csv(
+            tmp_path, ["bound", "--envelope", "cor21", "--epsilon", "0.05",
+                       "--qc-l1", "0.02", "--C", "1.5", "--x-from", "0",
+                       "--x-to", "3", "--x-step", "0.5"])
+        assert rc == 0
+        assert len(rows) == 7
+        for row in rows:
+            x = float(cell(row, header, "x"))
+            env = corollary_envelope(x, 0.05, 0.02, BoundConstant(1.5))
+            assert cell(row, header, "value") == "%.17g" % env.value
+            assert cell(row, header, "log_value") == "%.17g" % env.log_value
+            assert cell(row, header, "xhat") == ""
+
+    def test_regression_token_matches_library_at_17_digits(self, tmp_path):
+        rc, header, rows = run_csv(
+            tmp_path, ["bound", "--envelope", "regression", "--epsilon",
+                       "0.05", "--C", "0.7", "--x-from", "0", "--x-to", "3",
+                       "--x-step", "0.5"])
+        assert rc == 0
+        assert len(rows) == 7
+        params = BernsteinParams(0.05)
+        for row in rows:
+            x = float(cell(row, header, "x"))
+            env = regression_envelope(x, 0.05, BoundConstant(0.7)).nonuniform
+            for name, want in (("xhat", env.xhat),
+                               ("lambda_bar", lambda_bar(abs(x), params)),
+                               ("value", env.value),
+                               ("log_value", env.log_value)):
+                assert cell(row, header, name) == "%.17g" % want
+
     def test_json_format_carries_manifest_and_rows(self, tmp_path):
         out = tmp_path / "bound.json"
         rc = main(["bound", "--envelope", "thm21", "--epsilon", "0.1",
@@ -338,6 +372,30 @@ class TestSimulateCommand:
                        "--x-to", "0.9"])
         assert rc == 0
         assert float(cell(rows[0], header, "p_hat")) == 0.3125
+
+
+    @pytest.mark.parametrize("noise", ["rademacher", "three-point"])
+    def test_regression_model_matches_library_at_17_digits(self, tmp_path,
+                                                          noise):
+        rc, header, rows = run_csv(
+            tmp_path, ["simulate", "--model", "regression", "--n", "32",
+                       "--a", "1", "--b", "2", "--sigma", "1.5", "--theta",
+                       "0.5", "--noise", noise, "--paths", "3000", "--seed",
+                       "7", "--x-from", "0.5", "--x-to", "1.5", "--x-step",
+                       "0.5"])
+        assert rc == 0
+        model = RegressionModel(theta=0.5, n=32, covariate_low=1.0,
+                                covariate_high=2.0, sigma=1.5,
+                                noise=cli._noise(noise))
+        xs = [float(cell(row, header, "x")) for row in rows]
+        want = estimate_tail_plain_grid(
+            SimulationConfig(model, paths=3000, seed=7), xs)
+        assert len(rows) == 3
+        for row, est in zip(rows, want):
+            for name in ("p_hat", "ci_lo", "ci_hi"):
+                assert cell(row, header, name) == "%.17g" % getattr(est,
+                                                                   name)
+            assert cell(row, header, "method") == est.method.value
 
 
 class TestVerifyCommand:

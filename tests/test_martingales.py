@@ -1,5 +1,6 @@
 """Tests for the martingale families and per-path conjugate objects."""
 
+import dataclasses
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from martkit.martingales import (ConjugatePathStats, NoiseFamily, PathSample,
                                  path_to_csv, simulate_path,
                                  simulate_tilted_path, verify_A1, verify_A2)
 from martkit.martingales import (_MARGIN, _band_values, _expit,
+                                 _lemma_ceilings,
                                  _three_point_drift_factor,
                                  _three_point_outcomes, _three_point_psi,
                                  _two_point_steps, _WordReader)
@@ -667,6 +669,23 @@ class TestLemmaChecks:
         assert not rep.passed
         assert any("drift" in v for v in rep.violations)
 
+    def test_each_ceiling_reports_its_own_violation(self):
+        # forged objects one double above the drift and log-MGF ceilings
+        # are reported with their values; at the ceilings nothing is
+        params = SR4.bernstein_params()
+        (b_bound, b_top), (psi_bound, psi_top), _ = _lemma_ceilings(1.0,
+                                                                    params)
+        b, psi = (math.nextafter(v, math.inf) for v in (b_top, psi_top))
+        stats = ConjugatePathStats(
+            lam=1.0, z=1.0, log_z=0.0, psi=psi, b_drift=b, y=0.0,
+            per_step_b=np.zeros(4), per_step_psi=np.zeros(4),
+            half_cosh_applicable=False)
+        assert lemma_checks(stats, params).violations == (
+            f"drift bound: B = {b!r} > {b_bound!r}",
+            f"log-MGF bound: Psi = {psi!r} > {psi_bound!r}")
+        at_top = dataclasses.replace(stats, psi=psi_top, b_drift=b_top)
+        assert lemma_checks(at_top, params).passed
+
     @pytest.mark.parametrize("lam", [math.nan, -0.5, math.inf])
     def test_bad_tilt_refused(self, lam):
         stats = ConjugatePathStats(
@@ -738,6 +757,24 @@ class TestBolthausen:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+
+    def test_padding_at_the_cap_holds_little_besides_its_path(self):
+        # at eps = 2^-10 a path with no variance of its own takes all
+        # 2^20 padding steps; the returned path keeps 24 MiB, and
+        # sq_bracket sums the squares a slice at a time, never as one
+        # float list of the padding (32 MiB on its own)
+        path = PathSample(np.zeros(16), np.zeros(17), np.zeros(17), 0.0, 0,
+                          "handmade")
+        tracemalloc.start()
+        try:
+            aug = bolthausen_augment(path, 2.0 ** -10, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert aug.n == 16 + 2 ** 20 + 1
+        assert aug.sq_bracket == math.fsum(
+            v * v for v in aug.differences.tolist())
+        assert peak < 44 << 20
 
     def test_cap_sits_at_two_to_the_minus_ten(self):
         # the cap is on eps itself: the first double below 2^-10 is

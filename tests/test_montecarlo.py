@@ -1,7 +1,6 @@
 """Monte Carlo engine tests: enumeration oracles, estimator contracts,
 worker determinism, and the hard-assertion suite."""
 
-import copy
 import hashlib
 import itertools
 import math
@@ -29,13 +28,13 @@ from martkit.gaussian import std_normal_cdf
 from martkit.martingales import (STREAM_MC, STREAM_MC_TILTED, STREAM_PATH,
                                  NoiseFamily, RegressionModel,
                                  ScaledRademacher, SelfNormalized,
-                                 VarianceSwitch, _z_variance_bound,
-                                 conjugate_stats, generator_for,
-                                 simulate_path, simulate_tilted_path)
+                                 VarianceSwitch, _BLOCK_ELEMENTS,
+                                 _z_variance_bound, conjugate_stats,
+                                 generator_for, simulate_path,
+                                 simulate_tilted_path)
 from martkit.montecarlo import (CALIBRATION_ENVELOPES, EstimateMethod,
-                                SimulationConfig, _BLOCK_ELEMENTS,
-                                _chunk_layout, _clopper_pearson_ends,
-                                _dkw_band,
+                                SimulationConfig, _chunk_layout,
+                                _clopper_pearson_ends, _dkw_band,
                                 _enumeration_atoms, _fold, _map_chunks,
                                 _minimal_constant, _Request, _simulate_chunk,
                                 calibrate_constant, conjugate_clt_check,
@@ -934,26 +933,6 @@ def _reference_chunk(model, seed, stream, chunk, rows, lam, lams,
             [fold(r, np.multiply, 1.0) for _, _, r in terms])
 
 
-class _LoggedBits:
-    """A Philox bit generator that logs every word it draws; a deep copy
-    logs into the same list."""
-
-    def __init__(self, bits, log):
-        self._bits, self._log = bits, log
-
-    def random_raw(self, size=None):
-        out = self._bits.random_raw(size)
-        self._log.extend(np.ravel(out).tolist())
-        return out
-
-    def advance(self, delta):
-        self._bits.advance(delta)
-        return self
-
-    def __deepcopy__(self, memo):
-        return _LoggedBits(copy.deepcopy(self._bits, memo), self._log)
-
-
 REG_RAD24 = RegressionModel(theta=0.5, n=24, covariate_low=1.0,
                             covariate_high=2.0, sigma=1.0,
                             noise=NoiseFamily.RADEMACHER_SCALED)
@@ -1213,28 +1192,30 @@ class TestSamplingKernels:
         # covariate words, if any, and ceil(n/4) lane words per path: the
         # first words of their streams, each of them, and no other;
         # no refinement reader is built
-        logs = []
+        logs = {}   # key word -> the words of every Philox on that key
 
-        def keyed(seed, stream, index):
-            logs.append((stream, index, []))
-            bits = generator_for(seed, stream, index).bit_generator
-            return SimpleNamespace(bit_generator=_LoggedBits(bits,
-                                                             logs[-1][2]))
+        class Logged(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                out = super().random_raw(size, output)
+                key = self.state["state"]["key"][1].item()
+                logs.setdefault(key, []).extend(np.ravel(out).tolist())
+                return out
 
         def no_reader(*args):
             raise AssertionError("a refinement reader at tilt zero")
 
-        for module in (montecarlo, martingales):
-            monkeypatch.setattr(module, "generator_for", keyed)
-            monkeypatch.setattr(module, "_WordReader", no_reader)
+        monkeypatch.setattr(np.random, "Philox", Logged)
+        monkeypatch.setattr(martingales, "_WordReader", no_reader)
         rows = 777
         _simulate_chunk(model, 21, STREAM_MC, 3, rows, 0.0,
                         _Request((0.5,), **_FULL))
         simulate_path(model, 21, path_index=5)
+        monkeypatch.undo()
         lead = model.n if model._law().band is not None else 0
         per_path = lead + -(-model.n // 4)
-        assert [key for *key, _ in logs] == [[STREAM_MC, 3], [STREAM_PATH, 5]]
-        for (stream, index, log), paths in zip(logs, (rows, 1)):
+        keys = [(STREAM_MC, 3), (STREAM_PATH, 5)]
+        assert list(logs) == [(stream << 56) | index for stream, index in keys]
+        for (stream, index), log, paths in zip(keys, logs.values(), (rows, 1)):
             budget = paths * per_path
             stream_words = generator_for(21, stream, index).bit_generator
             first = stream_words.random_raw(budget).tolist()

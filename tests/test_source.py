@@ -10,7 +10,8 @@ dependency that ``pyproject.toml`` lists), only ``martingales`` and
 (``Generator.random`` is called only by
 ``martingales.bolthausen_augment``, which draws no family steps), only
 ``montecarlo._new_batch`` builds a chunk's outputs, ``martingales._decisions``
-takes no tilt, every Philox
+takes no tilt, ``martingales._row_blocks`` alone places the raw words
+every sampler draws, every Philox
 stream key is assigned in ``martingales`` alone, each to its own value,
 every ``module.name`` that README.md quotes resolves, and every public
 module-level name has a reader: the package loads it, README quotes it as
@@ -231,6 +232,65 @@ def test_step_draws_have_one_layout():
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
         == ["bits", "rows", "n"]
     assert args.vararg is args.kwarg is None
+
+
+def mentions(source: str, name: str) -> list:
+    """The enclosing top-level definition (None outside any) of every
+    mention of ``name`` in ``source``'s code: a load by bare name, an
+    attribute, or an imported name."""
+    owners = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                hit = node.id == name and isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == name
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                hit = any(alias.name.partition(".")[0] == name
+                          for alias in node.names)
+            else:
+                hit = False
+            if hit:
+                owners.append(getattr(top, "name", None))
+    return owners
+
+
+def readers(name: str) -> set:
+    """(module, owner) of every mention of ``name`` in the package."""
+    return {(path.stem, owner) for path in MODULES
+            for owner in mentions(path.read_text(encoding="utf-8"), name)}
+
+
+def test_mention_scan_finds_loads_attributes_and_imports():
+    source = ("import copy.x\n"
+              "from .m import f\n"
+              "def g(bits):\n"
+              "    f = bits.f(1)\n"
+              "    return copy\n"
+              "class C:\n"
+              "    def h(self, f=f):\n"
+              "        return 'f is text, not a mention'\n")
+    assert mentions(source, "f") == [None, "g", "C"]
+    assert mentions(source, "copy") == [None, "g"]
+    assert mentions(source, "bits") == ["g"]
+    assert mentions(source, "h") == []
+
+
+def test_draw_layout_has_one_home():
+    # martingales._row_blocks places every word of every sampler's
+    # stream: only it and the two readers it builds, the lanes of
+    # _decisions and the refinement words of _WordReader, draw raw
+    # words, and no Philox copy is advanced or deep-copied by hand
+    assert readers("random_raw") == {
+        ("martingales", "_row_blocks"), ("martingales", "_decisions"),
+        ("martingales", "_WordReader")}
+    for name in ("_decisions", "_WordReader"):
+        assert readers(name) == {("martingales", "_row_blocks")}
+    for name in ("copy", "deepcopy", "advance"):
+        assert readers(name) == set()
+    assert sorted(call_sites("_row_blocks")) == [
+        ("martingales", "_generate"), ("martingales", "_switch_masks"),
+        ("montecarlo", "_simulate_chunk")]
 
 
 def test_chunk_outputs_have_one_layout():
